@@ -96,15 +96,11 @@ class SearchConfig:
 
     multistarts: int = 64
     max_iter: int = 80
-    fd_eps: float = 1e-5
     grad_tol: float = 1e-10
     step0: float = 0.2
     tol: float = 1e-9            # witness threshold on the negative side
-    widen_orientation: bool = False
     short_circuit: bool = False
     seed: int = 0
-    workers: int = 1             # starts run in parallel; min-reduction
-                                 # keeps the result order-independent
 
 
 @dataclass(frozen=True)
@@ -179,7 +175,7 @@ def _descend_from(R: np.ndarray, J: np.ndarray, cfg: SearchConfig) -> tuple[floa
     step = cfg.step0
     val = kernels.refute_value(R, J)
     for _ in range(cfg.max_iter):
-        val, grad = kernels.refute_value_and_grad(R, J, cfg.fd_eps)
+        val, grad = kernels.refute_value_and_grad(R, J)
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_tol:
             break
@@ -210,37 +206,20 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     symmetrized star-Ricci form over orthogonal complex structures.
 
     Returns a witness when a value below -tol is found; ``none found``
-    is NOT a membership proof.  Starts are orientation-compatible by
-    default (``widen_orientation`` searches both components).
+    is NOT a membership proof.  Starts are orientation-compatible.
     """
     cfg = config or SearchConfig()
     R = np.asarray(R, dtype=float)
-
-    def run_start(s: int) -> tuple[float, np.ndarray]:
-        rng = make_rng(cfg.seed, 211, s)
-        orient = True if not cfg.widen_orientation else (s % 2 == 0)
-        J0 = random_orthogonal_complex_structure(rng, compatible_orientation=orient).J
-        return _descend_from(R, J0, cfg)
-
     best_val, best_J = np.inf, standard_complex_structure()
     completed = 0
-    if cfg.workers > 1 and not cfg.short_circuit and cfg.multistarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_start, range(cfg.multistarts)))
-        completed = len(results)
-        for val, J in results:
-            if val < best_val:
-                best_val, best_J = val, J
-    else:
-        for s in range(cfg.multistarts):
-            val, J = run_start(s)
-            completed += 1
-            if val < best_val:
-                best_val, best_J = val, J
-            if cfg.short_circuit and best_val < -cfg.tol:
-                break
+    for s in range(cfg.multistarts):
+        J0 = random_orthogonal_complex_structure(make_rng(cfg.seed, 211, s)).J
+        val, J = _descend_from(R, J0, cfg)
+        completed += 1
+        if val < best_val:
+            best_val, best_J = val, J
+        if cfg.short_circuit and best_val < -cfg.tol:
+            break
     witness = None
     if best_val < -cfg.tol:
         M = ricci_star(R, best_J)

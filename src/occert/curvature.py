@@ -211,7 +211,11 @@ def chern_form(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray,
 def express_in_frame(R: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """Components of R in the given frame (columns)."""
     F = np.asarray(frame, dtype=float)
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", np.asarray(R, dtype=float), F, F, F, F)
+    out = np.asarray(R, dtype=float)
+    for _ in range(4):
+        # contract the leading index; the new frame index goes last
+        out = np.tensordot(out, F, axes=([0], [0]))
+    return out
 
 
 def star_matrix(R: np.ndarray, frame: np.ndarray) -> FrameMatrix:
@@ -291,13 +295,11 @@ def _ascend_once(R: np.ndarray, vs: np.ndarray, iters: int,
 
 
 def sup_norm_bounds(R: np.ndarray, multistarts: int = 64, iters: int = 200,
-                    seed: int = 0, grad_tol: float = 1e-10,
-                    workers: int = 1) -> SupNormBounds:
+                    seed: int = 0, grad_tol: float = 1e-10) -> SupNormBounds:
     """Certified upper bound (Frobenius, by Cauchy-Schwarz four times)
     and a best-found lower bound for sup |R(v1, v2, v3, v4)| over unit
     vectors: projected-gradient ascent from random multistarts plus all
-    axis-aligned quadruples.  Starts have deterministic per-start seeds
-    and merge by max, so the result is scheduling-independent.
+    axis-aligned quadruples.  Starts have deterministic per-start seeds.
     """
     R = np.asarray(R, dtype=float)
     upper = frobenius_norm(R)
@@ -306,20 +308,10 @@ def sup_norm_bounds(R: np.ndarray, multistarts: int = 64, iters: int = 200,
     lower = float(flat[idx])
     eye = np.eye(6)
     best_vs = np.stack([eye[i] for i in idx])
-
-    def run_start(s: int) -> tuple[float, np.ndarray]:
+    for s in range(multistarts):
         rng = make_rng(seed, 101, s)
         vs = np.stack([_normalize(rng.normal(size=6)) for _ in range(4)])
-        return _ascend_once(R, vs, iters, grad_tol)
-
-    if workers > 1 and multistarts > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_start, range(multistarts)))
-    else:
-        results = [run_start(s) for s in range(multistarts)]
-    for val, arg in results:
+        val, arg = _ascend_once(R, vs, iters, grad_tol)
         if val > lower:
             lower, best_vs = val, arg
     # Polish the axis-aligned winner too.

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import validate_symmetries
+from .curvature import express_in_frame, validate_symmetries
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -301,17 +301,9 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return np.linalg.inv(L).T
 
 
-def riemann(field: MetricField, point: ChartPoint,
-            fd: FDConfig | None = None,
-            sym_check: bool = True) -> np.ndarray:
-    """(4,0) curvature in a g-orthonormal frame at the point.
-
-    The sign is fixed so that the unit round sphere yields the
-    Kulkarni-Nomizu square of the metric (operator = identity).
-    Raises FDQualityError when the algebraic identities are violated
-    beyond 100 h^2.
-    """
-    fd = fd or FDConfig()
+def _coordinate_riemann(field: MetricField, point: ChartPoint,
+                        fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(4,0) curvature in chart coordinates and the metric at the point."""
     x = np.asarray(point.x, dtype=float)
     chart = point.chart_id
 
@@ -326,9 +318,22 @@ def riemann(field: MetricField, point: ChartPoint,
     r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
             + np.einsum("lim,mjk->lijk", gamma, gamma)
             - np.einsum("ljm,mik->lijk", gamma, gamma))
-    R = -np.einsum("lijk,lm->ijkm", r_up, conn.g)
-    B = orthonormal_frame(conn.g)
-    R_onf = np.einsum("ijkl,ia,jb,kc,ld->abcd", R, B, B, B, B)
+    return -np.einsum("lijk,lm->ijkm", r_up, conn.g), conn.g
+
+
+def riemann(field: MetricField, point: ChartPoint,
+            fd: FDConfig | None = None,
+            sym_check: bool = True) -> np.ndarray:
+    """(4,0) curvature in a g-orthonormal frame at the point.
+
+    The sign is fixed so that the unit round sphere yields the
+    Kulkarni-Nomizu square of the metric (operator = identity).
+    Raises FDQualityError when the algebraic identities are violated
+    beyond 100 h^2.
+    """
+    fd = fd or FDConfig()
+    R, g = _coordinate_riemann(field, point, fd)
+    R_onf = express_in_frame(R, orthonormal_frame(g))
     if sym_check:
         worst = max(validate_symmetries(R_onf).values())
         if worst > 100.0 * fd.h ** 2:
@@ -346,10 +351,10 @@ class NablaJData:
     nabla: np.ndarray            # (6, 6, 6): nabla[i] = (nabla_{e_i} J)
 
 
-def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
-            fd: FDConfig | None = None) -> NablaJData:
-    """Covariant derivative of the J field, re-expressed orthonormally."""
-    fd = fd or FDConfig()
+def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
+                   fd: FDConfig):
+    """Levi-Civita symbols, J, its coordinate derivative dJ[i, k, j] and
+    its covariant derivative nab[i, k, j], all in chart coordinates."""
     x = np.asarray(point.x, dtype=float)
     chart = point.chart_id
 
@@ -359,10 +364,17 @@ def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
     conn = christoffel(field, point, fd)
     J = J_at(x)
     dJ = np.stack([_directional_samples(J_at, x, i, fd.h, fd.scheme)
-                   for i in range(6)])                     # dJ[i, k, j]
+                   for i in range(6)])
     nab = (dJ
            + np.einsum("kim,mj->ikj", conn.gamma, J)
            - np.einsum("mij,km->ikj", conn.gamma, J))
+    return conn, J, dJ, nab
+
+
+def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
+            fd: FDConfig | None = None) -> NablaJData:
+    """Covariant derivative of the J field, re-expressed orthonormally."""
+    conn, J, _, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
     B = orthonormal_frame(conn.g)
     B_inv = np.linalg.inv(B)
     J_onf = B_inv @ J @ B
@@ -390,16 +402,7 @@ def canonical_connection_check(field: MetricField, acs: ACSField,
     def g_at(y):
         return field.matrix(ChartPoint(chart, y))
 
-    def J_at(y):
-        return acs.chart_operator(ChartPoint(chart, y))
-
-    conn = christoffel(field, point, fd)
-    J = J_at(x)
-    dJ = np.stack([_directional_samples(J_at, x, i, fd.h, fd.scheme)
-                   for i in range(6)])
-    nab = (dJ
-           + np.einsum("kim,mj->ikj", conn.gamma, J)
-           - np.einsum("mij,km->ikj", conn.gamma, J))
+    conn, J, dJ, nab = _chart_nabla_J(field, acs, point, fd)
     # Delta = Levi-Civita - (1/2) J (nabla J)
     delta = conn.gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
 
@@ -457,8 +460,8 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint],
         h = B0.T @ (g1 - g0) @ B0
         eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         # Deviation sampled in the round orthonormal frame of the point.
-        dev = (_riemann_in_frame(field, pt, fd, B0)
-               - _riemann_in_frame(base, pt, fd, B0))
+        dev = express_in_frame(_coordinate_riemann(field, pt, fd)[0]
+                               - _coordinate_riemann(base, pt, fd)[0], B0)
         eps1 = max(eps1, float(np.max(np.abs(dev))))
         for _ in range(per_point):
             vs = rng.normal(size=(4, 6))
@@ -466,23 +469,3 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint],
             eps1 = max(eps1, abs(float(np.einsum("ijkl,i,j,k,l->", dev, *vs))))
     return PerturbationBudget(eps1=eps1, eps2=eps2)
 
-
-def _riemann_in_frame(field: MetricField, point: ChartPoint, fd: FDConfig,
-                      frame: np.ndarray) -> np.ndarray:
-    """Coordinate curvature expressed in an externally supplied frame."""
-    x = np.asarray(point.x, dtype=float)
-    chart = point.chart_id
-
-    def gamma_at(y):
-        return christoffel(field, ChartPoint(chart, y), fd).gamma
-
-    conn = christoffel(field, point, fd)
-    gamma = conn.gamma
-    dgamma = np.stack([_directional_samples(gamma_at, x, i, fd.h, fd.scheme)
-                       for i in range(6)])
-    r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gamma, gamma)
-            - np.einsum("ljm,mik->lijk", gamma, gamma))
-    R = -np.einsum("lijk,lm->ijkm", r_up, conn.g)
-    B = frame
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, B, B, B, B)

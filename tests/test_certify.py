@@ -112,15 +112,6 @@ class TestRefutation:
             res = ct.refute_P(R, ct.SearchConfig(multistarts=16, seed=7))
             assert res.best_value > -1e-6
 
-    def test_parallel_starts_match_serial(self, G):
-        rng = make_rng(12)
-        R = G - 0.4 * cv.random_curvature(rng)
-        serial = ct.refute_P(R, ct.SearchConfig(multistarts=8, seed=9))
-        threaded = ct.refute_P(R, ct.SearchConfig(multistarts=8, seed=9,
-                                                  workers=4))
-        assert serial.best_value == threaded.best_value
-        assert np.array_equal(serial.best_J, threaded.best_J)
-
 
 class TestLemmaLL:
     def test_omega_itself(self, J0, omega0):

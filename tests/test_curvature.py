@@ -233,10 +233,3 @@ class TestSupNorm:
 
             assert abs(abs(quad_value(np.ascontiguousarray(R), *b.argmax))
                        - b.lower) < 1e-9
-
-    def test_parallel_starts_match_serial(self):
-        R = cv.random_curvature(7)
-        serial = cv.sup_norm_bounds(R, multistarts=6, seed=2)
-        threaded = cv.sup_norm_bounds(R, multistarts=6, seed=2, workers=3)
-        assert serial.lower == threaded.lower
-        assert np.array_equal(serial.argmax, threaded.argmax)

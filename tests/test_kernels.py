@@ -1,22 +1,36 @@
-"""Backend parity: the compiled core must match the numpy reference."""
+"""The search kernels: the analytic lambda_min gradient against central
+differences over the 15 Givens generators, and the pair order."""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from occert import _kernels_py as ref
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import kernels
 from occert.rng import make_rng
 
-cy = pytest.importorskip("occert._kernels_cy",
-                         reason="compiled kernels not built")
+
+def givens_conj(J, p, q, angle):
+    """E J E^T for the rotation E = exp(angle * (E_qp - E_pq))."""
+    c, s = np.cos(angle), np.sin(angle)
+    out = J.copy()
+    rp, rq = out[p].copy(), out[q].copy()
+    out[p] = c * rp - s * rq
+    out[q] = s * rp + c * rq
+    cp, cq = out[:, p].copy(), out[:, q].copy()
+    out[:, p] = c * cp - s * cq
+    out[:, q] = s * cp + c * cq
+    return out
+
+
+def central_difference_grad(R, J, eps=1e-5):
+    return np.array([
+        (kernels.refute_value(R, givens_conj(J, p, q, eps))
+         - kernels.refute_value(R, givens_conj(J, p, q, -eps))) / (2.0 * eps)
+        for p, q in kernels.PAIRS])
 
 
 @pytest.fixture(scope="module")
@@ -31,52 +45,44 @@ def samples():
     return out
 
 
-class TestParity:
-    def test_ricci_star(self, samples):
+class TestRefuteKernel:
+    def test_value_matches_refute_value(self, samples):
         for R, J, _ in samples:
-            assert np.max(np.abs(cy.ricci_star_matrix(R, J)
-                                 - ref.ricci_star_matrix(R, J))) < 1e-13
+            val, _ = kernels.refute_value_and_grad(R, J)
+            assert abs(val - kernels.refute_value(R, J)) < 1e-12
 
-    def test_refute_value(self, samples):
+    def test_gradient_matches_central_differences(self, samples):
         for R, J, _ in samples:
-            assert abs(cy.refute_value(R, J) - ref.refute_value(R, J)) < 1e-12
-
-    def test_refute_gradient(self, samples):
-        for R, J, _ in samples:
-            v0, g0 = cy.refute_value_and_grad(R, J, 1e-5)
-            v1, g1 = ref.refute_value_and_grad(R, J, 1e-5)
-            assert abs(v0 - v1) < 1e-12
+            _, grad = kernels.refute_value_and_grad(R, J)
             # central differences amplify eigensolver noise by 1/(2 eps)
-            assert np.max(np.abs(g0 - g1)) < 1e-8
+            assert np.max(np.abs(grad - central_difference_grad(R, J))) < 1e-8
 
-    def test_quad_value(self, samples):
-        for R, _, vs in samples:
-            assert abs(cy.quad_value(R, *vs) - ref.quad_value(R, *vs)) < 1e-11
-
-    def test_quad_grads(self, samples):
-        for R, _, vs in samples:
-            v0, g0 = cy.quad_value_and_grads(R, *vs)
-            v1, g1 = ref.quad_value_and_grads(R, *vs)
-            assert abs(v0 - v1) < 1e-11
-            assert np.max(np.abs(g0 - g1)) < 1e-11
-
-
-class TestBackendSelection:
-    def test_active_backend_reports(self):
-        assert kernels.BACKEND in ("cython", "python")
-
-    def test_force_python_fallback(self):
-        env = dict(os.environ, OCCERT_FORCE_PY="1")
-        out = subprocess.run(
-            [sys.executable, "-c", "import occert; print(occert.BACKEND)"],
-            capture_output=True, text=True, env=env)
-        assert out.stdout.strip() == "python"
-
-    def test_pair_order_matches(self):
-        # the Givens gradient uses the same lexicographic pair order
+    def test_pair_order(self, samples):
+        assert kernels.PAIRS == tuple(
+            (i, j) for i in range(6) for j in range(i + 1, 6))
+        # a step assembled from PAIRS as the search does has slope c . grad
         rng = make_rng(7)
-        R = np.ascontiguousarray(cv.random_curvature(rng))
-        J = np.ascontiguousarray(hm.random_orthogonal_complex_structure(rng).J)
-        _, g_cy = cy.refute_value_and_grad(R, J, 1e-4)
-        _, g_py = ref.refute_value_and_grad(R, J, 1e-4)
-        assert np.max(np.abs(g_cy - g_py)) < 1e-8
+        R, J, _ = samples[0]
+        c = rng.normal(size=len(kernels.PAIRS))
+        S = np.zeros((6, 6))
+        for idx, (p, q) in enumerate(kernels.PAIRS):
+            S[q, p] += c[idx]
+            S[p, q] -= c[idx]
+        eps = 1e-5
+
+        def value(t):
+            E = expm(t * S)
+            return kernels.refute_value(R, E @ J @ E.T)
+
+        slope = (value(eps) - value(-eps)) / (2.0 * eps)
+        _, grad = kernels.refute_value_and_grad(R, J)
+        assert abs(slope - c @ grad) < 1e-7
+
+
+class TestQuadKernels:
+    def test_partial_contractions(self, samples):
+        for R, _, vs in samples:
+            val, grads = kernels.quad_value_and_grads(R, *vs)
+            assert abs(val - kernels.quad_value(R, *vs)) < 1e-11
+            for g, v in zip(grads, vs):
+                assert abs(g @ v - val) < 1e-11
