@@ -10,7 +10,7 @@ as unknown; a failed search is never upgraded to a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +36,11 @@ from .rng import make_rng
 P_THRESHOLD = 1.0 / 6.0          # sufficient sup-norm bound for dim 6
 TIE_TOL = 1e-12                  # strict inequalities: ties reported as fail
 LL_RADIUS = 0.5 / math.sqrt(3.0)  # nondegeneracy radius 1/(2 sqrt(n)), n = 3
+
+# descent of one refutation start (engineering defaults)
+MAX_ITER = 80                    # gradient steps per start
+GRAD_TOL = 1e-10                 # a start stops once the gradient norm is below this
+STEP0 = 0.2                      # first line-search step of a start
 
 
 @dataclass(frozen=True)
@@ -95,11 +100,7 @@ class SearchConfig:
     """Knobs of the refutation search (engineering defaults)."""
 
     multistarts: int = 64
-    max_iter: int = 80
-    grad_tol: float = 1e-10
-    step0: float = 0.2
     tol: float = 1e-9            # witness threshold on the negative side
-    short_circuit: bool = False
     seed: int = 0
 
 
@@ -108,7 +109,6 @@ class RefutationResult:
     witness: Witness | None
     best_value: float
     best_J: np.ndarray
-    starts_completed: int
 
 
 @dataclass(frozen=True)
@@ -171,13 +171,13 @@ def _polish_complex_structure(J: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _descend_from(R: np.ndarray, J: np.ndarray, cfg: SearchConfig) -> tuple[float, np.ndarray]:
-    step = cfg.step0
+def _descend_from(R: np.ndarray, J: np.ndarray) -> tuple[float, np.ndarray]:
+    step = STEP0
     val = kernels.refute_value(R, J)
-    for _ in range(cfg.max_iter):
+    for _ in range(MAX_ITER):
         val, grad = kernels.refute_value_and_grad(R, J)
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < cfg.grad_tol:
+        if gnorm < GRAD_TOL:
             break
         direction = -grad / gnorm
         moved = False
@@ -211,15 +211,11 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     cfg = config or SearchConfig()
     R = np.asarray(R, dtype=float)
     best_val, best_J = np.inf, standard_complex_structure()
-    completed = 0
     for s in range(cfg.multistarts):
         J0 = random_orthogonal_complex_structure(make_rng(cfg.seed, 211, s)).J
-        val, J = _descend_from(R, J0, cfg)
-        completed += 1
+        val, J = _descend_from(R, J0)
         if val < best_val:
             best_val, best_J = val, J
-        if cfg.short_circuit and best_val < -cfg.tol:
-            break
     witness = None
     if best_val < -cfg.tol:
         M = ricci_star(R, best_J)
@@ -232,7 +228,7 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
         value = float(X @ M @ X)
         witness = Witness(J=best_J, X=X, value=value)
     return RefutationResult(witness=witness, best_value=float(best_val),
-                            best_J=best_J, starts_completed=completed)
+                            best_J=best_J)
 
 
 def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,
@@ -281,11 +277,8 @@ def perturbation_budget_check(budget: PerturbationBudget) -> BudgetCheck:
 @dataclass(frozen=True)
 class CertifyOptions:
     checks: tuple[str, ...] = ("bhl", "p_sufficient")
-    multistarts: int = 64
-    tol: float = 1e-9
-    seed: int = 0
     sym_tol: float = 1e-6        # curvature-identity tolerance (FD input is looser)
-    search: SearchConfig | None = None
+    search: SearchConfig = SearchConfig()
 
 
 VALID_CHECKS = ("bhl", "p_sufficient", "p_refute", "lemma_ll_demo")
@@ -335,9 +328,7 @@ def certify_point(R: np.ndarray, g: np.ndarray | None = None,
     if "p_sufficient" in opts.checks or "p_refute" in opts.checks:
         membership = certify_P_sufficient(R)
         if membership.status != "certified" and "p_refute" in opts.checks:
-            cfg = opts.search or SearchConfig(multistarts=opts.multistarts,
-                                              tol=opts.tol, seed=opts.seed)
-            result = refute_P(R, cfg)
+            result = refute_P(R, opts.search)
             if result.witness is not None:
                 membership = replace(membership, status="refuted",
                                      witness=result.witness)

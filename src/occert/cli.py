@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
@@ -23,7 +22,7 @@ except ImportError:                      # pragma: no cover
     jsonschema = None
 
 from . import __version__
-from .certify import CertifyOptions, SearchConfig, certify_point
+from .certify import VALID_CHECKS, CertifyOptions, SearchConfig, certify_point
 from .curvature import curvature_operator
 from .errors import ConfigError, OccertError
 from .kernels import BACKEND
@@ -44,11 +43,8 @@ class RunConfig:
     points: int
     seed: int
     fd: FDConfig
-    multistarts: int
-    tol: float
-    checks: tuple[str, ...]
+    options: CertifyOptions
     out: str | None
-    threads: int
 
     def to_dict(self) -> dict:
         spec = {"family": self.metric.family, "scale": self.metric.scale}
@@ -58,9 +54,9 @@ class RunConfig:
             "points": self.points,
             "seed": self.seed,
             "fd": {"h": self.fd.h, "scheme": self.fd.scheme},
-            "multistarts": self.multistarts,
-            "tol": self.tol,
-            "checks": list(self.checks),
+            "multistarts": self.options.search.multistarts,
+            "tol": self.options.search.tol,
+            "checks": list(self.options.checks),
         }
 
 
@@ -113,12 +109,16 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("one of --metric or --spec is required")
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
-    if args.tol <= 0:
-        raise ConfigError("--tol must be positive")
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
+    if args.multistarts < 0:
+        raise ConfigError("--multistarts must be nonnegative")
+    if not 0 < args.tol < float("inf"):         # also rejects nan
+        raise ConfigError("--tol must be positive and finite")
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     if not checks:
         raise ConfigError("--checks must name at least one check")
-    bad = set(checks) - {"bhl", "p_sufficient", "p_refute", "lemma_ll_demo"}
+    bad = set(checks) - set(VALID_CHECKS)
     if bad:
         raise ConfigError("unknown checks: %s" % ", ".join(sorted(bad)))
     scheme = "richardson_4th" if args.richardson else "central_2nd"
@@ -126,20 +126,13 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         fd = FDConfig(h=args.fd_step, scheme=scheme)
     except OccertError as exc:
         raise ConfigError("invalid --fd-step: %s" % exc) from exc
-    threads = _thread_count()
+    # the FD curvature satisfies its identities only to O(h^2)
+    options = CertifyOptions(
+        checks=checks, sym_tol=max(1e-9, 100.0 * fd.h ** 2),
+        search=SearchConfig(multistarts=args.multistarts, tol=args.tol,
+                            seed=args.seed))
     return RunConfig(metric=metric, points=args.points, seed=args.seed,
-                     fd=fd, multistarts=args.multistarts, tol=args.tol,
-                     checks=checks, out=args.out, threads=threads)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("OCCERT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("OCCERT_THREADS must be an integer")
-    return min(4, os.cpu_count() or 1)
+                     fd=fd, options=options, out=args.out)
 
 
 def _jsonify(value):
@@ -158,29 +151,35 @@ def _jsonify(value):
     return value
 
 
-def _certify_one(index: int, point, config: RunConfig) -> dict:
-    record: dict = {
-        "index": index,
-        "chart": point.chart_id,
-        "x": _jsonify(point.x),
-        "ambient": _jsonify(chart_to_ambient(point)),
-    }
-    try:
-        R = riemann(config.metric, point, config.fd)
-        sym_tol = max(1e-9, 100.0 * config.fd.h ** 2)
-        search = SearchConfig(multistarts=config.multistarts, tol=config.tol,
-                              seed=config.seed)
-        cert = certify_point(R, options=CertifyOptions(
-            checks=config.checks, multistarts=config.multistarts,
-            tol=config.tol, seed=config.seed, sym_tol=sym_tol, search=search))
-    except (OccertError, np.linalg.LinAlgError) as exc:
-        # per-point isolation: a bad point must not abort the survey
-        record.update({"verdict": "error", "error": str(exc), "notes": ""})
-        return record
+def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
+    """One record per sampled point (its position, then ``evaluate`` of
+    its curvature tensor, or the error that stopped the point) and the
+    number of points per verdict."""
+    records = []
+    for index, point in enumerate(sample_points(config.points, config.seed)):
+        record: dict = {
+            "index": index,
+            "chart": point.chart_id,
+            "x": _jsonify(point.x),
+            "ambient": _jsonify(chart_to_ambient(point)),
+        }
+        try:
+            R = riemann(config.metric, point, config.fd)
+            record.update(evaluate(R, config))
+        except (OccertError, np.linalg.LinAlgError) as exc:
+            # per-point isolation: a bad point must not abort the survey
+            record.update({"verdict": "error", "error": str(exc), "notes": ""})
+        records.append(record)
+    return records, dict(Counter(r["verdict"] for r in records))
 
-    record["spectrum"] = _jsonify(cert.spectrum)
-    record["lambda_min"] = float(cert.spectrum[0])
-    record["lambda_max"] = float(cert.spectrum[-1])
+
+def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
+    cert = certify_point(R, options=config.options)
+    record: dict = {
+        "spectrum": _jsonify(cert.spectrum),
+        "lambda_min": float(cert.spectrum[0]),
+        "lambda_max": float(cert.spectrum[-1]),
+    }
     refuted = False
     affirmed = True
     if cert.bhl is not None:
@@ -213,46 +212,37 @@ def _certify_one(index: int, point, config: RunConfig) -> dict:
     return record
 
 
-def _spectrum_one(index: int, point, config: RunConfig) -> dict:
-    record: dict = {
-        "index": index,
-        "chart": point.chart_id,
-        "x": _jsonify(point.x),
-        "ambient": _jsonify(chart_to_ambient(point)),
+def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
+    op = curvature_operator(R, sym_tol=config.options.sym_tol)
+    return {"spectrum": _jsonify(op.spectrum),
+            "lambda_min": float(op.spectrum[0]),
+            "lambda_max": float(op.spectrum[-1]),
+            "verdict": "ok", "error": None}
+
+
+def _report(command: str, config: RunConfig, records: list[dict],
+            counts: dict[str, int], verdict: str,
+            min_margin: float | None = None) -> dict:
+    """The report document around the point records."""
+    return {
+        "schema": "occert-report-v1",
+        "command": command,
+        "config": config.to_dict(),
+        # points run one after another in this thread
+        "meta": {"version": __version__, "numpy": np.__version__,
+                 "backend": BACKEND, "threads": 1},
+        "points": records,
+        "aggregate": {"verdict": verdict, "min_margin": min_margin,
+                      "counts": counts},
     }
-    try:
-        R = riemann(config.metric, point, config.fd)
-        op = curvature_operator(R, sym_tol=max(1e-9, 100.0 * config.fd.h ** 2))
-    except (OccertError, np.linalg.LinAlgError) as exc:
-        record.update({"verdict": "error", "error": str(exc), "notes": ""})
-        return record
-    record["spectrum"] = _jsonify(op.spectrum)
-    record["lambda_min"] = float(op.spectrum[0])
-    record["lambda_max"] = float(op.spectrum[-1])
-    record["verdict"] = "ok"
-    record["error"] = None
-    return record
-
-
-def _map_points(fn, points, config: RunConfig) -> list[dict]:
-    if config.threads <= 1 or len(points) <= 1:
-        return [fn(i, p, config) for i, p in enumerate(points)]
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        return list(pool.map(lambda ip: fn(ip[0], ip[1], config),
-                             enumerate(points)))
 
 
 def run_certify(config: RunConfig) -> tuple[dict, int]:
     """Certification survey; the report and the exit code."""
-    points = sample_points(config.points, config.seed)
-    records = _map_points(_certify_one, points, config)
+    records, counts = _survey(config, _certify_one)
     margins = [r["bhl"]["margin"] for r in records if r.get("bhl")]
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
     if counts.get("refuted"):
-        verdict = "refuted with witness at %d of %d points" % (
-            counts["refuted"], len(records))
+        verdict = "refuted at %d of %d points" % (counts["refuted"], len(records))
         code = EXIT_REFUTED
     elif counts.get("unknown") or counts.get("error"):
         verdict = "inconclusive: %d unknown, %d errors" % (
@@ -261,40 +251,15 @@ def run_certify(config: RunConfig) -> tuple[dict, int]:
     else:
         verdict = "hypotheses certified at all sampled points"
         code = EXIT_OK
-    report = {
-        "schema": "occert-report-v1",
-        "command": "certify",
-        "config": config.to_dict(),
-        "meta": {"version": __version__, "numpy": np.__version__,
-                 "backend": BACKEND, "threads": config.threads},
-        "points": records,
-        "aggregate": {
-            "verdict": verdict,
-            "min_margin": min(margins) if margins else None,
-            "counts": counts,
-        },
-    }
+    report = _report("certify", config, records, counts, verdict,
+                     min(margins) if margins else None)
     return report, code
 
 
 def run_spectrum(config: RunConfig) -> tuple[dict, int]:
-    points = sample_points(config.points, config.seed)
-    records = _map_points(_spectrum_one, points, config)
-    counts: dict[str, int] = {}
-    for r in records:
-        counts[r["verdict"]] = counts.get(r["verdict"], 0) + 1
+    records, counts = _survey(config, _spectrum_one)
     code = EXIT_UNKNOWN if counts.get("error") else EXIT_OK
-    report = {
-        "schema": "occert-report-v1",
-        "command": "spectrum",
-        "config": config.to_dict(),
-        "meta": {"version": __version__, "numpy": np.__version__,
-                 "backend": BACKEND, "threads": config.threads},
-        "points": records,
-        "aggregate": {"verdict": "spectra computed", "min_margin": None,
-                      "counts": counts},
-    }
-    return report, code
+    return _report("spectrum", config, records, counts, "spectra computed"), code
 
 
 def emit_report(report: dict, path: str | None) -> None:

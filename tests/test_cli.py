@@ -30,7 +30,7 @@ class TestConfigParsing:
         assert config.seed == 7
         assert config.fd.h == 1e-3
         assert config.fd.scheme == "central_2nd"
-        assert config.checks == ("bhl", "p_sufficient")
+        assert config.options.checks == ("bhl", "p_sufficient")
 
     def test_spec_file_conformal(self, tmp_path):
         spec = {"family": "conformal",
@@ -67,6 +67,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.parse_config(parser.parse_args(
                 ["certify", "--metric", "round", "--tol", "-1"]))
+        for tol in ("nan", "inf"):
+            with pytest.raises(ConfigError):
+                cli.parse_config(parser.parse_args(
+                    ["certify", "--metric", "round", "--tol", tol]))
+        with pytest.raises(ConfigError):
+            cli.parse_config(parser.parse_args(
+                ["certify", "--metric", "round", "--multistarts", "-1"]))
+        with pytest.raises(ConfigError):
+            cli.parse_config(parser.parse_args(
+                ["certify", "--metric", "round", "--seed", "-3"]))
         with pytest.raises(ConfigError):
             cli.parse_config(parser.parse_args(
                 ["certify", "--metric", "round", "--checks", " "]))
@@ -102,10 +112,16 @@ class TestExitCodes:
                if r["verdict"] in ("refuted", "unknown")]
         assert bad, "the report must say which points failed"
 
-    def test_flat_toy_fails_pinching(self):
+    def test_flat_toy_fails_pinching(self, tmp_path):
+        out = str(tmp_path / "report.json")
         code = cli.main(["certify", "--metric", "flat", "--points", "2",
-                         "--seed", "1"])
+                         "--seed", "1", "--out", out])
         assert code == cli.EXIT_REFUTED
+        report = cli.load_report(out)
+        # pinching fails without a star-Ricci witness
+        assert all(r["p_membership"]["witness"] is None
+                   for r in report["points"])
+        assert report["aggregate"]["verdict"] == "refuted at 2 of 2 points"
 
     def test_io_failure_exit_5(self):
         with pytest.raises(SystemExit) as err:
@@ -139,26 +155,16 @@ class TestReports:
         spec0 = np.asarray(report["points"][0]["spectrum"])
         assert spec0.dtype == np.float64
 
-    def test_determinism_byte_identical(self, tmp_path):
+    def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         out0 = str(tmp_path / "a.json")
         out1 = str(tmp_path / "b.json")
         argv = ["certify", "--metric", "round", "--points", "3", "--seed", "11"]
         cli.main(argv + ["--out", out0])
+        # OCCERT_THREADS is not read any more: it must not reach the report
+        monkeypatch.setenv("OCCERT_THREADS", "3")
         cli.main(argv + ["--out", out1])
         assert open(out0, "rb").read() == open(out1, "rb").read()
-
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        argv = ["certify", "--metric", "round", "--points", "3", "--seed", "11"]
-        monkeypatch.setenv("OCCERT_THREADS", "1")
-        out0 = str(tmp_path / "t1.json")
-        cli.main(argv + ["--out", out0])
-        monkeypatch.setenv("OCCERT_THREADS", "3")
-        out1 = str(tmp_path / "t3.json")
-        cli.main(argv + ["--out", out1])
-        a = json.load(open(out0))
-        b = json.load(open(out1))
-        a["meta"]["threads"] = b["meta"]["threads"] = 0
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert cli.load_report(out1)["meta"]["threads"] == 1
 
     def test_witness_serialized_in_report(self, tmp_path):
         # a chart metric with negative star-Ricci regions: refutation
