@@ -65,6 +65,17 @@ def _load_schema(name: str) -> dict:
         return json.load(fh)
 
 
+def _validate(instance, name: str) -> None:
+    """``jsonschema.validate`` against a packaged schema, minus its check
+    of the schema against the metaschema, which costs far more than the
+    validation itself; the test suite checks the packaged schemas."""
+    schema = _load_schema(name)
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise error
+
+
 def load_metric_spec(path: str) -> MetricField:
     """Read and validate a metric spec file; unknown keys are rejected."""
     try:
@@ -79,9 +90,8 @@ def load_metric_spec(path: str) -> MetricField:
 
 def metric_from_dict(raw: dict) -> MetricField:
     if jsonschema is not None:
-        schema = _load_schema("metric_spec.schema.json")
         try:
-            jsonschema.validate(raw, schema)
+            _validate(raw, "metric_spec.schema.json")
         except jsonschema.ValidationError as exc:
             field = "/".join(str(p) for p in exc.absolute_path) or "family"
             raise ConfigError("invalid metric spec at '%s': %s"
@@ -223,8 +233,8 @@ def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
 def _report(command: str, config: RunConfig, records: list[dict],
             counts: dict[str, int], verdict: str,
             min_margin: float | None = None) -> dict:
-    """The report document around the point records."""
-    return {
+    """The report document around the point records, as plain JSON types."""
+    return _jsonify({
         "schema": "occert-report-v1",
         "command": command,
         "config": config.to_dict(),
@@ -234,7 +244,7 @@ def _report(command: str, config: RunConfig, records: list[dict],
         "points": records,
         "aggregate": {"verdict": verdict, "min_margin": min_margin,
                       "counts": counts},
-    }
+    })
 
 
 def run_certify(config: RunConfig) -> tuple[dict, int]:
@@ -280,7 +290,7 @@ def load_report(path: str) -> dict:
     with open(path) as fh:
         report = json.load(fh)
     if jsonschema is not None:
-        jsonschema.validate(report, _load_schema("report.schema.json"))
+        _validate(report, "report.schema.json")
     return report
 
 
@@ -381,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     runner = run_certify if args.command == "certify" else run_spectrum
     report, code = runner(config)
-    report = _jsonify(report)
     emit_report(report, config.out)
     _print_summary(report)
     return code

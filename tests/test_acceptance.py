@@ -177,8 +177,10 @@ def test_09_perturbation_budget():
         diff = cv.kulkarni_nomizu_square(g) - cv.kulkarni_nomizu_square()
         vs = rng.normal(size=(10_000, 4, 6))
         vs /= np.linalg.norm(vs, axis=2, keepdims=True)
-        vals = np.einsum("ijkl,ni,nj,nk,nl->n", diff,
-                         vs[:, 0], vs[:, 1], vs[:, 2], vs[:, 3])
+        # diff(v1, v2, v3, v4) = (v1 (x) v2) . diff as a 36 x 36 matrix . (v3 (x) v4)
+        v12 = (vs[:, 0, :, None] * vs[:, 1, None, :]).reshape(-1, 36)
+        v34 = (vs[:, 2, :, None] * vs[:, 3, None, :]).reshape(-1, 36)
+        vals = np.sum((v12 @ diff.reshape(36, 36)) * v34, axis=1)
         worst_excess = max(worst_excess, float(np.max(np.abs(vals))) - bound)
     _report(9, "perturbation budget chain", worst_excess <= 1e-12,
             "max excess=%.2e" % worst_excess)

@@ -198,6 +198,12 @@ class TestReports:
         assert report["command"] == "spectrum"
         assert len(report["points"][0]["spectrum"]) == 15
 
+    def test_packaged_schemas_are_valid(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        for name in ("metric_spec.schema.json", "report.schema.json"):
+            schema = cli._load_schema(name)
+            jsonschema.validators.validator_for(schema).check_schema(schema)
+
     def test_schema_validation_rejects_garbage(self, tmp_path):
         jsonschema = pytest.importorskip("jsonschema")
         path = tmp_path / "bad.json"

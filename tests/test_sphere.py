@@ -12,6 +12,15 @@ from occert.errors import FDQualityError, InputError, MetricError
 from occert.rng import make_rng
 
 
+def _g00_drops_along(k):
+    """Custom metric with g_00 = 1 - 10 x_k: not SPD from x_k = 0.1 on."""
+    powers = [0] * 6
+    powers[k] = 1
+    return sp.MetricField("custom", {"terms": [
+        [i, i, [[1.0, [0] * 6]] + ([[-10.0, powers]] if i == 0 else [])]
+        for i in range(6)]})
+
+
 class TestOctonionTable:
     def test_three_form_total_antisymmetry(self):
         eps = sp.OCTONION_EPS
@@ -156,6 +165,37 @@ class TestMetricFamilies:
         with pytest.raises(MetricError):
             bad.matrix(sp.ChartPoint("north", np.zeros(6)))
 
+    def test_matrices_equal_stacked_matrix_calls(self):
+        families = [
+            ("round", {}),
+            ("conformal", {"f": {"type": "constant", "value": 0.3}}),
+            ("conformal", {"f": {"type": "ambient_linear",
+                                 "coeffs": [0.3, -0.1, 0, 0.2, 0, 0.05, -0.2]}}),
+            ("ellipsoid", {"axes": [0.5, 0.9, 1.2, 1.7, 2.1, 2.6, 3.0]}),
+            ("custom", {"terms": saddle_metric().params["terms"]
+                        + [[0, 3, [[0.1, [1, 0, 2, 0, 0, 1]]]]]}),
+        ]
+        rng = make_rng(14)
+        xs = np.stack([chart_coords(rng) for _ in range(40)])
+        for family, params in families:
+            field = sp.MetricField(family, params, scale=1.7)
+            for chart in ("north", "south"):
+                stacked = np.stack([field.matrix(sp.ChartPoint(chart, x))
+                                    for x in xs])
+                assert np.array_equal(field.matrices(chart, xs), stacked)
+
+    def test_matrices_fail_at_first_bad_row(self):
+        field = _g00_drops_along(0)
+        good, bad, outside = np.zeros(6), np.zeros(6), np.zeros(6)
+        bad[0] = 0.2
+        outside[0] = 1.6
+        with pytest.raises(InputError):
+            field.matrices("north", np.stack([good, outside, bad]))
+        with pytest.raises(MetricError, match="non-SPD"):
+            field.matrices("north", np.stack([good, bad, outside]))
+        with pytest.raises(InputError):
+            field.matrices("east", good[None])
+
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
@@ -178,12 +218,9 @@ class TestChristoffel:
         field = sp.MetricField("round")
         for pt in sp.sample_points(20, 31):
             conn = sp.christoffel(field, pt, fd)
-
-            def g_at(y, _pt=pt):
-                return field.matrix(sp.ChartPoint(_pt.chart_id, y))
-
-            dg = np.stack([sp._directional_samples(g_at, pt.x, i, fd.h, fd.scheme)
-                           for i in range(6)])
+            stencil = sp._stencil(pt.x[None], fd.h, fd.scheme)[0, 1:]
+            dg = sp._fd_derivative(field.matrices(pt.chart_id, stencil),
+                                   fd.h, fd.scheme)
             res = (dg - np.einsum("mij,mk->ijk", conn.gamma, conn.g)
                    - np.einsum("mik,jm->ijk", conn.gamma, conn.g))
             assert np.max(np.abs(res)) < 10.0 * fd.h ** 2
@@ -252,6 +289,71 @@ class TestRiemann:
             R = sp.riemann(conf, pt, fd)
             spec = cv.curvature_operator(R, sym_tol=1e-4).spectrum
             assert np.max(np.abs(spec - 1.0)) < 0.2
+
+    def test_stencil_leaving_chart_rejected(self):
+        pt = sp.ChartPoint("north", np.array([0.9, 0, -1.2, 0, 0, 0]))
+        assert np.linalg.norm(pt.x) == 1.5
+        with pytest.raises(InputError):
+            sp.riemann(sp.MetricField("round"), pt)
+
+    def test_non_spd_inside_stencil_names_first_point(self):
+        # SPD at every point of the stencil of x (x_5 + h < 0.1), but not
+        # at x + 2h e_5, the first point whose x_5 reaches 0.1: the + h e_5
+        # sample around the base x + h e_5.
+        field = _g00_drops_along(5)
+        fd = sp.FDConfig(h=1e-3)
+        x = np.array([0.1, -0.2, 0.0, 0.3, 0.1, 0.0985])
+        e5 = np.eye(6)[5]
+        first = (x + fd.h * e5) + fd.h * e5
+        with pytest.raises(MetricError) as info:
+            sp.riemann(field, sp.ChartPoint("north", x), fd)
+        assert str(info.value) == ("metric evaluator returned a non-SPD matrix at %s"
+                                   % first)
+
+    def test_one_metric_evaluation_per_point(self, monkeypatch):
+        calls = []
+        matrices = sp.MetricField.matrices
+
+        def counted(self, chart_id, xs):
+            calls.append(len(xs))
+            return matrices(self, chart_id, xs)
+
+        monkeypatch.setattr(sp.MetricField, "matrices", counted)
+        field = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                                   "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}})
+        pt = sp.sample_points(1, 55)[0]
+        sp.riemann(field, pt, sp.FDConfig(h=1e-3))
+        assert calls == [13 * 13]
+        sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme="richardson_4th"))
+        assert calls == [13 * 13, 25 * 25]
+
+    def test_single_base_matches_batched_stack(self, monkeypatch):
+        stacks = []
+        levi_civita = sp._levi_civita
+
+        def recorded(*args):
+            out = levi_civita(*args)
+            stacks.append(out)
+            return out
+
+        monkeypatch.setattr(sp, "_levi_civita", recorded)
+        fields = [
+            sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                               "coeffs": [0.3, 0, 0.1, 0, 0, 0, 0]}}),
+            sp.MetricField("ellipsoid", {"axes": [0.5, 0.9, 1.2, 1.7, 2.1, 2.6, 3.0]}),
+        ]
+        for field in fields:
+            for scheme in ("central_2nd", "richardson_4th"):
+                fd = sp.FDConfig(h=1e-3, scheme=scheme)
+                for pt in sp.sample_points(3, 56):
+                    stacks.clear()
+                    R = sp.riemann(field, pt, fd, sym_check=False)
+                    assert np.array_equal(sp.riemann(field, pt, fd, sym_check=False), R)
+                    gamma, g, g_inv, _ = stacks[0]
+                    conn = sp.christoffel(field, pt, fd)
+                    assert np.array_equal(conn.gamma, gamma[0])
+                    assert np.array_equal(conn.g, g[0])
+                    assert np.array_equal(conn.g_inv, g_inv[0])
 
     def test_fd_quality_error_raised(self):
         # at the smallest step the roundoff floor exceeds the h^2 bound
