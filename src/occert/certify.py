@@ -31,6 +31,7 @@ from .hermitian import (
     random_orthogonal_complex_structure,
     standard_complex_structure,
 )
+from .kernels import _P, _Q
 from .rng import make_rng
 
 P_THRESHOLD = 1.0 / 6.0          # sufficient sup-norm bound for dim 6
@@ -159,63 +160,78 @@ def certify_P_sufficient(R: np.ndarray, g: np.ndarray | None = None,
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """exp of a real skew matrix via the Hermitian eigendecomposition."""
+    """exp of each real skew matrix of an (S, 6, 6) stack via the
+    Hermitian eigendecomposition."""
     w, V = np.linalg.eigh(1j * S)
-    return np.real(V @ np.diag(np.exp(-1j * w)) @ V.conj().T)
+    return np.real((V * np.exp(-1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1))
 
 
-def _polish_complex_structure(J: np.ndarray) -> np.ndarray:
+def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
     """Nearest orthogonal complex structure (polar factor of the skew part)."""
-    A = 0.5 * (J - J.T)
+    A = 0.5 * (Js - Js.transpose(0, 2, 1))
     U, _, Vt = np.linalg.svd(A)
     return U @ Vt
 
 
-def _descend_from(R: np.ndarray, J: np.ndarray) -> tuple[float, np.ndarray]:
-    step = STEP0
-    val = kernels.refute_value(R, J)
+def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descend every start of the (S, 6, 6) stack; final values and Js.
+
+    Each start keeps its own step and stops on its own: at MAX_ITER, at a
+    gradient norm below GRAD_TOL, or when its step falls to 1e-12 without
+    an improving trial.  Per start, a trial is accepted when it lowers
+    the value (step x 1.5) and rejected otherwise (step x 0.5).
+    """
+    Js = np.array(Js, dtype=float)
+    step = np.full(len(Js), STEP0)
+    active = np.arange(len(Js))
     for _ in range(MAX_ITER):
-        val, grad = kernels.refute_value_and_grad(R, J)
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm < GRAD_TOL:
+        if not active.size:
             break
-        direction = -grad / gnorm
-        moved = False
-        while step > 1e-12:
-            S = np.zeros((6, 6))
-            for idx, (p, q) in enumerate(kernels.PAIRS):
-                S[q, p] += step * direction[idx]
-                S[p, q] -= step * direction[idx]
-            E = _expm_skew(S)
-            J_try = E @ J @ E.T
-            v_try = kernels.refute_value(R, J_try)
-            if v_try < val:
-                J, val = J_try, v_try
-                step *= 1.5
-                moved = True
-                break
-            step *= 0.5
-        if not moved:
-            break
-    J = _polish_complex_structure(J)
-    return kernels.refute_value(R, J), J
+        val, grad = kernels.refute_value_and_grad(R, Js[active])
+        gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        moving = gnorm >= GRAD_TOL
+        active, val = active[moving], val[moving]
+        direction = -grad[moving] / gnorm[moving, None]
+        # line search in rounds: each round tries every pending start once
+        pending = np.flatnonzero(step[active] > 1e-12)
+        moved = np.zeros(len(active), dtype=bool)
+        while pending.size:
+            starts = active[pending]
+            c = step[starts, None] * direction[pending]
+            K = np.zeros((len(pending), 6, 6))
+            K[:, _Q, _P] = c
+            K[:, _P, _Q] = -c
+            E = _expm_skew(K)
+            J_try = E @ Js[starts] @ E.transpose(0, 2, 1)
+            accept = kernels.refute_value(R, J_try) < val[pending]
+            Js[starts[accept]] = J_try[accept]
+            step[starts] *= np.where(accept, 1.5, 0.5)
+            moved[pending[accept]] = True
+            pending = pending[~accept & (step[starts] > 1e-12)]
+        active = active[moved]
+    Js = _polish_complex_structure(Js)
+    return kernels.refute_value(R, Js), Js
 
 
 def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationResult:
     """Multistart minimization of the smallest eigenvalue of the
     symmetrized star-Ricci form over orthogonal complex structures.
 
-    Returns a witness when a value below -tol is found; ``none found``
-    is NOT a membership proof.  Starts are orientation-compatible.
+    All starts descend together as one stack.  Returns a witness when a
+    value below -tol is found; ``none found`` is NOT a membership proof.
+    Starts are orientation-compatible.
     """
     cfg = config or SearchConfig()
     R = np.asarray(R, dtype=float)
+    starts = [random_orthogonal_complex_structure(make_rng(cfg.seed, 211, start)).J
+              for start in range(cfg.multistarts)]
     best_val, best_J = np.inf, standard_complex_structure()
-    for s in range(cfg.multistarts):
-        J0 = random_orthogonal_complex_structure(make_rng(cfg.seed, 211, s)).J
-        val, J = _descend_from(R, J0)
-        if val < best_val:
-            best_val, best_J = val, J
+    if starts:
+        vals, Js = _descend(R, starts)
+        # the first strict minimum in start order; a NaN is never picked
+        s = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
+        if vals[s] < best_val:
+            best_val, best_J = vals[s], Js[s]
     witness = None
     if best_val < -cfg.tol:
         M = ricci_star(R, best_J)

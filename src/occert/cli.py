@@ -233,18 +233,19 @@ def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
 def _report(command: str, config: RunConfig, records: list[dict],
             counts: dict[str, int], verdict: str,
             min_margin: float | None = None) -> dict:
-    """The report document around the point records, as plain JSON types."""
-    return _jsonify({
+    """The report document around the point records, as plain JSON types.
+    The records are built plain, so only the envelope is converted."""
+    return {
         "schema": "occert-report-v1",
         "command": command,
-        "config": config.to_dict(),
+        "config": _jsonify(config.to_dict()),
         # points run one after another in this thread
         "meta": {"version": __version__, "numpy": np.__version__,
                  "backend": BACKEND, "threads": 1},
         "points": records,
-        "aggregate": {"verdict": verdict, "min_margin": min_margin,
-                      "counts": counts},
-    })
+        "aggregate": _jsonify({"verdict": verdict, "min_margin": min_margin,
+                               "counts": counts}),
+    }
 
 
 def run_certify(config: RunConfig) -> tuple[dict, int]:

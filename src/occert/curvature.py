@@ -134,8 +134,8 @@ def ricci(R: np.ndarray) -> np.ndarray:
 
 def ricci_star(R: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Ric*(X, Y) = sum_i R(X, e_i, JY, J e_i)."""
-    return kernels.ricci_star_matrix(np.ascontiguousarray(R, dtype=float),
-                                     np.ascontiguousarray(J, dtype=float))
+    J = np.asarray(J, dtype=float)
+    return kernels.ricci_star_matrix(np.asarray(R, dtype=float), J[None])[0]
 
 
 def ricci_star_alt(R: np.ndarray, J: np.ndarray) -> np.ndarray:

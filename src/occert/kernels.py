@@ -17,20 +17,39 @@ PAIRS = tuple((i, j) for i in range(6) for j in range(i + 1, 6))
 _P, _Q = (np.array(ix) for ix in zip(*PAIRS))
 
 
-def ricci_star_matrix(R: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """M[i, j] = sum_k R(e_i, e_k, J e_j, J e_k)."""
-    T = np.tensordot(R, J, axes=([2], [0]))        # (i,k,b,j)
-    return np.einsum("ikbj,bk->ij", T, J)
+def _by_pair(R: np.ndarray) -> np.ndarray:
+    """R as a (6, 6, 36) array: Rp[i, a, 6 k + b] = R(e_i, e_k, e_a, e_b)."""
+    return R.transpose(0, 2, 1, 3).reshape(6, 6, 36)
 
 
-def refute_value(R: np.ndarray, J: np.ndarray) -> float:
-    """Smallest eigenvalue of the symmetrized star-Ricci form of (R, J)."""
-    M = ricci_star_matrix(R, J)
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+def _columns(Js: np.ndarray) -> np.ndarray:
+    """Each J of the stack as an (S, 36, 1) column: entry 6 k + b is J[b, k]."""
+    return Js.transpose(0, 2, 1).reshape(-1, 36, 1)
 
 
-def refute_value_and_grad(R: np.ndarray, J: np.ndarray) -> tuple[float, np.ndarray]:
-    """Objective and its gradient over the 15 rotation generators.
+# Every contraction below is a stacked matmul, eigh or elementwise step,
+# so each slice of a stack is computed the same way whatever the stack
+# size; a start's descent does not depend on the starts around it.
+
+def ricci_star_matrix(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    """M[s, i, j] = sum_k R(e_i, e_k, J_s e_j, J_s e_k) for an (S, 6, 6) stack."""
+    Y = (_by_pair(R).reshape(36, 36) @ _columns(Js)).reshape(-1, 6, 6)
+    return Y @ Js                                  # Y[s, i, a] J_s[a, j]
+
+
+def _symmetrized(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    M = ricci_star_matrix(R, Js)
+    return 0.5 * (M + M.transpose(0, 2, 1))
+
+
+def refute_value(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symmetrized star-Ricci form of (R, J_s),
+    one per slice of the (S, 6, 6) stack."""
+    return np.linalg.eigvalsh(_symmetrized(R, Js))[:, 0]
+
+
+def refute_value_and_grad(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Objective (S,) and its gradient (S, 15) over the 15 rotation generators.
 
     Generator (p, q) moves J along E J E^T with E = exp(t (E_qp - E_pq)).
     For a simple lambda_min with unit eigenvector x the derivative is
@@ -38,17 +57,22 @@ def refute_value_and_grad(R: np.ndarray, J: np.ndarray) -> tuple[float, np.ndarr
     from contracting R once with x.  At a repeated lambda_min this is one
     subgradient (Overton 1992).
     """
-    M = ricci_star_matrix(R, J)
-    w, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    x = vecs[:, 0]
-    A = np.tensordot(x, R, axes=([0], [0]))        # A[k,a,b] = R(x, e_k, e_a, e_b)
-    U = np.einsum("kab,bk->a", A, J)
-    V = np.einsum("kab,a->bk", A, J @ x)
+    w, vecs = np.linalg.eigh(_symmetrized(R, Js))
+    x = np.ascontiguousarray(vecs[:, :, :1])       # (S, 6, 1)
+    xt = x.transpose(0, 2, 1)                      # (S, 1, 6)
+    # A[s, a, 6 k + b] = R(x_s, e_k, e_a, e_b)
+    A = (xt @ _by_pair(R).reshape(6, 216)).reshape(-1, 6, 36)
+    U = A @ _columns(Js)                           # (S, 6, 1): sum A[k,a,b] J[b,k]
+    V = (((Js @ x).transpose(0, 2, 1) @ A)         # (S, 1, 36): sum A[k,a,b] (Jx)_a
+         .reshape(-1, 6, 6).transpose(0, 2, 1))    # V[s, b, k]
     # x^T M x = sum A[k,a,b] (Jx)_a J[b,k], so d(x^T M x) = <dJ, W>
-    W = np.outer(U, x) + V
+    W = U * xt + V
     # dJ = K J - J K for skew K, so <dJ, W> = <K, W J^T - J^T W>
-    Z = W @ J.T - J.T @ W
-    return float(w[0]), Z[_Q, _P] - Z[_P, _Q]
+    Jt = Js.transpose(0, 2, 1)
+    Z = W @ Jt - Jt @ W
+    # C order at every stack size: advanced indexing lays a stack of one
+    # out differently, and reductions over the rows follow the layout
+    return w[:, 0], np.ascontiguousarray(Z[:, _Q, _P] - Z[:, _P, _Q])
 
 
 def quad_value(R: np.ndarray, v1, v2, v3, v4) -> float:

@@ -107,6 +107,64 @@ class TestRefutation:
             assert res.best_value > -1e-6
 
 
+class TestStackedSearch:
+    @pytest.fixture(scope="class")
+    def tensor(self, G):
+        return G + 0.3 * cv.random_curvature(make_rng(0))
+
+    def test_no_starts(self, G):
+        res = ct.refute_P(G, ct.SearchConfig(multistarts=0))
+        assert res.witness is None
+        assert res.best_value == np.inf
+        assert np.array_equal(res.best_J, hm.standard_complex_structure())
+
+    def test_starts_do_not_depend_on_the_stack(self, tensor):
+        """Byte-identical across batch size: a start descended alone ends
+        where it ends inside stacks of 7 and 64."""
+        starts = np.array([hm.random_orthogonal_complex_structure(
+            make_rng(5, 211, s)).J for s in range(64)])
+        vals64, Js64 = ct._descend(tensor, starts)
+        vals7, Js7 = ct._descend(tensor, starts[:7])
+        assert np.array_equal(vals7, vals64[:7]) and np.array_equal(Js7, Js64[:7])
+        for s in [*range(7), *range(7, 64, 4)]:
+            val, J = ct._descend(tensor, starts[s:s + 1])
+            assert val[0] == vals64[s] and np.array_equal(J[0], Js64[s])
+
+    def test_one_draw_per_start_through_certify(self, tensor, monkeypatch):
+        draws = []
+        draw = ct.random_orthogonal_complex_structure
+
+        def counted(rng):
+            draws.append(rng)
+            return draw(rng)
+
+        monkeypatch.setattr(ct, "random_orthogonal_complex_structure", counted)
+        ct.refute_P(tensor, ct.SearchConfig(multistarts=5, seed=3))
+        assert len(draws) == 5
+
+    def test_winner_is_the_first_strict_minimum(self, G, monkeypatch):
+        starts = []
+
+        def fake_descend(R, Js):
+            starts.append(len(Js))
+            vals = np.array([np.nan, 2.0, -1.0, -1.0, np.nan])
+            return vals, np.arange(len(Js), dtype=float)[:, None, None] * Js
+
+        monkeypatch.setattr(ct, "_descend", fake_descend)
+        res = ct.refute_P(G, ct.SearchConfig(multistarts=5, seed=1))
+        assert starts == [5]
+        assert res.best_value == -1.0
+        assert np.array_equal(
+            res.best_J,
+            2.0 * hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J)
+
+    def test_all_nan_finds_nothing(self, G, monkeypatch):
+        monkeypatch.setattr(ct, "_descend",
+                            lambda R, Js: (np.full(len(Js), np.nan), Js))
+        res = ct.refute_P(G, ct.SearchConfig(multistarts=3, seed=1))
+        assert res.witness is None and res.best_value == np.inf
+
+
 class TestLemmaLL:
     def test_omega_itself(self, J0, omega0):
         r = ct.check_lemma_LL(omega0, omega0, J0)

@@ -189,6 +189,38 @@ class TestReports:
         assert abs(np.linalg.norm(X) - 1.0) < 1e-9
         assert np.max(np.abs(J @ J + np.eye(6))) < 1e-9
 
+    def test_reports_hold_plain_json_types(self, tmp_path):
+        """Records are built from plain types and only the envelope is
+        converted, so no numpy scalar or array may reach the document."""
+        plain = (dict, list, str, int, float, bool, type(None))
+
+        def walk(value, where):
+            assert type(value) in plain, (where, type(value))
+            items = (value.items() if isinstance(value, dict)
+                     else enumerate(value) if isinstance(value, list) else ())
+            for key, item in items:
+                walk(item, "%s/%s" % (where, key))
+
+        saddle = _write_spec(tmp_path, {"family": "custom",
+                                        "terms": saddle_metric().params["terms"]})
+        broken = _write_spec(tmp_path, {"family": "custom", "terms": [
+            [i, i, [[-1.0, [0] * 6]]] for i in range(6)]}, "broken.json")
+        runs = [
+            (cli.run_certify, ["certify", "--spec", saddle, "--points", "2",
+                               "--seed", "7", "--multistarts", "4", "--checks",
+                               "bhl,p_sufficient,p_refute,lemma_ll_demo"]),
+            (cli.run_certify, ["certify", "--metric", "flat", "--points", "2"]),
+            (cli.run_certify, ["certify", "--spec", broken, "--points", "2"]),
+            (cli.run_spectrum, ["spectrum", "--metric", "round", "--points", "2"]),
+        ]
+        reports = []
+        for runner, argv in runs:
+            report, _ = runner(cli.parse_config(cli.build_parser().parse_args(argv)))
+            walk(report, argv[0])
+            reports.append(report)
+        assert any(r["p_membership"]["witness"] for r in reports[0]["points"])
+        assert all(r["verdict"] == "error" for r in reports[2]["points"])
+
     def test_spectrum_subcommand(self, tmp_path):
         out = str(tmp_path / "spec.json")
         code = cli.main(["spectrum", "--metric", "round", "--points", "2",
