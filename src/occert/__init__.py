@@ -26,7 +26,6 @@ from .curvature import (
     kulkarni_nomizu_square,
     ricci,
     ricci_star,
-    sup_norm_bounds,
     validate_symmetries,
 )
 from .hermitian import (
@@ -46,7 +45,6 @@ from .sphere import (
     ChartPoint,
     FDConfig,
     MetricField,
-    chart_metric,
     christoffel,
     g2_structure,
     nabla_J,
@@ -75,7 +73,6 @@ __all__ = [
     "canonical_projection_scalar",
     "certify_P_sufficient",
     "certify_point",
-    "chart_metric",
     "check_bhl",
     "check_lemma_LL",
     "christoffel",
@@ -95,6 +92,5 @@ __all__ = [
     "riemann",
     "sample_points",
     "sharp",
-    "sup_norm_bounds",
     "validate_symmetries",
 ]

@@ -23,7 +23,7 @@ from .curvature import (
     operator_apply,
     ricci_star,
 )
-from .errors import ConditioningError, InputError
+from .errors import InputError
 from .hermitian import (
     fundamental_two_form,
     is_positive_form,
@@ -141,22 +141,19 @@ def check_bhl(spectrum) -> BhlResult:
                      margin=margin, boundary=boundary)
 
 
-def certify_P_sufficient(R: np.ndarray, g: np.ndarray | None = None,
-                         sup_upper_override: float | None = None,
-                         threshold: float = P_THRESHOLD) -> PMembership:
+def certify_P_sufficient(R: np.ndarray) -> PMembership:
     """Sufficient criterion: deviation from the constant-curvature tensor
     bounded by 1/6 in sup norm implies the positivity class.
 
-    The default upper bound is the Frobenius norm of the deviation
-    (rigorous for the sup norm); a tighter externally certified bound
-    may be supplied via ``sup_upper_override``.
+    The upper bound is the Frobenius norm of the deviation (rigorous for
+    the sup norm); the lower bound is its largest component.
     """
-    dev = np.asarray(R, dtype=float) - kulkarni_nomizu_square(g)
-    upper = frobenius_norm(dev) if sup_upper_override is None else float(sup_upper_override)
+    dev = np.asarray(R, dtype=float) - kulkarni_nomizu_square()
+    upper = frobenius_norm(dev)
     lower = float(np.max(np.abs(dev)))
-    status = "certified" if upper <= threshold else "unknown"
+    status = "certified" if upper <= P_THRESHOLD else "unknown"
     return PMembership(status=status, sup_lower=lower, sup_upper=upper,
-                       threshold=threshold)
+                       threshold=P_THRESHOLD)
 
 
 def _expm_skew(S: np.ndarray) -> np.ndarray:
@@ -316,22 +313,13 @@ def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
     return check_lemma_LL(omega, zeta, J)
 
 
-def certify_point(R: np.ndarray, g: np.ndarray | None = None,
-                  options: CertifyOptions | None = None) -> Certificate:
-    """Run the requested checks on one algebraic curvature tensor.
-
-    ``R`` is given in a g-orthonormal basis; when a non-identity
-    SPD ``g`` is supplied it is only sanity-checked for conditioning
-    (the caller is responsible for orthonormalizing).
-    """
+def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certificate:
+    """Run the requested checks on one algebraic curvature tensor, given
+    in a g-orthonormal basis."""
     opts = options or CertifyOptions()
     unknown = set(opts.checks) - set(VALID_CHECKS)
     if unknown or not opts.checks:
         raise InputError("invalid checks: %s" % sorted(unknown))
-    if g is not None:
-        cond = np.linalg.cond(np.asarray(g, dtype=float))
-        if cond > 1e8:
-            raise ConditioningError("metric condition number %.3e too large" % cond)
 
     op = curvature_operator(R, sym_tol=opts.sym_tol)
     notes = []

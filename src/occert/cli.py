@@ -14,12 +14,8 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:                      # pragma: no cover
-    jsonschema = None
 
 from . import __version__
 from .certify import VALID_CHECKS, CertifyOptions, SearchConfig, certify_point
@@ -89,13 +85,12 @@ def load_metric_spec(path: str) -> MetricField:
 
 
 def metric_from_dict(raw: dict) -> MetricField:
-    if jsonschema is not None:
-        try:
-            _validate(raw, "metric_spec.schema.json")
-        except jsonschema.ValidationError as exc:
-            field = "/".join(str(p) for p in exc.absolute_path) or "family"
-            raise ConfigError("invalid metric spec at '%s': %s"
-                              % (field, exc.message)) from exc
+    try:
+        _validate(raw, "metric_spec.schema.json")
+    except jsonschema.ValidationError as exc:
+        field = "/".join(str(p) for p in exc.absolute_path) or "family"
+        raise ConfigError("invalid metric spec at '%s': %s"
+                          % (field, exc.message)) from exc
     params = {k: v for k, v in raw.items() if k not in ("family", "scale")}
     return MetricField(family=raw["family"], params=params,
                        scale=float(raw.get("scale", 1.0)))
@@ -290,8 +285,7 @@ def load_report(path: str) -> dict:
     """Read a report back, validating it against the shipped schema."""
     with open(path) as fh:
         report = json.load(fh)
-    if jsonschema is not None:
-        _validate(report, "report.schema.json")
+    _validate(report, "report.schema.json")
     return report
 
 

@@ -3,8 +3,7 @@
 (4,0) curvature tensors in a g-orthonormal working basis, the
 Kulkarni-Nomizu square of the metric, the induced symmetric operator on
 2-forms and its spectrum, the Ricci / star-Ricci contractions and the
-2-forms built from them, frame matrices for the positivity search, and
-two-sided estimation of the sup norm of a 4-linear form.
+2-forms built from them, and frame matrices of the star-Ricci form.
 
 Sign conventions are anchored so that the unit round sphere has
 R = g (.) g (Kulkarni-Nomizu square) and operator = identity.
@@ -25,7 +24,7 @@ from .hermitian import (
     two_form_to_vector,
     vector_to_two_form,
 )
-from .kernels import PAIRS
+from .kernels import _P, _Q
 from .rng import haar_orthogonal, make_rng
 
 
@@ -55,15 +54,6 @@ class FrameMatrix:
     M: np.ndarray
     frame: np.ndarray
     gap: float
-
-
-@dataclass(frozen=True)
-class SupNormBounds:
-    """Two-sided estimate: lower <= sup |R(v1..v4)| <= upper."""
-
-    lower: float
-    upper: float
-    argmax: np.ndarray          # (4, 6) best quadruple found
 
 
 @dataclass(frozen=True)
@@ -113,11 +103,7 @@ def curvature_operator(R: np.ndarray, sym_tol: float = 1e-6) -> CurvatureOperato
     """
     R = np.asarray(R, dtype=float)
     check_curvature(R, sym_tol)
-    n = len(PAIRS)
-    M = np.empty((n, n))
-    for P, (i, j) in enumerate(PAIRS):
-        for Q, (k, l) in enumerate(PAIRS):
-            M[P, Q] = R[i, j, k, l]
+    M = R[_P[:, None], _Q[:, None], _P, _Q]      # M[P, Q] = R(pair P, pair Q)
     M = 0.5 * (M + M.T)
     return CurvatureOperator(matrix=M, spectrum=np.linalg.eigvalsh(M))
 
@@ -258,67 +244,6 @@ def star_symmetry_defect(alpha: np.ndarray) -> float:
 
 def frobenius_norm(R: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(R, dtype=float).ravel()))
-
-
-def _normalize(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
-
-
-def _ascend_once(R: np.ndarray, vs: np.ndarray, iters: int,
-                 grad_tol: float) -> tuple[float, np.ndarray]:
-    step = 0.5
-    val, grads = kernels.quad_value_and_grads(R, *vs)
-    best = abs(val)
-    for _ in range(iters):
-        s = 1.0 if val >= 0 else -1.0
-        pg = np.empty_like(grads)
-        for i in range(4):
-            gi = s * grads[i]
-            pg[i] = gi - (gi @ vs[i]) * vs[i]
-        gnorm = float(np.sqrt(np.sum(pg * pg)))
-        if gnorm < grad_tol:
-            break
-        improved = False
-        while step > 1e-14:
-            trial = np.stack([_normalize(vs[i] + step * pg[i]) for i in range(4)])
-            tval = kernels.quad_value(R, *trial)
-            if abs(tval) > best:
-                vs, val, best = trial, tval, abs(tval)
-                _, grads = kernels.quad_value_and_grads(R, *vs)
-                step *= 1.5
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return best, vs
-
-
-def sup_norm_bounds(R: np.ndarray, multistarts: int = 64, iters: int = 200,
-                    seed: int = 0, grad_tol: float = 1e-10) -> SupNormBounds:
-    """Certified upper bound (Frobenius, by Cauchy-Schwarz four times)
-    and a best-found lower bound for sup |R(v1, v2, v3, v4)| over unit
-    vectors: projected-gradient ascent from random multistarts plus all
-    axis-aligned quadruples.  Starts have deterministic per-start seeds.
-    """
-    R = np.asarray(R, dtype=float)
-    upper = frobenius_norm(R)
-    flat = np.abs(R)
-    idx = np.unravel_index(np.argmax(flat), R.shape)
-    lower = float(flat[idx])
-    eye = np.eye(6)
-    best_vs = np.stack([eye[i] for i in idx])
-    for s in range(multistarts):
-        rng = make_rng(seed, 101, s)
-        vs = np.stack([_normalize(rng.normal(size=6)) for _ in range(4)])
-        val, arg = _ascend_once(R, vs, iters, grad_tol)
-        if val > lower:
-            lower, best_vs = val, arg
-    # Polish the axis-aligned winner too.
-    val, arg = _ascend_once(R, best_vs, iters, grad_tol)
-    if val > lower:
-        lower, best_vs = val, arg
-    return SupNormBounds(lower=lower, upper=upper, argmax=best_vs)
 
 
 def random_curvature(rng: int | np.random.Generator, scale: float = 1.0) -> np.ndarray:

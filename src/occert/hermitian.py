@@ -21,7 +21,7 @@ from .errors import (
     InputError,
     StructureError,
 )
-from .kernels import PAIRS
+from .kernels import _P, _Q
 from .rng import haar_orthogonal, make_rng
 
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
@@ -205,15 +205,14 @@ def norm_E(zeta: np.ndarray) -> float:
 
 def two_form_to_vector(zeta: np.ndarray) -> np.ndarray:
     """Coordinates in the orthonormal pair basis {e^i ^ e^j}_{i<j}."""
-    zeta = np.asarray(zeta, dtype=float)
-    return np.array([zeta[i, j] for i, j in PAIRS])
+    return np.asarray(zeta, dtype=float)[_P, _Q]
 
 
 def vector_to_two_form(v: np.ndarray) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
     zeta = np.zeros((6, 6))
-    for P, (i, j) in enumerate(PAIRS):
-        zeta[i, j] = v[P]
-        zeta[j, i] = -v[P]
+    zeta[_P, _Q] = v
+    zeta[_Q, _P] = -v
     return zeta
 
 

@@ -1,5 +1,5 @@
 """Hot kernels: the star-Ricci contraction, the refutation objective and
-its gradient, and 4-linear form evaluation for the sup-norm ascent.
+its gradient.
 
 Everything here works on plain float64 arrays in a g-orthonormal working
 basis.
@@ -74,19 +74,3 @@ def refute_value_and_grad(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np
     # out differently, and reductions over the rows follow the layout
     return w[:, 0], np.ascontiguousarray(Z[:, _Q, _P] - Z[:, _P, _Q])
 
-
-def quad_value(R: np.ndarray, v1, v2, v3, v4) -> float:
-    """R(v1, v2, v3, v4)."""
-    return float(np.einsum("ijkl,i,j,k,l->", R, v1, v2, v3, v4))
-
-
-def quad_value_and_grads(R: np.ndarray, v1, v2, v3, v4) -> tuple[float, np.ndarray]:
-    """Value and the four partial contractions (gradient per argument)."""
-    T3 = np.tensordot(R, v4, axes=([3], [0]))      # (i,j,k)
-    T2 = np.tensordot(T3, v3, axes=([2], [0]))     # (i,j)
-    g1 = T2 @ v2
-    g2 = T2.T @ v1
-    g3 = np.einsum("ijk,i,j->k", T3, v1, v2)
-    g4 = np.einsum("ijkl,i,j,k->l", R, v1, v2, v3)
-    val = float(v1 @ g1)
-    return val, np.stack([g1, g2, g3, g4])

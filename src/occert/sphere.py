@@ -334,11 +334,6 @@ def _fd_derivative(samples: np.ndarray, h: float, scheme: str,
     return np.moveaxis(d, 0, axis)
 
 
-def chart_metric(field: MetricField, point: ChartPoint) -> np.ndarray:
-    """Metric matrix at a chart point (validated SPD)."""
-    return field.matrix(point)
-
-
 def _levi_civita(field: MetricField, chart_id: str, bases: np.ndarray,
                  fd: FDConfig):
     """Christoffel symbols gamma[b, k, i, j], metric g[b], its inverse

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import saddle_metric
 from occert import cli
-from occert.errors import ConfigError
+from occert.errors import ConditioningError, ConfigError
+from occert.sphere import FDConfig, riemann, sample_points
 
 
 def _write_spec(tmp_path, payload, name="spec.json"):
@@ -140,6 +141,22 @@ class TestExitCodes:
         report = cli.load_report(out)
         assert all(r["verdict"] == "error" for r in report["points"])
         assert all(r["error"] for r in report["points"])
+
+    def test_degenerate_metric_rejected(self, tmp_path):
+        # diag(1, 1, 1, 1, 1, 1e-9) is SPD with condition number 1e9
+        spec = {"family": "custom",
+                "terms": [[i, i, [[1e-9 if i == 5 else 1.0, [0] * 6]]]
+                          for i in range(6)]}
+        metric = cli.metric_from_dict(spec)
+        with pytest.raises(ConditioningError):
+            riemann(metric, sample_points(1, 2)[0], FDConfig())
+        out = str(tmp_path / "report.json")
+        code = cli.main(["certify", "--spec", _write_spec(tmp_path, spec),
+                         "--points", "3", "--seed", "2", "--out", out])
+        assert code == cli.EXIT_UNKNOWN
+        points = cli.load_report(out)["points"]
+        assert all(r["verdict"] == "error" for r in points)
+        assert all("condition number" in r["error"] for r in points)
 
 
 class TestReports:

@@ -66,6 +66,16 @@ class TestCurvatureOperator:
                             for (i, j) in PAIRS])
             assert np.max(np.abs(raw - raw.T)) < 1e-12
 
+    def test_fill_is_the_pair_loop_bit_for_bit(self):
+        rng = make_rng(17)
+        for _ in range(60):
+            R = cv.random_curvature(rng)
+            M = np.empty((15, 15))
+            for P, (i, j) in enumerate(PAIRS):
+                for Q, (k, l) in enumerate(PAIRS):
+                    M[P, Q] = R[i, j, k, l]
+            assert np.array_equal(cv.curvature_operator(R).matrix, 0.5 * (M + M.T))
+
     def test_apply_matches_contraction(self, G, omega0):
         op = cv.curvature_operator(G)
         assert np.allclose(cv.operator_apply(op, omega0), omega0)
@@ -211,25 +221,3 @@ class TestStarMatrix:
         with pytest.raises(FrameError):
             cv.star_matrix(G, 2.0 * np.eye(6))
 
-
-class TestSupNorm:
-    def test_zero(self):
-        b = cv.sup_norm_bounds(np.zeros((6,) * 4), multistarts=2)
-        assert b.lower == 0.0 and b.upper == 0.0
-
-    def test_round_anchor(self, G):
-        b = cv.sup_norm_bounds(G, multistarts=8, seed=1)
-        assert b.lower >= 1.0 - 1e-6
-        assert b.upper >= 1.0
-        assert abs(b.upper - np.sqrt(60.0)) < 1e-12
-
-    def test_sandwich(self):
-        for seed in range(5):
-            R = cv.random_curvature(seed)
-            b = cv.sup_norm_bounds(R, multistarts=4, seed=seed)
-            assert b.lower <= b.upper + 1e-12
-            # the reported argmax reproduces the lower bound
-            from occert.kernels import quad_value
-
-            assert abs(abs(quad_value(np.ascontiguousarray(R), *b.argmax))
-                       - b.lower) < 1e-9

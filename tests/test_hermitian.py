@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_skew
 from occert import hermitian as hm
 from occert.errors import CompatibilityError, FormTypeError, FrameError, StructureError
+from occert.kernels import PAIRS
 from occert.rng import make_rng
 
 
@@ -220,7 +221,8 @@ class TestNorms:
         rng = make_rng(31)
         zeta = random_skew(rng)
         v = hm.two_form_to_vector(zeta)
-        assert np.allclose(hm.vector_to_two_form(v), zeta)
+        assert np.array_equal(v, [zeta[i, j] for i, j in PAIRS])
+        assert np.array_equal(hm.vector_to_two_form(v), zeta)
         assert abs(v @ v - hm.norm_lambda2(zeta) ** 2) < 1e-12
 
 

@@ -124,7 +124,7 @@ class TestCharts:
 class TestMetricFamilies:
     def test_round_at_origin(self):
         f = sp.MetricField("round")
-        g = sp.chart_metric(f, sp.ChartPoint("north", np.zeros(6)))
+        g = f.matrix(sp.ChartPoint("north", np.zeros(6)))
         assert np.allclose(g, 4.0 * np.eye(6))
 
     def test_round_matches_embedding_pullback(self):
