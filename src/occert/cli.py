@@ -9,20 +9,20 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import __version__
 from .certify import VALID_CHECKS, CertifyOptions, SearchConfig, certify_point
 from .curvature import curvature_operator
-from .errors import ConfigError, OccertError
+from .errors import ConfigError, OccertError, SchemaError
 from .kernels import BACKEND
 from .sphere import FDConfig, MetricField, chart_to_ambient, riemann, sample_points
+from .validation import load_schema, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,27 +56,13 @@ class RunConfig:
         }
 
 
-def _load_schema(name: str) -> dict:
-    with resources.files("occert.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
-
-
-def _validate(instance, name: str) -> None:
-    """``jsonschema.validate`` against a packaged schema, minus its check
-    of the schema against the metaschema, which costs far more than the
-    validation itself; the test suite checks the packaged schemas."""
-    schema = _load_schema(name)
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise error
-
-
 def load_metric_spec(path: str) -> MetricField:
-    """Read and validate a metric spec file; unknown keys are rejected."""
+    """Read and validate a metric spec file; unknown keys and non-finite
+    numbers (NaN, Infinity, literals beyond the float range) are rejected."""
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_non_finite,
+                            parse_float=_finite(float), parse_int=_finite(int))
     except OSError as exc:
         raise ConfigError("cannot read spec file: %s" % exc) from exc
     except json.JSONDecodeError as exc:
@@ -84,10 +70,22 @@ def load_metric_spec(path: str) -> MetricField:
     return metric_from_dict(raw)
 
 
+def _reject_non_finite(token: str):
+    raise ConfigError("non-finite number %s in spec file" % token)
+
+
+def _finite(parse):
+    def parse_finite(token: str):
+        if math.isinf(float(token)):            # a literal beyond the float range
+            _reject_non_finite(token)
+        return parse(token)
+    return parse_finite
+
+
 def metric_from_dict(raw: dict) -> MetricField:
     try:
-        _validate(raw, "metric_spec.schema.json")
-    except jsonschema.ValidationError as exc:
+        validate(raw, load_schema("metric_spec.schema.json"))
+    except SchemaError as exc:
         field = "/".join(str(p) for p in exc.absolute_path) or "family"
         raise ConfigError("invalid metric spec at '%s': %s"
                           % (field, exc.message)) from exc
@@ -282,10 +280,11 @@ def emit_report(report: dict, path: str | None) -> None:
 
 
 def load_report(path: str) -> dict:
-    """Read a report back, validating it against the shipped schema."""
+    """Read a report back, validating it against the shipped schema;
+    a mismatch raises ``SchemaError``."""
     with open(path) as fh:
         report = json.load(fh)
-    _validate(report, "report.schema.json")
+    validate(report, load_schema("report.schema.json"))
     return report
 
 

@@ -33,7 +33,8 @@ class ConventionMismatchError(OccertError):
 
 
 class MetricError(OccertError):
-    """A metric evaluator returned a non-symmetric or non-SPD matrix."""
+    """A metric evaluator returned a non-finite, non-symmetric or non-SPD
+    matrix."""
 
 
 class ConditioningError(OccertError):
@@ -46,6 +47,17 @@ class FDQualityError(OccertError):
 
 class ConfigError(OccertError):
     """A run configuration or spec file is malformed."""
+
+
+class SchemaError(OccertError):
+    """A JSON document does not match its packaged schema; ``message``
+    says how and ``absolute_path`` (keys and indices) says where."""
+
+    def __init__(self, message: str, absolute_path):
+        self.message = message
+        self.absolute_path = tuple(absolute_path)
+        super().__init__("%s (at /%s)" % (
+            message, "/".join(str(p) for p in self.absolute_path)))
 
 
 class InputError(OccertError):

@@ -180,8 +180,8 @@ class MetricField:
     def __post_init__(self):
         if self.family not in ("round", "conformal", "ellipsoid", "custom"):
             raise ConfigError("unknown metric family %r" % self.family)
-        if self.scale <= 0:
-            raise ConfigError("scale must be positive")
+        if not 0 < self.scale < np.inf:              # also rejects nan
+            raise ConfigError("scale must be positive and finite")
         if self.family == "conformal":
             f = self.params.get("f", {"type": "constant", "value": 0.0})
             if f.get("type") not in ("ambient_linear", "constant"):
@@ -191,8 +191,8 @@ class MetricField:
                 raise ConfigError("ambient_linear conformal factor needs 7 coeffs")
         if self.family == "ellipsoid":
             axes = np.asarray(self.params.get("axes", np.ones(7)), dtype=float)
-            if axes.shape != (7,) or np.any(axes <= 0):
-                raise ConfigError("ellipsoid needs 7 positive semi-axes")
+            if axes.shape != (7,) or not np.all((axes > 0) & np.isfinite(axes)):
+                raise ConfigError("ellipsoid needs 7 positive finite semi-axes")
         if self.family == "custom" and "terms" not in self.params:
             raise ConfigError("custom metric needs a 'terms' table")
 
@@ -205,10 +205,10 @@ class MetricField:
 
     def matrices(self, chart_id: str, xs) -> np.ndarray:
         """Metric matrices at the rows of xs (chart coordinates), shape
-        (M, 6, 6), each validated symmetric and SPD.
+        (M, 6, 6), each validated finite, symmetric and SPD.
 
         A failure names the first failing row, checked in row order:
-        inside the chart, then symmetric, then SPD.
+        inside the chart, then finite, then symmetric, then SPD.
         """
         if chart_id not in ("north", "south"):
             raise InputError("chart_id must be 'north' or 'south'")
@@ -220,12 +220,18 @@ class MetricField:
         # Rows from the first one outside the chart on are never evaluated.
         inside = xs[:outside[0]] if len(outside) else xs
         g = self._unchecked(chart_id, inside, xx[:len(inside)])
+        finite = np.isfinite(g).all(axis=(1, 2))
+        if not finite.all():                    # eigvalsh must not see inf or nan
+            g = np.where(finite[:, None, None], g, np.eye(6))
         asym = (np.max(np.abs(g - g.transpose(0, 2, 1)), axis=(1, 2))
                 > 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2))))
         not_spd = np.linalg.eigvalsh(g)[:, 0] <= 0
-        bad = np.flatnonzero(asym | not_spd)
+        bad = np.flatnonzero(~finite | asym | not_spd)
         if len(bad):
             k = bad[0]
+            if not finite[k]:
+                raise MetricError("metric evaluator returned a non-finite matrix "
+                                  "at %s" % xs[k])
             if asym[k]:
                 raise MetricError("metric evaluator returned a non-symmetric matrix")
             raise MetricError("metric evaluator returned a non-SPD matrix at %s"
@@ -248,9 +254,9 @@ class MetricField:
         g = np.zeros((len(xs), 6, 6))
         for i, j, terms in self.params["terms"]:
             val = _poly_eval(terms, xs)
-            g[:, i, j] += val
+            g[:, int(i), int(j)] += val         # the schema allows 1.0 for 1
             if i != j:
-                g[:, j, i] += val
+                g[:, int(j), int(i)] += val
         return g
 
     def matrix(self, point: ChartPoint) -> np.ndarray:

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import saddle_metric
-from occert import cli
-from occert.errors import ConditioningError, ConfigError
-from occert.sphere import FDConfig, riemann, sample_points
+from occert import cli, validation
+from occert.errors import ConditioningError, ConfigError, SchemaError
+from occert.sphere import FDConfig, MetricField, riemann, sample_points
 
 
 def _write_spec(tmp_path, payload, name="spec.json"):
@@ -59,6 +63,30 @@ class TestConfigParsing:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             cli.load_metric_spec(str(path))
+
+    @pytest.mark.parametrize("token, text", [
+        # the schema alone lets each of these through
+        ("NaN", '{"family": "ellipsoid", "axes": [NaN, 1, 1, 1, 1, 1, 1]}'),
+        ("Infinity", '{"family": "round", "scale": Infinity}'),
+        ("-Infinity", '{"family": "conformal", "f": {"type": "ambient_linear", '
+                      '"coeffs": [-Infinity, 0, 0, 0, 0, 0, 0]}}'),
+        ("1e999", '{"family": "round", "scale": 1e999}'),
+        ("1" + "0" * 400, '{"family": "round", "scale": 1%s}' % ("0" * 400)),
+    ])
+    def test_non_finite_spec_numbers_exit_2(self, tmp_path, capsys, token, text):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        code = cli.main(["certify", "--spec", str(path), "--points", "1"])
+        assert code == cli.EXIT_CONFIG
+        assert "non-finite number %s" % token in capsys.readouterr().err
+
+    def test_integral_floats_index_custom_terms(self):
+        # the schema's "integer" admits 1.0, so table indices may be floats
+        spec = {"family": "custom", "terms": [
+            [float(i), float(i), [[1.0, [0.0] * 6]]] for i in range(6)]}
+        xs = np.array([[0.1, 0.2, 0.0, 0.0, 0.3, 0.0]])
+        assert np.array_equal(cli.metric_from_dict(spec).matrices("north", xs),
+                              MetricField.flat_toy().matrices("north", xs))
 
     def test_out_of_range_values(self):
         parser = cli.build_parser()
@@ -249,17 +277,18 @@ class TestReports:
 
     def test_packaged_schemas_are_valid(self):
         jsonschema = pytest.importorskip("jsonschema")
-        for name in ("metric_spec.schema.json", "report.schema.json"):
-            schema = cli._load_schema(name)
+        for name in SCHEMAS:
+            schema = validation.load_schema(name)
             jsonschema.validators.validator_for(schema).check_schema(schema)
 
     def test_schema_validation_rejects_garbage(self, tmp_path):
-        jsonschema = pytest.importorskip("jsonschema")
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"schema": "occert-report-v1",
                                     "command": "certify"}))
-        with pytest.raises(jsonschema.ValidationError):
+        with pytest.raises(SchemaError) as err:
             cli.load_report(str(path))
+        assert err.value.message == "'config' is a required property"
+        assert err.value.absolute_path == ()
 
 
 class TestSubprocessEntryPoints:
@@ -276,3 +305,263 @@ class TestSubprocessEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_run_path_imports_no_third_party_but_numpy(self, tmp_path):
+        """Importing the CLI and one ``certify --spec`` run load no
+        third-party package but numpy (the schemas are checked in-package)."""
+        spec = _write_spec(tmp_path, {"family": "conformal", "f": {
+            "type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}})
+        script = textwrap.dedent("""
+            import json, sys
+            bare = set(sys.modules)         # site may load packages already
+            def third_party():
+                # modules without a spec are made by extension modules
+                # (numpy's Cython runtime), not imported from a package
+                new = {name.split(".")[0] for name in set(sys.modules) - bare
+                       if sys.modules[name].__spec__ is not None}
+                return sorted(new - set(sys.stdlib_module_names))
+            import occert.cli
+            imported = third_party()
+            code = occert.cli.main(["certify", "--spec", sys.argv[1],
+                                    "--points", "2", "--out", sys.argv[2]])
+            print(json.dumps([code, imported, third_party()]))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, spec, str(tmp_path / "report.json")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        code, imported, ran = json.loads(proc.stdout.splitlines()[-1])
+        assert code == cli.EXIT_UNKNOWN
+        assert imported == ran == ["numpy", "occert"]
+
+
+SCHEMAS = ("metric_spec.schema.json", "report.schema.json")
+
+# single-fault specs and their error texts, as the CLI has always printed them
+_SPEC_FAULTS = [
+    ({"family": "nope"},
+     "invalid metric spec at 'family': 'nope' is not one of "
+     "['round', 'conformal', 'ellipsoid', 'custom']"),
+    ({}, "invalid metric spec at 'family': 'family' is a required property"),
+    ([], "invalid metric spec at 'family': [] is not of type 'object'"),
+    ({"family": "round", "bogus": 1},
+     "invalid metric spec at 'family': Additional properties are not allowed "
+     "('bogus' was unexpected)"),
+    ({"family": "round", "scale": 1, "b": 2, "a": 1},
+     "invalid metric spec at 'family': Additional properties are not allowed "
+     "('a', 'b' were unexpected)"),
+    ({"family": "round", "scale": 0},
+     "invalid metric spec at 'scale': 0 is less than or equal to the minimum of 0"),
+    ({"family": "round", "scale": -float("inf")},
+     "invalid metric spec at 'scale': -inf is less than or equal to the minimum of 0"),
+    ({"family": "round", "scale": True},
+     "invalid metric spec at 'scale': True is not of type 'number'"),
+    ({"family": "round", "scale": "1"},
+     "invalid metric spec at 'scale': '1' is not of type 'number'"),
+    ({"family": "ellipsoid", "axes": [1] * 6},
+     "invalid metric spec at 'axes': [1, 1, 1, 1, 1, 1] is too short"),
+    ({"family": "ellipsoid", "axes": [1] * 8},
+     "invalid metric spec at 'axes': [1, 1, 1, 1, 1, 1, 1, 1] is too long"),
+    ({"family": "ellipsoid", "axes": [1, 1, 1, -1, 1, 1, 1]},
+     "invalid metric spec at 'axes/3': -1 is less than or equal to the minimum of 0"),
+    ({"family": "ellipsoid", "axes": [1, 1, 1, False, 1, 1, 1]},
+     "invalid metric spec at 'axes/3': False is not of type 'number'"),
+    ({"family": "conformal", "f": {"coeffs": [0] * 7}},
+     "invalid metric spec at 'f': 'type' is a required property"),
+    ({"family": "conformal", "f": {"type": "quadratic"}},
+     "invalid metric spec at 'f/type': 'quadratic' is not one of "
+     "['ambient_linear', 'constant']"),
+    ({"family": "conformal", "f": {"type": "constant", "value": None}},
+     "invalid metric spec at 'f/value': None is not of type 'number'"),
+    ({"family": "conformal", "f": {"type": "constant", "extra": 1}},
+     "invalid metric spec at 'f': Additional properties are not allowed "
+     "('extra' was unexpected)"),
+    ({"family": "conformal", "f": []},
+     "invalid metric spec at 'f': [] is not of type 'object'"),
+    ({"family": "custom", "terms": [[0, 6, [[1.0, [0] * 6]]]]},
+     "invalid metric spec at 'terms/0/1': 6 is greater than the maximum of 5"),
+    ({"family": "custom", "terms": [[0, 1.5, [[1.0, [0] * 6]]]]},
+     "invalid metric spec at 'terms/0/1': 1.5 is not of type 'integer'"),
+    ({"family": "custom", "terms": [[0, True, [[1.0, [0] * 6]]]]},
+     "invalid metric spec at 'terms/0/1': True is not of type 'integer'"),
+    ({"family": "custom", "terms": [[0, 0, [[1.0, [0] * 6]], 7]]},
+     "invalid metric spec at 'terms/0': [0, 0, [[1.0, [0, 0, 0, 0, 0, 0]]], 7] "
+     "is too long"),
+    ({"family": "custom", "terms": [[0, 0]]},
+     "invalid metric spec at 'terms/0': [0, 0] is too short"),
+    ({"family": "custom", "terms": [[0, 0, [[1.0, [0] * 5]]]]},
+     "invalid metric spec at 'terms/0/2/0/1': [0, 0, 0, 0, 0] is too short"),
+    ({"family": "custom", "terms": [[0, 0, [[1.0, [-1, 0, 0, 0, 0, 0]]]]]},
+     "invalid metric spec at 'terms/0/2/0/1/0': -1 is less than the minimum of 0"),
+    ({"family": "custom", "terms": [[0, 0, [["1", [0] * 6]]]]},
+     "invalid metric spec at 'terms/0/2/0/0': '1' is not of type 'number'"),
+    ({"family": "custom", "terms": {}},
+     "invalid metric spec at 'terms': {} is not of type 'array'"),
+]
+
+_finite = st.floats(-1e3, 1e3) | st.integers(-5, 5)
+_positive = st.floats(1e-3, 1e3) | st.integers(1, 5)
+_METRIC_SPECS = st.fixed_dictionaries(
+    {"family": st.sampled_from(["round", "conformal", "ellipsoid", "custom"])},
+    optional={
+        "scale": _positive,
+        "f": st.fixed_dictionaries(
+            {"type": st.sampled_from(["ambient_linear", "constant"])},
+            optional={"coeffs": st.lists(_finite, min_size=7, max_size=7),
+                      "value": _finite}),
+        "axes": st.lists(_positive, min_size=7, max_size=7),
+        "terms": st.lists(st.tuples(
+            st.integers(0, 5) | st.sampled_from([0.0, 5.0]), st.integers(0, 5),
+            st.lists(st.tuples(_finite, st.lists(st.integers(0, 3), min_size=6,
+                                                 max_size=6)).map(list),
+                     max_size=2)).map(list), max_size=3),
+    })
+# values that break some keyword of the schemas somewhere
+_ODD_VALUES = [True, False, None, 0, -1, 6, 1.0, 2.5, float("nan"), float("inf"),
+               -float("inf"), "x", [], {}, [0] * 6, [0, 0, []]]
+
+
+def _nodes(doc, path=()):
+    yield path, doc
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+def _mutate(doc, data):
+    """A copy of doc with one node replaced, deleted or grown, or with an
+    extra key or array item."""
+    doc = copy.deepcopy(doc)
+    path, node = data.draw(st.sampled_from(list(_nodes(doc))))
+    edits = ["replace"] + (["delete"] if path else []) + (
+        ["add_key"] if isinstance(node, dict) else
+        ["append"] if isinstance(node, list) else [])
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "add_key":
+        node[data.draw(st.sampled_from(["bogus", "type", "value", "J"]))] = 1
+    elif edit == "append":
+        node.append(data.draw(st.sampled_from(_ODD_VALUES)))
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if edit == "delete":
+            del parent[path[-1]]
+        elif path:
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
+        else:
+            doc = copy.deepcopy(data.draw(st.sampled_from(_ODD_VALUES)))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def real_reports(tmp_path_factory):
+    """Reports of small runs that cover every record shape: witnesses,
+    the lemma demo, per-point errors and the spectrum command."""
+    tmp = tmp_path_factory.mktemp("reports")
+    saddle = _write_spec(tmp, {"family": "custom",
+                               "terms": saddle_metric().params["terms"]}, "saddle.json")
+    conformal = _write_spec(tmp, {"family": "conformal", "f": {
+        "type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}, "conformal.json")
+    broken = _write_spec(tmp, {"family": "custom", "terms": [
+        [i, i, [[-1.0, [0] * 6]]] for i in range(6)]}, "broken.json")
+    runs = [
+        ["certify", "--spec", saddle, "--points", "2", "--seed", "7",
+         "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute,lemma_ll_demo"],
+        ["certify", "--spec", conformal, "--points", "2", "--seed", "7"],
+        ["certify", "--spec", broken, "--points", "1"],
+        ["spectrum", "--metric", "round", "--points", "2"],
+    ]
+    reports = []
+    for argv in runs:
+        config = cli.parse_config(cli.build_parser().parse_args(argv))
+        runner = cli.run_certify if argv[0] == "certify" else cli.run_spectrum
+        reports.append(json.loads(json.dumps(runner(config)[0])))
+    return reports
+
+
+def _outcome(validate, doc, schema):
+    try:
+        validate(doc, schema)
+    except SchemaError as exc:
+        return exc.message, exc.absolute_path
+    return None
+
+
+def _oracle(doc, schema):
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    error = jsonschema.exceptions.best_match(validator.iter_errors(doc))
+    return None if error is None else (error.message, tuple(error.absolute_path))
+
+
+class TestSchemaValidator:
+    """The in-package validator against the reference Python library
+    (test-only): same accept/reject, same message and path."""
+
+    def test_schemas_use_only_supported_keywords(self):
+        def walk(schema, where):
+            assert set(schema) <= validation.KEYWORDS, (where, set(schema))
+            assert schema.get("additionalProperties", False) is False, where
+            assert all(isinstance(v, str)
+                       for v in schema.get("enum", []) + [schema.get("const", "")]), where
+            subs = list(schema.get("properties", {}).items())
+            subs += [("items", schema["items"])] if "items" in schema else []
+            subs += list(enumerate(schema.get("prefixItems", [])))
+            for key, sub in subs:
+                walk(sub, "%s/%s" % (where, key))
+
+        for name in SCHEMAS:
+            walk(validation.load_schema(name), name)
+
+    def test_unsupported_keyword_raises(self):
+        with pytest.raises(NotImplementedError):
+            validation.validate("x", {"pattern": "y"})
+
+    @pytest.mark.parametrize("doc", [
+        ["a", 1, 2], ["a", "b"], [1, 1], [], ["a", 1.0], ["a", True],
+        [float("nan")], [-0.0], [0], [True], [None], ["a", 1, None, "c"],
+    ])
+    def test_semantics_agree_with_reference(self, doc):
+        # items applies past prefixItems only; bool is not a number; 1.0
+        # is an integer; comparisons with nan never fail
+        schema = {"type": "array", "maxItems": 3,
+                  "prefixItems": [{"type": ["string", "number"],
+                                   "exclusiveMinimum": 0}],
+                  "items": {"type": ["integer", "null"], "minimum": 1}}
+        assert (_outcome(validation.validate, doc, schema)
+                == _oracle(doc, schema))
+
+    @pytest.mark.parametrize("spec, text", _SPEC_FAULTS)
+    def test_single_fault_texts(self, spec, text):
+        with pytest.raises(ConfigError) as err:
+            cli.metric_from_dict(spec)
+        assert str(err.value) == text
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=_METRIC_SPECS, data=st.data())
+    def test_specs_agree_with_reference(self, spec, data):
+        schema = validation.load_schema(SCHEMAS[0])
+        assert _outcome(validation.validate, spec, schema) is None
+        assert _oracle(spec, schema) is None
+        mutated = _mutate(spec, data)
+        assert (_outcome(validation.validate, mutated, schema)
+                == _oracle(mutated, schema))
+
+    def test_real_reports_accepted(self, real_reports):
+        schema = validation.load_schema(SCHEMAS[1])
+        for report in real_reports:
+            assert _outcome(validation.validate, report, schema) is None
+            assert _oracle(report, schema) is None
+        assert any(r["p_membership"]["witness"] for r in real_reports[0]["points"])
+        assert real_reports[2]["points"][0]["verdict"] == "error"
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_reports_agree_with_reference(self, real_reports, data):
+        schema = validation.load_schema(SCHEMAS[1])
+        mutated = _mutate(data.draw(st.sampled_from(real_reports)), data)
+        assert (_outcome(validation.validate, mutated, schema)
+                == _oracle(mutated, schema))

@@ -8,7 +8,7 @@ import pytest
 from conftest import chart_coords, saddle_metric
 from occert import curvature as cv
 from occert import sphere as sp
-from occert.errors import FDQualityError, InputError, MetricError
+from occert.errors import ConfigError, FDQualityError, InputError, MetricError
 from occert.rng import make_rng
 
 
@@ -184,17 +184,41 @@ class TestMetricFamilies:
                                     for x in xs])
                 assert np.array_equal(field.matrices(chart, xs), stacked)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_matrices_fail_at_first_bad_row(self):
-        field = _g00_drops_along(0)
-        good, bad, outside = np.zeros(6), np.zeros(6), np.zeros(6)
+        terms = _g00_drops_along(0).params["terms"]
+        # g_11 = 1 + 2e308 x_1 overflows to inf at x_1 = 1
+        terms[1][2] += [[1e308, [0, 1, 0, 0, 0, 0]]] * 2
+        field = sp.MetricField("custom", {"terms": terms})
+        good, bad, huge, outside = np.zeros(6), np.zeros(6), np.zeros(6), np.zeros(6)
         bad[0] = 0.2
+        huge[1] = 1.0
         outside[0] = 1.6
         with pytest.raises(InputError):
             field.matrices("north", np.stack([good, outside, bad]))
         with pytest.raises(MetricError, match="non-SPD"):
             field.matrices("north", np.stack([good, bad, outside]))
         with pytest.raises(InputError):
+            field.matrices("north", np.stack([good, outside, huge]))
+        with pytest.raises(MetricError, match="non-finite"):
+            field.matrices("north", np.stack([good, huge, outside]))
+        with pytest.raises(MetricError, match="non-finite"):
+            field.matrices("north", np.stack([good, huge, bad]))
+        with pytest.raises(MetricError, match="non-SPD"):
+            field.matrices("north", np.stack([good, bad, huge]))
+        # finite is checked before SPD within one row
+        with pytest.raises(MetricError, match="non-finite"):
+            field.matrices("north", np.stack([good, bad + huge]))
+        with pytest.raises(InputError):
             field.matrices("east", good[None])
+
+    def test_non_finite_parameters_rejected(self):
+        for scale in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="scale"):
+                sp.MetricField("round", scale=scale)
+        for bad in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="semi-axes"):
+                sp.MetricField("ellipsoid", {"axes": [1.0] * 6 + [bad]})
 
 
 class TestChristoffel:
