@@ -126,15 +126,15 @@ class Certificate:
 def check_bhl(spectrum) -> BhlResult:
     """Strict spectral pinching: lambda_min > 0 and 5 lambda_max < 7 lambda_min.
 
-    Scale-invariant, so no normalization of the spectrum is needed.
+    Scale-invariant, ties included: the tie tolerance is relative to
+    the largest eigenvalue modulus, so no normalization is needed.
     """
     spec = np.sort(np.asarray(spectrum, dtype=float))
     if spec.shape != (15,):
         raise InputError("spectrum must have length 15")
     lmin, lmax = float(spec[0]), float(spec[-1])
     margin = 7.0 * lmin - 5.0 * lmax
-    scale = max(1.0, abs(lmax))
-    tie = TIE_TOL * scale
+    tie = TIE_TOL * max(abs(lmin), abs(lmax))
     boundary = abs(margin) <= tie or abs(lmin) <= tie
     passed = (lmin > tie) and (margin > tie)
     return BhlResult(passed=passed, lambda_min=lmin, lambda_max=lmax,
@@ -290,7 +290,6 @@ def perturbation_budget_check(budget: PerturbationBudget) -> BudgetCheck:
 @dataclass(frozen=True)
 class CertifyOptions:
     checks: tuple[str, ...] = ("bhl", "p_sufficient")
-    sym_tol: float = 1e-6        # curvature-identity tolerance (FD input is looser)
     search: SearchConfig = SearchConfig()
 
 
@@ -321,7 +320,7 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
     if unknown or not opts.checks:
         raise InputError("invalid checks: %s" % sorted(unknown))
 
-    op = curvature_operator(R, sym_tol=opts.sym_tol)
+    op = curvature_operator(R)
     notes = []
     bhl = None
     if "bhl" in opts.checks:

@@ -129,29 +129,12 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         fd = FDConfig(h=args.fd_step, scheme=scheme)
     except OccertError as exc:
         raise ConfigError("invalid --fd-step: %s" % exc) from exc
-    # the FD curvature satisfies its identities only to O(h^2)
     options = CertifyOptions(
-        checks=checks, sym_tol=max(1e-9, 100.0 * fd.h ** 2),
+        checks=checks,
         search=SearchConfig(multistarts=args.multistarts, tol=args.tol,
                             seed=args.seed))
     return RunConfig(metric=metric, points=args.points, seed=args.seed,
                      fd=fd, options=options, out=args.out)
-
-
-def _jsonify(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonify(v) for v in value.tolist()]
-    if isinstance(value, (np.bool_, bool)):   # before int: bool is an int
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
 
 
 def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
@@ -163,8 +146,8 @@ def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
         record: dict = {
             "index": index,
             "chart": point.chart_id,
-            "x": _jsonify(point.x),
-            "ambient": _jsonify(chart_to_ambient(point)),
+            "x": point.x.tolist(),
+            "ambient": chart_to_ambient(point).tolist(),
         }
         try:
             R = riemann(config.metric, point, config.fd)
@@ -179,7 +162,7 @@ def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
 def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
     cert = certify_point(R, options=config.options)
     record: dict = {
-        "spectrum": _jsonify(cert.spectrum),
+        "spectrum": cert.spectrum.tolist(),
         "lambda_min": float(cert.spectrum[0]),
         "lambda_max": float(cert.spectrum[-1]),
     }
@@ -194,7 +177,7 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
         pm = cert.p_membership
         wit = None
         if pm.witness is not None:
-            wit = {"J": _jsonify(pm.witness.J), "X": _jsonify(pm.witness.X),
+            wit = {"J": pm.witness.J.tolist(), "X": pm.witness.X.tolist(),
                    "value": float(pm.witness.value)}
         record["p_membership"] = {"status": pm.status, "sup_lower": pm.sup_lower,
                                   "sup_upper": pm.sup_upper,
@@ -216,8 +199,8 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
 
 
 def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
-    op = curvature_operator(R, sym_tol=config.options.sym_tol)
-    return {"spectrum": _jsonify(op.spectrum),
+    op = curvature_operator(R)
+    return {"spectrum": op.spectrum.tolist(),
             "lambda_min": float(op.spectrum[0]),
             "lambda_max": float(op.spectrum[-1]),
             "verdict": "ok", "error": None}
@@ -226,18 +209,18 @@ def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
 def _report(command: str, config: RunConfig, records: list[dict],
             counts: dict[str, int], verdict: str,
             min_margin: float | None = None) -> dict:
-    """The report document around the point records, as plain JSON types.
-    The records are built plain, so only the envelope is converted."""
+    """The report document around the point records; every part is built
+    from plain JSON types."""
     return {
         "schema": "occert-report-v1",
         "command": command,
-        "config": _jsonify(config.to_dict()),
+        "config": config.to_dict(),
         # points run one after another in this thread
         "meta": {"version": __version__, "numpy": np.__version__,
                  "backend": BACKEND, "threads": 1},
         "points": records,
-        "aggregate": _jsonify({"verdict": verdict, "min_margin": min_margin,
-                               "counts": counts}),
+        "aggregate": {"verdict": verdict, "min_margin": min_margin,
+                      "counts": counts},
     }
 
 

@@ -27,6 +27,8 @@ from .hermitian import (
 from .kernels import _P, _Q
 from .rng import haar_orthogonal, make_rng
 
+CURVATURE_TOL = 1e-6             # identity tolerance for tensors given to this module
+
 
 @dataclass(frozen=True)
 class CurvatureOperator:
@@ -88,21 +90,38 @@ def _bianchi_sum(R: np.ndarray) -> np.ndarray:
     return R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
 
 
-def check_curvature(R: np.ndarray, tol: float = 1e-6) -> None:
+def project_curvature(R: np.ndarray) -> np.ndarray:
+    """Orthogonal projection onto the algebraic curvature tensors.
+
+    Antisymmetrizes both pairs, symmetrizes pair exchange, then removes
+    the fully antisymmetric (Bianchi) component, which for pair-symmetric
+    tensors equals one third of the cyclic sum.  Each step is an
+    orthogonal projection commuting with the earlier ones, so the result
+    is the nearest algebraic curvature tensor in the Frobenius norm.
+    """
+    T = np.asarray(R, dtype=float)
+    T = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
+                + T.transpose(1, 0, 3, 2))
+    T = 0.5 * (T + T.transpose(2, 3, 0, 1))
+    return T - _bianchi_sum(T) / 3.0
+
+
+def check_curvature(R: np.ndarray) -> None:
+    """Raise CurvatureError unless R satisfies every curvature identity to
+    CURVATURE_TOL (NaN fails)."""
     report = validate_symmetries(R)
-    worst = max(report.values())
-    if worst > tol:
+    if not np.max(list(report.values())) <= CURVATURE_TOL:
         raise CurvatureError(
-            "curvature identities violated beyond %.1e: %s" % (tol, report))
+            "curvature identities violated beyond %.1e: %s" % (CURVATURE_TOL, report))
 
 
-def curvature_operator(R: np.ndarray, sym_tol: float = 1e-6) -> CurvatureOperator:
+def curvature_operator(R: np.ndarray) -> CurvatureOperator:
     """Operator on 2-forms in the orthonormal pair basis.
 
     With the round-sphere anchor, R = g (.) g maps to the identity.
     """
     R = np.asarray(R, dtype=float)
-    check_curvature(R, sym_tol)
+    check_curvature(R)
     M = R[_P[:, None], _Q[:, None], _P, _Q]      # M[P, Q] = R(pair P, pair Q)
     M = 0.5 * (M + M.T)
     return CurvatureOperator(matrix=M, spectrum=np.linalg.eigvalsh(M))
@@ -247,18 +266,9 @@ def frobenius_norm(R: np.ndarray) -> float:
 
 
 def random_curvature(rng: int | np.random.Generator, scale: float = 1.0) -> np.ndarray:
-    """Gaussian 4-tensor averaged onto the curvature-symmetric subspace.
-
-    Antisymmetrizes both pairs, symmetrizes pair exchange, then removes
-    the fully antisymmetric (Bianchi) component, which for pair-symmetric
-    tensors equals one third of the cyclic sum.
-    """
+    """Gaussian 4-tensor projected onto the algebraic curvature tensors."""
     rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-    T = rng.normal(size=(6, 6, 6, 6)) * scale
-    T = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
-                + T.transpose(1, 0, 3, 2))
-    T = 0.5 * (T + T.transpose(2, 3, 0, 1))
-    return T - _bianchi_sum(T) / 3.0
+    return project_curvature(rng.normal(size=(6, 6, 6, 6)) * scale)
 
 
 def random_orthonormal_frame(rng: int | np.random.Generator) -> np.ndarray:

@@ -4,7 +4,8 @@ Finite-difference Christoffel symbols and Riemann curvature, the
 octonionic almost complex structure as a fixture with nonvanishing
 J-derivative, and residual checks for the canonical metric-and-complex
 connection.  All curvature leaving this module is re-expressed in a
-g-orthonormal frame, so the algebra layers always see g = Id.
+g-orthonormal frame and projected onto the algebraic curvature tensors,
+so the algebra layers always see g = Id and exact curvature identities.
 
 Charts: inverse stereographic projection from the two poles; the south
 chart flips its last coordinate so both charts induce the same
@@ -14,11 +15,10 @@ orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .curvature import express_in_frame, validate_symmetries
+from .curvature import express_in_frame, project_curvature, validate_symmetries
 from .errors import (
     ConditioningError,
     ConfigError,
@@ -219,7 +219,7 @@ class MetricField:
         outside = np.flatnonzero(np.sqrt(xx) > CHART_RADIUS + 1e-12)
         # Rows from the first one outside the chart on are never evaluated.
         inside = xs[:outside[0]] if len(outside) else xs
-        g = self._unchecked(chart_id, inside, xx[:len(inside)])
+        g = self.scale * self._unchecked(chart_id, inside, xx[:len(inside)])
         finite = np.isfinite(g).all(axis=(1, 2))
         if not finite.all():                    # eigvalsh must not see inf or nan
             g = np.where(finite[:, None, None], g, np.eye(6))
@@ -238,7 +238,7 @@ class MetricField:
                               % xs[k])
         if len(outside):
             raise InputError("chart coordinates exceed the chart radius")
-        return self.scale * g
+        return g
 
     def _unchecked(self, chart_id: str, xs: np.ndarray,
                    xx: np.ndarray) -> np.ndarray:
@@ -275,21 +275,13 @@ class MetricField:
 class ACSField:
     """Almost-complex-structure field.
 
-    'g2_octonionic' and 'custom' evaluate an ambient operator at sphere
-    points; 'chart_constant' holds a fixed chart-coordinate matrix (the
-    flat Kaehler toy for tests).
+    'g2_octonionic' is the octonionic cross product at sphere points;
+    'chart_constant' holds a fixed chart-coordinate matrix (the flat
+    Kaehler toy for tests).
     """
 
     kind: str = "g2_octonionic"
-    evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     matrix: np.ndarray | None = None
-
-    def ambient_operator(self, p: np.ndarray) -> np.ndarray:
-        if self.kind == "g2_octonionic":
-            return g2_structure(p)
-        if self.kind == "custom" and self.evaluator is not None:
-            return np.asarray(self.evaluator(p), dtype=float)
-        raise ConfigError("ACS field %r has no ambient evaluator" % self.kind)
 
     def chart_operator(self, point: ChartPoint) -> np.ndarray:
         """J in chart coordinates: pseudo-inverse conjugation by the
@@ -298,9 +290,10 @@ class ACSField:
             if self.matrix is None:
                 raise ConfigError("chart_constant ACS field needs a matrix")
             return np.asarray(self.matrix, dtype=float)
-        p = chart_to_ambient(point)
+        if self.kind != "g2_octonionic":
+            raise ConfigError("unknown ACS field kind %r" % self.kind)
         P = chart_jacobian(point)
-        Jp = self.ambient_operator(p)
+        Jp = g2_structure(chart_to_ambient(point))
         return np.linalg.solve(P.T @ P, P.T @ (Jp @ P))
 
 
@@ -393,25 +386,27 @@ def _coordinate_riemann(field: MetricField, point: ChartPoint,
 
 
 def riemann(field: MetricField, point: ChartPoint,
-            fd: FDConfig | None = None,
-            sym_check: bool = True) -> np.ndarray:
-    """(4,0) curvature in a g-orthonormal frame at the point.
+            fd: FDConfig | None = None) -> np.ndarray:
+    """(4,0) curvature in a g-orthonormal frame at the point, as an exact
+    algebraic curvature tensor.
 
     The sign is fixed so that the unit round sphere yields the
     Kulkarni-Nomizu square of the metric (operator = identity).
-    Raises FDQualityError when the algebraic identities are violated
-    beyond 100 h^2.
+    Raises FDQualityError when the finite-difference tensor violates the
+    algebraic identities beyond 100 h^2 (or is not finite); otherwise
+    returns its orthogonal projection onto the curvature tensors, which
+    is no farther from the true curvature (Frobenius norm) than the raw
+    tensor.
     """
     fd = fd or FDConfig()
     R, g = _coordinate_riemann(field, point, fd)
     R_onf = express_in_frame(R, orthonormal_frame(g))
-    if sym_check:
-        worst = max(validate_symmetries(R_onf).values())
-        if worst > 100.0 * fd.h ** 2:
-            raise FDQualityError(
-                "curvature identities violated at %.3e (> 100 h^2 = %.3e)"
-                % (worst, 100.0 * fd.h ** 2))
-    return R_onf
+    worst = np.max(list(validate_symmetries(R_onf).values()))
+    if not worst <= 100.0 * fd.h ** 2:           # also rejects nan
+        raise FDQualityError(
+            "curvature identities violated at %.3e (> 100 h^2 = %.3e)"
+            % (worst, 100.0 * fd.h ** 2))
+    return project_curvature(R_onf)
 
 
 @dataclass(frozen=True)

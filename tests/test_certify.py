@@ -40,9 +40,11 @@ class TestBhl:
         rng = make_rng(3)
         for _ in range(50):
             spec = np.sort(rng.uniform(0.1, 2.0, size=15))
-            base = ct.check_bhl(spec).passed
-            for c in (0.25, 3.0, 17.0):
-                assert ct.check_bhl(c * spec).passed == base
+            base = ct.check_bhl(spec)
+            for c in (1e-13, 0.25, 3.0, 17.0, 1e13):
+                scaled = ct.check_bhl(c * spec)
+                assert scaled.passed == base.passed
+                assert scaled.boundary == base.boundary
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InputError):

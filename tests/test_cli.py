@@ -170,6 +170,29 @@ class TestExitCodes:
         assert all(r["verdict"] == "error" for r in report["points"])
         assert all(r["error"] for r in report["points"])
 
+    def test_rescaled_round_passes_pinching(self, tmp_path):
+        # curvature ~1e-13: pinching must not read the spectrum as a tie
+        out = str(tmp_path / "report.json")
+        code = cli.main(["certify", "--spec",
+                         _write_spec(tmp_path, {"family": "round", "scale": 1e13}),
+                         "--points", "3", "--seed", "7", "--out", out])
+        assert code == cli.EXIT_UNKNOWN
+        points = cli.load_report(out)["points"]
+        assert all(r["bhl"]["passed"] and not r["bhl"]["boundary"] for r in points)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e308, 1e-320])
+    def test_overflowing_scale_errors_by_name(self, tmp_path, scale):
+        # the finite differences or g^-1 overflow to inf and nan
+        out = str(tmp_path / "report.json")
+        code = cli.main(["certify", "--spec",
+                         _write_spec(tmp_path, {"family": "round", "scale": scale}),
+                         "--points", "3", "--seed", "7", "--out", out])
+        assert code == cli.EXIT_UNKNOWN
+        points = cli.load_report(out)["points"]
+        assert all(r["verdict"] == "error" for r in points)
+        assert not any("did not converge" in r["error"] for r in points)
+
     def test_degenerate_metric_rejected(self, tmp_path):
         # diag(1, 1, 1, 1, 1, 1e-9) is SPD with condition number 1e9
         spec = {"family": "custom",

@@ -50,6 +50,39 @@ class TestSymmetryValidation:
         with pytest.raises(CurvatureError):
             cv.curvature_operator(rng.normal(size=(6, 6, 6, 6)))
 
+    def test_nan_curvature_rejected(self, G):
+        R = G.copy()
+        R[2, 3, 4, 5] = np.nan
+        with pytest.raises(CurvatureError):
+            cv.curvature_operator(R)
+
+
+class TestProjection:
+    def test_idempotent_and_fixes_constant_curvature(self, G):
+        assert np.array_equal(cv.project_curvature(G), G)
+        rng = make_rng(21)
+        for _ in range(20):
+            P = cv.project_curvature(rng.normal(size=(6, 6, 6, 6)))
+            assert max(cv.validate_symmetries(P).values()) < 1e-14
+            assert np.max(np.abs(cv.project_curvature(P) - P)) < 1e-15
+
+    def test_non_expansive(self):
+        rng = make_rng(22)
+        for seed in range(200):
+            C = cv.random_curvature(seed)
+            E = rng.normal(size=(6, 6, 6, 6)) * rng.uniform(1e-6, 1.0)
+            assert (np.linalg.norm(cv.project_curvature(C + E) - C)
+                    <= np.linalg.norm(E))
+
+    def test_random_curvature_matches_inline_reference(self):
+        for seed in range(5):
+            T = make_rng(seed).normal(size=(6, 6, 6, 6)) * 2.5
+            T = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
+                        + T.transpose(1, 0, 3, 2))
+            T = 0.5 * (T + T.transpose(2, 3, 0, 1))
+            T = T - (T + T.transpose(1, 2, 0, 3) + T.transpose(2, 0, 1, 3)) / 3.0
+            assert np.array_equal(cv.random_curvature(seed, scale=2.5), T)
+
 
 class TestCurvatureOperator:
     @pytest.mark.parametrize("k", [-1.0, 0.0, 0.5, 1.0, 2.0])

@@ -160,6 +160,12 @@ class TestMetricFamilies:
         g = f.matrix(sp.ChartPoint("north", np.zeros(6)))
         assert np.allclose(g, 8.0 * np.eye(6))
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_scale_applied_before_checks(self):
+        with pytest.raises(MetricError, match="non-finite"):
+            sp.MetricField("round", scale=1e308).matrix(
+                sp.ChartPoint("north", np.zeros(6)))
+
     def test_custom_spd_enforced(self):
         bad = sp.MetricField("custom", {"terms": [[0, 0, [[1.0, [0] * 6]]]]})
         with pytest.raises(MetricError):
@@ -278,6 +284,20 @@ class TestRiemann:
             R = sp.riemann(conf, pt, fd)
             assert max(cv.validate_symmetries(R).values()) < 100.0 * fd.h ** 2
 
+    def test_output_is_an_exact_curvature_tensor(self):
+        fields = [
+            sp.MetricField("round"),
+            sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                               "coeffs": [0.3, 0, 0.1, 0, 0, 0, 0]}}),
+            sp.MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}),
+        ]
+        for field in fields:
+            for scheme in ("central_2nd", "richardson_4th"):
+                for pt in sp.sample_points(3, 47):
+                    R = sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme=scheme))
+                    worst = max(cv.validate_symmetries(R).values())
+                    assert worst <= 1e-14 * np.max(np.abs(R))
+
     def test_step_size_convergence(self, G):
         field = sp.MetricField("round")
         pt = sp.sample_points(1, 45)[0]
@@ -302,7 +322,7 @@ class TestRiemann:
             if chart == "south":
                 x = x * np.array([1, 1, 1, 1, 1, -1.0])
             R = sp.riemann(conf, sp.ChartPoint(chart, x), fd)
-            spectra.append(cv.curvature_operator(R, sym_tol=1e-4).spectrum)
+            spectra.append(cv.curvature_operator(R).spectrum)
         assert np.max(np.abs(spectra[0] - spectra[1])) < 1e-6
 
     def test_small_conformal_spectrum_near_ones(self):
@@ -311,7 +331,7 @@ class TestRiemann:
                                                   "coeffs": [0.01, 0, 0, 0, 0, 0, 0]}})
         for pt in sp.sample_points(5, 46):
             R = sp.riemann(conf, pt, fd)
-            spec = cv.curvature_operator(R, sym_tol=1e-4).spectrum
+            spec = cv.curvature_operator(R).spectrum
             assert np.max(np.abs(spec - 1.0)) < 0.2
 
     def test_stencil_leaving_chart_rejected(self):
@@ -371,8 +391,8 @@ class TestRiemann:
                 fd = sp.FDConfig(h=1e-3, scheme=scheme)
                 for pt in sp.sample_points(3, 56):
                     stacks.clear()
-                    R = sp.riemann(field, pt, fd, sym_check=False)
-                    assert np.array_equal(sp.riemann(field, pt, fd, sym_check=False), R)
+                    R = sp._coordinate_riemann(field, pt, fd)[0]
+                    assert np.array_equal(sp._coordinate_riemann(field, pt, fd)[0], R)
                     gamma, g, g_inv, _ = stacks[0]
                     conn = sp.christoffel(field, pt, fd)
                     assert np.array_equal(conn.gamma, gamma[0])
@@ -388,6 +408,11 @@ class TestRiemann:
 
 
 class TestNablaJ:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError):
+            sp.ACSField(kind="custom").chart_operator(
+                sp.ChartPoint("north", np.zeros(6)))
+
     def test_nearly_kahler_skewness(self):
         fd = sp.FDConfig(h=1e-3)
         field = sp.MetricField("round")
