@@ -124,9 +124,16 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     bad = set(checks) - set(VALID_CHECKS)
     if bad:
         raise ConfigError("unknown checks: %s" % ", ".join(sorted(bad)))
-    scheme = "richardson_4th" if args.richardson else "central_2nd"
+    # closed-form curvature unless a finite-difference flag is given
+    if args.richardson:
+        scheme = "richardson_4th"
+    elif args.fd_step is not None:
+        scheme = "central_2nd"
+    else:
+        scheme = "exact"
     try:
-        fd = FDConfig(h=args.fd_step, scheme=scheme)
+        fd = FDConfig(h=1e-3 if args.fd_step is None else args.fd_step,
+                      scheme=scheme)
     except OccertError as exc:
         raise ConfigError("invalid --fd-step: %s" % exc) from exc
     options = CertifyOptions(
@@ -326,6 +333,9 @@ def run_selftest() -> int:
     pt = _s.sample_points(1, 0)[0]
     R = _s.riemann(_s.MetricField(family="round"), pt, _s.FDConfig())
     check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-4)
+    R = _s.riemann(_s.MetricField(family="round"), pt, _s.FDConfig(scheme="exact"))
+    check("exact round-sphere curvature anchor",
+          float(np.max(np.abs(R - G))) <= 1e-12)
     print("selftest result: %s" % ("PASS" if ok else "FAIL"))
     return EXIT_OK if ok else 1
 
@@ -342,9 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--spec", help="JSON metric spec file")
         p.add_argument("--points", type=int, default=20)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step")
+        p.add_argument("--fd-step", type=float, default=None, dest="fd_step",
+                       help="central finite differences of this step "
+                            "(default: closed-form curvature)")
         p.add_argument("--richardson", action="store_true",
-                       help="fourth-order finite differences")
+                       help="fourth-order finite differences (step "
+                            "--fd-step or 1e-3)")
         p.add_argument("--multistarts", type=int, default=64)
         p.add_argument("--tol", type=float, default=1e-9)
         p.add_argument("--checks", default="bhl,p_sufficient",

@@ -1,6 +1,7 @@
 """Concrete metrics on the 6-sphere in stereographic charts.
 
-Finite-difference Christoffel symbols and Riemann curvature, the
+Christoffel symbols and Riemann curvature, from closed-form 2-jets of the
+metric or from finite differences of it, the
 octonionic almost complex structure as a fixture with nonvanishing
 J-derivative, and residual checks for the canonical metric-and-complex
 connection.  All curvature leaving this module is re-expressed in a
@@ -77,8 +78,11 @@ class ChartPoint:
             raise InputError("chart coordinates exceed the chart radius")
 
 
-# The south chart flips its last coordinate.
+# The south chart flips its last coordinate, and its map to the sphere
+# the last ambient one.
 _SOUTH_FLIP = np.array([1, 1, 1, 1, 1, -1.0])
+_AMBIENT_FLIP = np.array([1, 1, 1, 1, 1, 1, -1.0])
+_EYE = np.eye(6)
 
 
 def _squared_norms(xs: np.ndarray) -> np.ndarray:
@@ -140,18 +144,63 @@ def chart_jacobian(point: ChartPoint) -> np.ndarray:
                            np.asarray(point.x, dtype=float)[None])[0]
 
 
+def _stereographic_jets(chart_id: str, x: np.ndarray):
+    """Derivatives of the chart map at one point x: Dp[a, i], D2p[a, i, j]
+    and D3p[a, i, j, k], with a the ambient index.
+
+    In the north chart p = (2 x q, 1 - 2 q) with q = 1/(1 + |x|^2); the
+    south chart is the north one at the flipped point y, with its last
+    ambient coordinate negated.
+    """
+    Dp = _jacobian_stack(chart_id, x[None])[0]
+    flip = chart_id == "south"
+    y = x * _SOUTH_FLIP if flip else x
+    q = 1.0 / (1.0 + float(y @ y))
+    eye = _EYE
+    # the derivatives of q
+    q1 = -2.0 * q * q * y
+    q2 = 8.0 * q ** 3 * np.outer(y, y) - 2.0 * q * q * eye
+    ey = np.einsum("ij,k->ijk", eye, y)             # delta_ij y_k
+    q3 = (8.0 * q ** 3 * (ey + ey.transpose(0, 2, 1) + ey.transpose(2, 0, 1))
+          - 48.0 * q ** 4 * np.einsum("i,j,k->ijk", y, y, y))
+    # derivatives of p_a = 2 y_a q by the product rule, and of 1 - 2 q
+    D2p = np.empty((7, 6, 6))
+    D2p[:6] = 2.0 * (y[:, None, None] * q2 + eye[:, :, None] * q1
+                     + eye[:, None, :] * q1[:, None])
+    D2p[6] = -2.0 * q2
+    D3p = np.empty((7, 6, 6, 6))
+    D3p[:6] = 2.0 * (y[:, None, None, None] * q3
+                     + eye[:, :, None, None] * q2
+                     + eye[:, None, :, None] * q2[:, None, :]
+                     + eye[:, None, None, :] * q2[:, :, None])
+    D3p[6] = -2.0 * q3
+    if flip:
+        # d/dx_i = f_i d/dy_i in each slot, and p_6 changes sign
+        D2p *= np.einsum("a,i,j->aij", _AMBIENT_FLIP, _SOUTH_FLIP, _SOUTH_FLIP)
+        D3p *= np.einsum("a,i,j,k->aijk", _AMBIENT_FLIP, _SOUTH_FLIP,
+                         _SOUTH_FLIP, _SOUTH_FLIP)
+    return Dp, D2p, D3p
+
+
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference step and scheme."""
+    """How curvature is differentiated: the scheme and the step h.
+
+    'central_2nd' and 'richardson_4th' take finite differences of the
+    metric on a stencil of step h.  'exact' takes the closed-form 2-jets
+    of :meth:`MetricField.jets`; h then only sets the 100 h^2 identity
+    gate of :func:`riemann`.  The default is central differences; the CLI
+    selects 'exact' when neither --fd-step nor --richardson is given.
+    """
 
     h: float = 1e-3
-    scheme: str = "central_2nd"  # or 'richardson_4th'
+    scheme: str = "central_2nd"  # or 'richardson_4th', 'exact'
 
     def __post_init__(self):
         if not (1e-6 <= self.h <= 1e-1):
             raise InputError("step size must lie in [1e-6, 1e-1]")
-        if self.scheme not in ("central_2nd", "richardson_4th"):
-            raise InputError("unknown finite-difference scheme %r" % self.scheme)
+        if self.scheme not in ("central_2nd", "richardson_4th", "exact"):
+            raise InputError("unknown curvature scheme %r" % self.scheme)
 
 
 def _poly_eval(terms, xs) -> np.ndarray:
@@ -259,6 +308,95 @@ class MetricField:
                 g[:, int(j), int(i)] += val
         return g
 
+    def jets(self, chart_id: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The metric and its first two derivatives at one chart point, in
+        closed form: g[a, c], dg[i, a, c] = d_i g_ac and
+        ddg[i, j, a, c] = d_i d_j g_ac.
+
+        g is :meth:`matrices` of the point, with its checks and messages;
+        a non-finite derivative raises MetricError.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (6,):
+            raise InputError("chart coordinates must have shape (6,)")
+        g = self.matrices(chart_id, x[None])[0]
+        if self.family in ("round", "conformal"):
+            dg, ddg = self._conformal_derivatives(chart_id, x, g[0, 0])
+        elif self.family == "ellipsoid":
+            axes = np.asarray(self.params.get("axes", np.ones(7)), dtype=float)
+            Dp, D2p, D3p = _stereographic_jets(chart_id, x)
+            Dy = axes[:, None] * Dp
+            D2y = axes[:, None, None] * D2p
+            D3y = axes[:, None, None, None] * D3p
+            # g_ac = Dy_ma Dy_mc, differentiated by the product rule
+            dg = np.einsum("mia,mc->iac", D2y, Dy)
+            ddg = (np.einsum("mija,mc->ijac", D3y, Dy)
+                   + np.einsum("mia,mjc->ijac", D2y, D2y))
+            dg = self.scale * (dg + dg.transpose(0, 2, 1))
+            ddg = self.scale * (ddg + ddg.transpose(0, 1, 3, 2))
+        else:
+            dg, ddg = self._custom_derivatives(x)
+        if not (np.isfinite(dg).all() and np.isfinite(ddg).all()):
+            raise MetricError("metric evaluator returned non-finite derivatives "
+                              "at %s" % x)
+        return g, dg, ddg
+
+    def _conformal_derivatives(self, chart_id: str, x: np.ndarray, w: float):
+        """dg and ddg of g = w Id through u = log w: dw = w du and
+        ddw = w (ddu + du du).
+
+        w = scale 4 exp(2 f) q^2 with q = 1/(1 + |x|^2) and f = c . p
+        (c = 0 unless f is ambient-linear).  At the point y of the north
+        chart (the flipped point for the south chart, where c_6 changes
+        sign), f = 2 q beta + c_6 with beta = c[:6] . y - c_6, so
+        u = 4 q beta + 2 log q + const; d/dx_i = f_i d/dy_i maps back.
+        """
+        flip = chart_id == "south"
+        y = x * _SOUTH_FLIP if flip else x
+        f = self.params.get("f", {"type": "constant"})
+        if self.family == "conformal" and f["type"] == "ambient_linear":
+            c = np.asarray(f["coeffs"], dtype=float)
+            c = c * _AMBIENT_FLIP if flip else c
+        else:
+            c = np.zeros(7)
+        q = 1.0 / (1.0 + float(y @ y))
+        beta = float(c[:6] @ y - c[6])
+        k = 4.0 * q + 8.0 * q * q * beta
+        du = 4.0 * q * c[:6] - k * y
+        cy = c[:6, None] * y
+        ddu = ((8.0 * q * q + 32.0 * q ** 3 * beta) * (y[:, None] * y)
+               - 8.0 * q * q * (cy + cy.T) - k * _EYE)
+        if flip:
+            du *= _SOUTH_FLIP
+            ddu *= _SOUTH_FLIP[:, None] * _SOUTH_FLIP
+        return ((w * du)[:, None, None] * _EYE,
+                (w * (ddu + du[:, None] * du))[:, :, None, None] * _EYE)
+
+    def _custom_derivatives(self, x: np.ndarray):
+        """dg and ddg of the polynomial tables, one monomial at a time:
+        d_l of prod_k x_k^p_k replaces the factor k = l by its derivative
+        p x^(p-1), taken as 0 at p = 0 (never 0 * inf at x = 0)."""
+        eye = np.eye(6, dtype=bool)
+        both = eye[:, None, :] & eye[None, :, :]        # [l, m, k]: k = l = m
+        either = eye[:, None, :] | eye[None, :, :]
+        dg = np.zeros((6, 6, 6))
+        ddg = np.zeros((6, 6, 6, 6))
+        for i, j, terms in self.params["terms"]:
+            d1 = np.zeros(6)
+            d2 = np.zeros((6, 6))
+            for coeff, powers in terms:
+                p = np.asarray(powers, dtype=float)
+                v = x ** p
+                v1 = p * x ** np.maximum(p - 1.0, 0.0)
+                v2 = p * (p - 1.0) * x ** np.maximum(p - 2.0, 0.0)
+                d1 += coeff * np.where(eye, v1, v).prod(axis=1)
+                d2 += coeff * np.where(both, v2,
+                                       np.where(either, v1, v)).prod(axis=2)
+            for a, c in {(int(i), int(j)), (int(j), int(i))}:
+                dg[:, a, c] += d1
+                ddg[:, :, a, c] += d2
+        return self.scale * dg, self.scale * ddg
+
     def matrix(self, point: ChartPoint) -> np.ndarray:
         """Metric matrix at one chart point; see :meth:`matrices`."""
         return self.matrices(point.chart_id,
@@ -333,6 +471,29 @@ def _fd_derivative(samples: np.ndarray, h: float, scheme: str,
     return np.moveaxis(d, 0, axis)
 
 
+def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
+    """d_i g_jl + d_j g_il - d_l g_ij at [b, i, j, l], from
+    dg[b, i, a, c] = d_i g_ac."""
+    return dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+
+
+def _christoffel(g: np.ndarray, dg: np.ndarray, bases: np.ndarray):
+    """Christoffel symbols gamma[b, k, i, j] and g_inv[b] from the metric
+    g[b] and its derivative dg[b] at each row of bases; ConditioningError
+    names the first base whose metric has condition number above 1e8."""
+    cond = np.linalg.cond(g)
+    bad = np.flatnonzero(cond > 1e8)
+    if len(bad):
+        k = bad[0]
+        raise ConditioningError("metric condition number %.3e at %s"
+                                % (cond[k], bases[k]))
+    g_inv = np.linalg.inv(g)
+    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    B = len(g)
+    sym = _christoffel_sum(dg).reshape(B, 36, 6).transpose(0, 2, 1)
+    return (0.5 * (g_inv @ sym)).reshape(B, 6, 6, 6), g_inv
+
+
 def _levi_civita(field: MetricField, chart_id: str, bases: np.ndarray,
                  fd: FDConfig):
     """Christoffel symbols gamma[b, k, i, j], metric g[b], its inverse
@@ -342,26 +503,36 @@ def _levi_civita(field: MetricField, chart_id: str, bases: np.ndarray,
     B, S = samples.shape[:2]
     g_all = field.matrices(chart_id, samples.reshape(-1, 6)).reshape(B, S, 6, 6)
     g = g_all[:, 0]
-    cond = np.linalg.cond(g)
-    bad = np.flatnonzero(cond > 1e8)
-    if len(bad):
-        k = bad[0]
-        raise ConditioningError("metric condition number %.3e at %s"
-                                % (cond[k], bases[k]))
-    g_inv = np.linalg.inv(g)
     dg = _fd_derivative(g_all[:, 1:], fd.h, fd.scheme, axis=1)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    sym = dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
-    gamma = 0.5 * (g_inv @ sym.reshape(B, 36, 6).transpose(0, 2, 1))
-    return gamma.reshape(B, 6, 6, 6), g, g_inv, dg
+    gamma, g_inv = _christoffel(g, dg, bases)
+    return gamma, g, g_inv, dg
+
+
+def _exact_levi_civita(field: MetricField, point: ChartPoint):
+    """The derivative dgamma[m, k, i, j] = d_m Gamma^k_ij of the
+    Christoffel symbols, the symbols gamma[k, i, j], the metric g and its
+    inverse at the point, from the closed-form 2-jet of the metric."""
+    x = np.asarray(point.x, dtype=float)
+    g, dg, ddg = field.jets(point.chart_id, x)
+    gamma, g_inv = _christoffel(g[None], dg[None], x[None])
+    gamma, g_inv = gamma[0], g_inv[0]
+    # d_m Gamma^k_ij = g^kl (1/2 d_m S_ijl - d_m g_ln Gamma^n_ij), where
+    # Gamma = 1/2 g^-1 S and d g^-1 = -g^-1 (d g) g^-1
+    inner = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(6, 6, 36)
+             - dg @ gamma.reshape(6, 36))                  # inner[m, l, ij]
+    return (g_inv @ inner).reshape(6, 6, 6, 6), gamma, g, g_inv
 
 
 def christoffel(field: MetricField, point: ChartPoint,
                 fd: FDConfig | None = None) -> ConnectionCoefficients:
-    """Levi-Civita symbols by central differences of the metric."""
+    """Levi-Civita symbols, from the metric's closed-form jets under the
+    'exact' scheme and by finite differences of the metric otherwise."""
+    fd = fd or FDConfig()
+    if fd.scheme == "exact":
+        _, gamma, g, g_inv = _exact_levi_civita(field, point)
+        return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
     gamma, g, g_inv, _ = _levi_civita(field, point.chart_id,
-                                      np.asarray(point.x, dtype=float)[None],
-                                      fd or FDConfig())
+                                      np.asarray(point.x, dtype=float)[None], fd)
     return ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
 
 
@@ -374,15 +545,19 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
 def _coordinate_riemann(field: MetricField, point: ChartPoint,
                         fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
     """(4,0) curvature in chart coordinates and the metric at the point."""
-    bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h, fd.scheme)[0]
-    gamma_all, g, _, _ = _levi_civita(field, point.chart_id, bases, fd)
-    gamma = gamma_all[0]
-    dgamma = _fd_derivative(gamma_all[1:], fd.h, fd.scheme)   # dgamma[i, l, j, k]
-    # Bracket-convention curvature, then a global sign for the round anchor.
+    if fd.scheme == "exact":
+        dgamma, gamma, g, _ = _exact_levi_civita(field, point)
+    else:
+        bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h, fd.scheme)[0]
+        gamma_all, g_all, _, _ = _levi_civita(field, point.chart_id, bases, fd)
+        gamma, g = gamma_all[0], g_all[0]
+        dgamma = _fd_derivative(gamma_all[1:], fd.h, fd.scheme)
+    # dgamma[i, l, j, k] = d_i Gamma^l_jk.  Bracket-convention curvature,
+    # then a global sign for the round anchor.
     r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
             + np.einsum("lim,mjk->lijk", gamma, gamma)
             - np.einsum("ljm,mik->lijk", gamma, gamma))
-    return -np.einsum("lijk,lm->ijkm", r_up, g[0]), g[0]
+    return -np.einsum("lijk,lm->ijkm", r_up, g), g
 
 
 def riemann(field: MetricField, point: ChartPoint,
@@ -391,12 +566,16 @@ def riemann(field: MetricField, point: ChartPoint,
     algebraic curvature tensor.
 
     The sign is fixed so that the unit round sphere yields the
-    Kulkarni-Nomizu square of the metric (operator = identity).
-    Raises FDQualityError when the finite-difference tensor violates the
-    algebraic identities beyond 100 h^2 (or is not finite); otherwise
-    returns its orthogonal projection onto the curvature tensors, which
-    is no farther from the true curvature (Frobenius norm) than the raw
-    tensor.
+    Kulkarni-Nomizu square of the metric (operator = identity).  The
+    scheme of ``fd`` (default central differences) chooses how the
+    metric is differentiated: 'exact' uses its closed-form 2-jets, the
+    others finite differences of step h.
+    Raises FDQualityError when the tensor violates the algebraic
+    identities beyond 100 h^2 (or is not finite), whatever the scheme;
+    otherwise returns its orthogonal projection onto the curvature
+    tensors, which is no farther from the true curvature (Frobenius
+    norm) than the raw tensor.  An exact tensor violates the identities
+    only by rounding, so its projection moves it by rounding only.
     """
     fd = fd or FDConfig()
     R, g = _coordinate_riemann(field, point, fd)
@@ -421,7 +600,10 @@ def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
                    fd: FDConfig):
     """Levi-Civita symbols, the metric derivative dg[i, a, c], J, its
     coordinate derivative dJ[i, k, j] and its covariant derivative
-    nab[i, k, j], all in chart coordinates."""
+    nab[i, k, j], all in chart coordinates; finite differences only."""
+    if fd.scheme == "exact":
+        raise InputError("the covariant derivative of J needs a "
+                         "finite-difference scheme, not 'exact'")
     x = np.asarray(point.x, dtype=float)
     gamma, g, g_inv, dg = _levi_civita(field, point.chart_id, x[None], fd)
     conn = ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
@@ -498,6 +680,9 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint],
                           quad_samples: int = 256, seed: int = 0):
     """Sampled sup-norm deviations (metric, curvature) from the round
     metric over the given points.  Estimates, not certified suprema.
+
+    Both curvatures are taken with ``fd`` (default central differences);
+    under 'exact' the round one is exact too.
     """
     from .certify import PerturbationBudget
 
@@ -514,8 +699,8 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint],
         h = B0.T @ (g1 - g0) @ B0
         eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         # Deviation sampled in the round orthonormal frame of the point.
-        # The round curvature is taken by FD, not in closed form, so that
-        # the shared O(h^2) FD error cancels in the difference.
+        # Both curvatures use the same scheme: under a finite-difference
+        # one, the O(h^2) error the two share cancels in the difference.
         dev = express_in_frame(_coordinate_riemann(field, pt, fd)[0]
                                - _coordinate_riemann(base, pt, fd)[0], B0)
         eps1 = max(eps1, float(np.max(np.abs(dev))))

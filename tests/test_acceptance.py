@@ -79,13 +79,13 @@ def test_04_psi_identity(J0, omega0):
     for k in (0.5, 1.0, 2.0):
         R = cv.kulkarni_nomizu_square(k=k)
         worst_val = max(worst_val, float(np.max(np.abs(
-            cv.psi(R, J0, check_tol=None) - 2.0 * k * omega0))))
+            cv.psi(R, J0) - 2.0 * k * omega0))))
     rng = make_rng(4)
     worst_gap = 0.0
     for _ in range(1000):
         R = cv.random_curvature(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
-        direct = cv.psi(R, J, check_tol=None)
+        direct = cv.psi(R, J)
         via_star = -2.0 * (cv.ricci_star(R, J) @ J)
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - via_star))))
     ok = worst_val < 1e-12 and worst_gap < 1e-9

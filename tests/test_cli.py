@@ -34,8 +34,20 @@ class TestConfigParsing:
         assert config.points == 20
         assert config.seed == 7
         assert config.fd.h == 1e-3
-        assert config.fd.scheme == "central_2nd"
+        assert config.fd.scheme == "exact"
         assert config.options.checks == ("bhl", "p_sufficient")
+
+    @pytest.mark.parametrize("flags, h, scheme", [
+        ([], 1e-3, "exact"),
+        (["--fd-step", "2e-3"], 2e-3, "central_2nd"),
+        (["--richardson"], 1e-3, "richardson_4th"),
+        (["--fd-step", "2e-3", "--richardson"], 2e-3, "richardson_4th"),
+    ])
+    def test_curvature_scheme_selection(self, flags, h, scheme):
+        args = cli.build_parser().parse_args(["certify", "--metric", "round"] + flags)
+        config = cli.parse_config(args)
+        assert (config.fd.h, config.fd.scheme) == (h, scheme)
+        assert config.to_dict()["fd"] == {"h": h, "scheme": scheme}
 
     def test_spec_file_conformal(self, tmp_path):
         spec = {"family": "conformal",
@@ -223,6 +235,17 @@ class TestReports:
         spec0 = np.asarray(report["points"][0]["spectrum"])
         assert spec0.dtype == np.float64
 
+    def test_exact_and_finite_difference_reports_load(self, tmp_path):
+        # exact curvature by default; a central-difference report, as
+        # every report was before the exact scheme, still loads
+        for flags, scheme in (([], "exact"), (["--fd-step", "1e-3"], "central_2nd")):
+            out = str(tmp_path / ("report-%s.json" % scheme))
+            code = cli.main(["certify", "--metric", "round", "--points", "2",
+                             "--seed", "3", "--out", out] + flags)
+            assert code == cli.EXIT_OK
+            report = cli.load_report(out)
+            assert report["config"]["fd"] == {"h": 1e-3, "scheme": scheme}
+
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         out0 = str(tmp_path / "a.json")
         out1 = str(tmp_path / "b.json")
@@ -327,7 +350,12 @@ class TestSubprocessEntryPoints:
         proc = subprocess.run([sys.executable, "-m", "occert", "selftest"],
                               capture_output=True, text=True)
         assert proc.returncode == 0
-        assert "PASS" in proc.stdout
+        lines = proc.stdout.splitlines()
+        for name in ("round-sphere curvature anchor",
+                     "exact round-sphere curvature anchor"):
+            assert any(line.startswith("selftest %s " % name) and line.endswith("PASS")
+                       for line in lines), name
+        assert lines[-1] == "selftest result: PASS"
 
     def test_run_path_imports_no_third_party_but_numpy(self, tmp_path):
         """Importing the CLI and one ``certify --spec`` run load no

@@ -407,6 +407,151 @@ class TestRiemann:
             sp.riemann(sp.MetricField("round"), pt, sp.FDConfig(h=1e-6))
 
 
+def _jet_fields():
+    """One metric of each closed form the exact scheme covers."""
+    return [
+        sp.MetricField("round"),
+        sp.MetricField("round", scale=2.5),
+        sp.MetricField("conformal", {"f": {"type": "constant", "value": 0.3}}),
+        sp.MetricField("conformal", {"f": {"type": "ambient_linear", "coeffs":
+                                           [0.3, -0.2, 0.1, 0.05, -0.15, 0.25, 0.4]}}),
+        sp.MetricField("ellipsoid", {"axes": [1, 1, 1, 1, 1, 1, 1.05]}),
+        sp.MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}),
+        saddle_metric(),
+        sp.MetricField.flat_toy(),
+    ]
+
+
+def _jet_points():
+    """Sampled points of both charts, plus one off-axis point per chart."""
+    pts = sp.sample_points(4, 61) + [
+        sp.ChartPoint(chart, np.array([0.3, -0.2, 0.1, 0.4, -0.1, 0.5]))
+        for chart in ("north", "south")]
+    assert {pt.chart_id for pt in pts} == {"north", "south"}
+    return pts
+
+
+def _central_jets(field, chart_id, x, h):
+    """dg and ddg by central differences of ``matrices`` at step h."""
+    E = np.eye(6)
+    g = field.matrices(chart_id, np.concatenate([x + h * E, x - h * E]))
+    dg = (g[:6] - g[6:]) / (2.0 * h)
+    corners = np.array([x + h * (s * E[i] + t * E[j]) for i in range(6)
+                        for j in range(6) for s in (1, -1) for t in (1, -1)])
+    c = field.matrices(chart_id, corners).reshape(6, 6, 2, 2, 6, 6)
+    ddg = (c[:, :, 0, 0] - c[:, :, 0, 1] - c[:, :, 1, 0] + c[:, :, 1, 1]) / (4.0 * h * h)
+    return dg, ddg
+
+
+EXACT = sp.FDConfig(h=1e-3, scheme="exact")
+
+
+class TestExactJets:
+    @pytest.mark.parametrize("field", _jet_fields(),
+                             ids=lambda f: "%s-%g" % (f.family, f.scale))
+    def test_riemann_matches_richardson(self, field):
+        rich = sp.FDConfig(h=1e-3, scheme="richardson_4th")
+        for pt in _jet_points():
+            R = sp.riemann(field, pt, EXACT)
+            ref = sp.riemann(field, pt, rich)
+            assert np.max(np.abs(R - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+
+    def test_round_is_the_kulkarni_nomizu_square(self, G):
+        for scale in (1.0, 2.5):
+            field = sp.MetricField("round", scale=scale)
+            for pt in _jet_points():
+                R = sp.riemann(field, pt, EXACT)
+                assert np.max(np.abs(R - G / scale)) <= 1e-12
+
+    @pytest.mark.parametrize("field", _jet_fields(),
+                             ids=lambda f: "%s-%g" % (f.family, f.scale))
+    def test_jets_match_central_differences(self, field):
+        # central differences at h and h/2, extrapolated to O(h^4); the
+        # O(h^2) error alone exceeds 10 h^2 on the strongly curved ellipsoid
+        h = 1e-3
+        for pt in _jet_points():
+            g, dg, ddg = field.jets(pt.chart_id, pt.x)
+            assert np.array_equal(g, field.matrix(pt))
+            coarse = _central_jets(field, pt.chart_id, pt.x, h)
+            fine = _central_jets(field, pt.chart_id, pt.x, h / 2)
+            for exact, c, f in zip((dg, ddg), coarse, fine):
+                ref = (4.0 * f - c) / 3.0
+                assert np.max(np.abs(exact - ref)) <= 10 * h ** 2 * max(
+                    1.0, np.max(np.abs(exact)))
+
+    def test_custom_zero_powers_at_zero_coordinates(self):
+        # g_00 = 1 + x_0 x_1 + x_2^2 + 3 x_3; at x_0 = x_1 = x_2 = 0 the
+        # factors x^(p - 1) with p = 0 would be 0 * inf
+        terms = [[i, i, [[1.0, [0] * 6]]] for i in range(6)]
+        terms[0][2] += [[1.0, [1, 1, 0, 0, 0, 0]], [1.0, [0, 0, 2, 0, 0, 0]],
+                        [3.0, [0, 0, 0, 1, 0, 0]]]
+        field = sp.MetricField("custom", {"terms": terms})
+        for x in (np.zeros(6), np.array([0, 0, 0, 0.1, 0, 0.2])):
+            g, dg, ddg = field.jets("north", x)
+            assert np.isfinite(dg).all() and np.isfinite(ddg).all()
+            d0 = np.zeros(6)
+            d0[3] = 3.0
+            assert np.array_equal(dg[:, 0, 0], d0)
+            h0 = np.zeros((6, 6))
+            h0[0, 1] = h0[1, 0] = 1.0
+            h0[2, 2] = 2.0
+            assert np.array_equal(ddg[:, :, 0, 0], h0)
+            assert not dg[:, 1:, :].any() and not ddg[:, :, 1:, :].any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_derivative_rejected(self):
+        # g = 1e308 Id is finite at x = e_0, its derivative -2e308 is not
+        x = np.eye(6)[0]
+        with pytest.raises(MetricError, match="non-finite derivatives"):
+            sp.MetricField("round", scale=1e308).jets("north", x)
+
+    def test_metric_checks_shared_with_matrices(self):
+        field = _g00_drops_along(5)
+        x = np.array([0.1, -0.2, 0.0, 0.3, 0.1, 0.2])
+        with pytest.raises(MetricError) as info:
+            field.jets("north", x)
+        assert str(info.value) == ("metric evaluator returned a non-SPD matrix at %s"
+                                   % x)
+        with pytest.raises(InputError):
+            field.jets("north", np.array([1.6, 0, 0, 0, 0, 0]))
+        with pytest.raises(InputError):
+            field.jets("north", np.zeros(7))
+
+    def test_christoffel_matches_finite_differences(self):
+        # fourth-order differences: the central ones are off by up to
+        # 25 h^2 on the strongly curved ellipsoid
+        fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
+        for field in _jet_fields():
+            for pt in _jet_points():
+                exact = sp.christoffel(field, pt, EXACT)
+                ref = sp.christoffel(field, pt, fd)
+                assert np.array_equal(exact.g, ref.g)
+                assert np.max(np.abs(exact.gamma - ref.gamma)) <= 10 * fd.h ** 2 * max(
+                    1.0, np.max(np.abs(exact.gamma)))
+
+    def test_nabla_j_needs_finite_differences(self):
+        pt = sp.sample_points(1, 62)[0]
+        with pytest.raises(InputError, match="finite-difference"):
+            sp.nabla_J(sp.MetricField("round"), sp.ACSField(), pt, EXACT)
+        with pytest.raises(InputError, match="finite-difference"):
+            sp.canonical_connection_check(sp.MetricField("round"), sp.ACSField(),
+                                          pt, EXACT)
+
+    def test_identity_gate_applies(self, monkeypatch):
+        # the exact scheme keeps the 100 h^2 gate: NaN curvature fails
+        field = sp.MetricField("round")
+        pt = sp.sample_points(1, 63)[0]
+        jets = sp.MetricField.jets
+
+        def nan_jets(self, chart_id, x):
+            g, dg, ddg = jets(self, chart_id, x)
+            return g, dg, np.full_like(ddg, np.nan)
+
+        monkeypatch.setattr(sp.MetricField, "jets", nan_jets)
+        with pytest.raises(FDQualityError):
+            sp.riemann(field, pt, EXACT)
+
+
 class TestNablaJ:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
