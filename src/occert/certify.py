@@ -156,11 +156,16 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
                        threshold=P_THRESHOLD)
 
 
-def _expm_skew(S: np.ndarray) -> np.ndarray:
-    """exp of each real skew matrix of an (S, 6, 6) stack via the
-    Hermitian eigendecomposition."""
-    w, V = np.linalg.eigh(1j * S)
-    return np.real((V * np.exp(-1j * w)[:, None, :]) @ V.conj().transpose(0, 2, 1))
+_EYE6 = np.eye(6)
+
+
+def _cayley(K: np.ndarray) -> np.ndarray:
+    """Cayley retraction (I - K/2)^-1 (I + K/2) of each real skew matrix
+    of an (S, 6, 6) stack: a rotation that agrees with exp(K) to second
+    order (Wen & Yin 2013).  I - K/2 is invertible for every skew K, as
+    its eigenvalues are 1 - i t/2 with t real."""
+    half = 0.5 * K
+    return np.linalg.solve(_EYE6 - half, _EYE6 + half)
 
 
 def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
@@ -175,7 +180,9 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Each start keeps its own step and stops on its own: at MAX_ITER, at a
     gradient norm below GRAD_TOL, or when its step falls to 1e-12 without
-    an improving trial.  Per start, a trial is accepted when it lowers
+    an improving trial.  A trial moves J to E J E^T along the normalized
+    negative gradient, with E the Cayley retraction (``_cayley``) of the
+    step's skew generator.  Per start, a trial is accepted when it lowers
     the value (step x 1.5) and rejected otherwise (step x 0.5).
     """
     Js = np.array(Js, dtype=float)
@@ -198,7 +205,7 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             K = np.zeros((len(pending), 6, 6))
             K[:, _Q, _P] = c
             K[:, _P, _Q] = -c
-            E = _expm_skew(K)
+            E = _cayley(K)
             J_try = E @ Js[starts] @ E.transpose(0, 2, 1)
             accept = kernels.refute_value(R, J_try) < val[pending]
             Js[starts[accept]] = J_try[accept]

@@ -279,27 +279,29 @@ def load_report(path: str) -> dict:
 
 
 def _print_summary(report: dict) -> None:
-    print("occert %s | metric=%s | backend=%s" % (
+    """The summary table, written to stdout in one call: with an
+    unbuffered stdout every ``print`` is a system call of its own."""
+    lines = ["occert %s | metric=%s | backend=%s" % (
         report["command"], report["config"]["metric"]["family"],
-        report["meta"]["backend"]))
-    header = "%5s %-6s %12s %12s %12s %-6s %-10s %-9s" % (
+        report["meta"]["backend"])]
+    lines.append("%5s %-6s %12s %12s %12s %-6s %-10s %-9s" % (
         "point", "chart", "lambda_min", "lambda_max", "margin", "bhl",
-        "P-status", "verdict")
-    print(header)
+        "P-status", "verdict"))
     for r in report["points"]:
         if r.get("error"):
-            print("%5d %-6s %-60s" % (r["index"], r["chart"],
-                                      "ERROR: " + r["error"]))
+            lines.append("%5d %-6s %-60s" % (r["index"], r["chart"],
+                                             "ERROR: " + r["error"]))
             continue
         bhl = r.get("bhl")
         pm = r.get("p_membership")
-        print("%5d %-6s %12.6f %12.6f %12.6f %-6s %-10s %-9s" % (
+        lines.append("%5d %-6s %12.6f %12.6f %12.6f %-6s %-10s %-9s" % (
             r["index"], r["chart"], r.get("lambda_min", float("nan")),
             r.get("lambda_max", float("nan")),
             bhl["margin"] if bhl else float("nan"),
             ("pass" if bhl["passed"] else "fail") if bhl else "-",
             pm["status"] if pm else "-", r["verdict"]))
-    print("aggregate: %s" % report["aggregate"]["verdict"])
+    lines.append("aggregate: %s" % report["aggregate"]["verdict"])
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 def run_selftest() -> int:

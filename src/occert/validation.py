@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from importlib import resources
+import os
 
 from .errors import SchemaError
 
@@ -40,8 +40,12 @@ _TYPES = {
 }
 
 
+# the package data directory, shipped next to this module
+_SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
+
+
 def load_schema(name: str) -> dict:
-    with resources.files("occert.schemas").joinpath(name).open("r") as fh:
+    with open(os.path.join(_SCHEMA_DIR, name)) as fh:
         return json.load(fh)
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from conftest import random_form_above_omega, random_one_one_form
 from occert import certify as ct
@@ -175,6 +176,41 @@ class TestStackedSearch:
                             lambda R, Js: (np.full(len(Js), np.nan), Js))
         res = ct.refute_P(G, ct.SearchConfig(multistarts=3, seed=1))
         assert res.witness is None and res.best_value == np.inf
+
+
+class TestCayley:
+    """The line search's retraction on random skew stacks, small steps to
+    steps far beyond any the search takes."""
+
+    @pytest.fixture(scope="class")
+    def skews(self):
+        a = make_rng(17).normal(size=(64, 6, 6))
+        K = a - a.transpose(0, 2, 1)
+        return K / np.linalg.norm(K, ord=2, axis=(1, 2))[:, None, None]
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-2, 0.3, 1.0, 10.0, 100.0])
+    def test_rotation(self, skews, t):
+        E = ct._cayley(t * skews)
+        assert np.max(np.abs(E @ E.transpose(0, 2, 1) - np.eye(6))) <= 1e-13
+        assert np.max(np.abs(np.linalg.det(E) - 1.0)) <= 1e-13
+
+    def test_third_order_agreement_with_exp(self, skews):
+        """On an eigenvalue i theta of K, exp is e^(i theta) and Cayley is
+        e^(2 i atan(theta / 2)), so for |K|_2 = t small the spectral-norm
+        error is |e^(it) - e^(2i atan(t/2))| = t^3 / 12 + O(t^5)."""
+        for t in (1e-1, 3e-2, 1e-2):
+            expected = abs(np.exp(1j * t) - np.exp(2j * np.arctan(t / 2)))
+            assert expected <= t ** 3 / 12
+            for K in t * skews:
+                err = np.linalg.norm(ct._cayley(K[None])[0] - expm(K), ord=2)
+                assert err == pytest.approx(expected, rel=1e-6)
+
+    def test_slices_do_not_depend_on_the_stack(self, skews):
+        K = 2.0 * skews
+        E64 = ct._cayley(K)
+        assert np.array_equal(ct._cayley(K[:7]), E64[:7])
+        for s in range(64):
+            assert np.array_equal(ct._cayley(K[s:s + 1])[0], E64[s])
 
 
 class TestLemmaLL:
