@@ -5,53 +5,12 @@ curvature operator from the metric's closed-form 2-jets (by finite
 differences on request), and checks the spectral pinching and
 star-Ricci positivity conditions, certifying, refuting with an explicit
 witness, or reporting unknown.
+Every name in ``__all__`` is exported lazily (PEP 562): it loads its
+submodule on first access, so ``import occert.cli`` loads only what the
+command line runs, never :mod:`occert.structures` or :mod:`occert.budget`.
 """
 
-from .certify import (
-    BhlResult,
-    Certificate,
-    CertifyOptions,
-    PerturbationBudget,
-    SearchConfig,
-    Witness,
-    certify_P_sufficient,
-    certify_point,
-    check_bhl,
-    check_lemma_LL,
-    perturbation_budget_check,
-    refute_P,
-)
-from .curvature import (
-    CurvatureOperator,
-    curvature_operator,
-    kulkarni_nomizu_square,
-    ricci,
-    ricci_star,
-    validate_symmetries,
-)
-from .hermitian import (
-    ComplexStructure,
-    EuclideanSpace,
-    canonical_projection_scalar,
-    fundamental_two_form,
-    hat,
-    is_positive_form,
-    make_complex_structure,
-    random_orthogonal_complex_structure,
-    sharp,
-)
-from .kernels import BACKEND
-from .sphere import (
-    ACSField,
-    ChartPoint,
-    FDConfig,
-    MetricField,
-    christoffel,
-    g2_structure,
-    nabla_J,
-    riemann,
-    sample_points,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -95,3 +54,31 @@ __all__ = [
     "sharp",
     "validate_symmetries",
 ]
+
+# the submodule that defines each lazy export
+_HOMES = {
+    "budget": "PerturbationBudget perturbation_budget_check",
+    "certify": "BhlResult Certificate CertifyOptions SearchConfig Witness certify_P_sufficient"
+               " certify_point check_bhl check_lemma_LL refute_P",
+    "curvature": "CurvatureOperator curvature_operator kulkarni_nomizu_square ricci ricci_star"
+                 " validate_symmetries",
+    "hermitian": "ComplexStructure fundamental_two_form is_positive_form"
+                 " random_orthogonal_complex_structure",
+    "kernels": "BACKEND",
+    "sphere": "ChartPoint FDConfig MetricField riemann sample_points",
+    "structures": "ACSField EuclideanSpace canonical_projection_scalar christoffel g2_structure"
+                  " hat make_complex_structure nabla_J sharp",
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + _HOME[name], __name__), name)
+    globals()[name] = value                 # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -1,6 +1,6 @@
 """Decision layer: spectral pinching, positivity-class certification and
-refutation, the nondegeneracy lemma for perturbed (1,1)-forms, and the
-perturbation budget.
+refutation, and the nondegeneracy lemma for perturbed (1,1)-forms.  The
+perturbation budget is in :mod:`occert.budget`.
 
 Certification is three-valued.  The sufficient bound proves membership,
 the frame search can only disprove it, and everything else is reported
@@ -10,7 +10,7 @@ as unknown; a failed search is never upgraded to a certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 import numpy as np
 
@@ -44,83 +44,23 @@ GRAD_TOL = 1e-10                 # a start stops once the gradient norm is below
 STEP0 = 0.2                      # first line-search step of a start
 
 
-@dataclass(frozen=True)
-class BhlResult:
-    passed: bool
-    lambda_min: float
-    lambda_max: float
-    margin: float                # 7 lambda_min - 5 lambda_max
-    boundary: bool               # a tie within TIE_TOL decided the outcome
-
-
-@dataclass(frozen=True)
-class Witness:
-    """Refuting pair: orthogonal complex structure and unit direction."""
-
-    J: np.ndarray
-    X: np.ndarray
-    value: float
-
-
-@dataclass(frozen=True)
-class PMembership:
-    status: str                  # 'certified' | 'refuted' | 'unknown'
-    sup_lower: float
-    sup_upper: float
-    threshold: float
-    witness: Witness | None = None
-
-
-@dataclass(frozen=True)
-class LemmaLLResult:
-    hypotheses_met: bool
-    nondegenerate: bool
-    det_value: float
-    deviation: float             # |zeta - zeta0| in the 2-form norm
-
-
-@dataclass(frozen=True)
-class PerturbationBudget:
-    eps1: float                  # curvature deviation, sup norm
-    eps2: float                  # metric deviation, sup norm
-
-    def __post_init__(self):
-        if self.eps1 < 0 or self.eps2 < 0:
-            raise InputError("perturbation budget entries must be nonnegative")
-
-
-@dataclass(frozen=True)
-class BudgetCheck:
-    quadratic_ok: bool
-    linear_ok: bool
-    implied_bound: float
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Knobs of the refutation search (engineering defaults)."""
-
-    multistarts: int = 64
-    tol: float = 1e-9            # witness threshold on the negative side
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class RefutationResult:
-    witness: Witness | None
-    best_value: float
-    best_J: np.ndarray
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Per-point verdict record."""
-
-    bhl: BhlResult | None
-    p_membership: PMembership | None
-    lemma_ll: LemmaLLResult | None
-    spectrum: np.ndarray | None
-    verdict_notes: str
+# Records are namedtuples: immutable, and cheap to create at import.
+# margin = 7 lambda_min - 5 lambda_max; boundary: a tie within TIE_TOL
+# decided the outcome
+BhlResult = namedtuple("BhlResult", "passed lambda_min lambda_max margin boundary")
+# refuting pair: orthogonal complex structure J, unit direction X, Ric*(X, X)
+Witness = namedtuple("Witness", "J X value")
+# status 'certified' | 'refuted' | 'unknown'; witness None unless refuted
+PMembership = namedtuple("PMembership", "status sup_lower sup_upper threshold witness",
+                         defaults=(None,))
+# deviation = |zeta - zeta0| in the 2-form norm
+LemmaLLResult = namedtuple("LemmaLLResult", "hypotheses_met nondegenerate det_value deviation")
+# knobs of the refutation search (engineering defaults); tol is the
+# witness threshold on the negative side
+SearchConfig = namedtuple("SearchConfig", "multistarts tol seed", defaults=(64, 1e-9, 0))
+RefutationResult = namedtuple("RefutationResult", "witness best_value best_J")
+# per-point verdict record; a field is None when its check did not run
+Certificate = namedtuple("Certificate", "bhl p_membership lemma_ll spectrum verdict_notes")
 
 
 def check_bhl(spectrum) -> BhlResult:
@@ -275,29 +215,8 @@ def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,
                          det_value=det_value, deviation=float(dev))
 
 
-_LINEAR_SLOPE = 2.0 + math.sqrt(13.0 / 3.0)
-
-
-def perturbation_budget_check(budget: PerturbationBudget) -> BudgetCheck:
-    """Budget inequalities for staying inside the certified neighborhood.
-
-    quadratic: eps1 + 4 eps2 + 2 eps2^2 <= 1/6;  linear (which implies
-    it): eps1 + (2 + sqrt(13/3)) eps2 <= 1/6.  ``implied_bound`` is
-    eps1 + 2 eps2 (2 + eps2), an upper bound for the total curvature
-    deviation from the constant-curvature tensor.
-    """
-    e1, e2 = budget.eps1, budget.eps2
-    quadratic_ok = e1 + 4.0 * e2 + 2.0 * e2 * e2 <= P_THRESHOLD
-    linear_ok = e1 + _LINEAR_SLOPE * e2 <= P_THRESHOLD
-    implied = e1 + 2.0 * e2 * (2.0 + e2)
-    return BudgetCheck(quadratic_ok=bool(quadratic_ok), linear_ok=bool(linear_ok),
-                       implied_bound=float(implied))
-
-
-@dataclass(frozen=True)
-class CertifyOptions:
-    checks: tuple[str, ...] = ("bhl", "p_sufficient")
-    search: SearchConfig = SearchConfig()
+CertifyOptions = namedtuple("CertifyOptions", "checks search",
+                            defaults=(("bhl", "p_sufficient"), SearchConfig()))
 
 
 VALID_CHECKS = ("bhl", "p_sufficient", "p_refute", "lemma_ll_demo")
@@ -340,8 +259,8 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
         if membership.status != "certified" and "p_refute" in opts.checks:
             result = refute_P(R, opts.search)
             if result.witness is not None:
-                membership = replace(membership, status="refuted",
-                                     witness=result.witness)
+                membership = membership._replace(status="refuted",
+                                                 witness=result.witness)
                 notes.append("P refuted: Ric*(X,X) = %.6e" % result.witness.value)
             else:
                 notes.append("P search found no witness (best %.6e); status stays unknown"

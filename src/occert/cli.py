@@ -11,8 +11,7 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 import numpy as np
 
@@ -33,14 +32,11 @@ EXIT_IO = 5
 _BUILTIN_METRICS = ("round", "flat")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    metric: MetricField
-    points: int
-    seed: int
-    fd: FDConfig
-    options: CertifyOptions
-    out: str | None
+class RunConfig(namedtuple("RunConfig", "metric points seed fd options out")):
+    """A parsed command line: the metric, the sampling, the curvature
+    scheme, the checks and the report path (None: no report)."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         spec = {"family": self.metric.family, "scale": self.metric.scale}
@@ -304,44 +300,6 @@ def _print_summary(report: dict) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def run_selftest() -> int:
-    """Quick built-in anchors; prints one line per check."""
-    from . import curvature as _c
-    from . import hermitian as _h
-    from . import sphere as _s
-    from .certify import check_bhl
-
-    ok = True
-
-    def check(name: str, passed: bool):
-        nonlocal ok
-        ok = ok and passed
-        print("selftest %-38s %s" % (name, "PASS" if passed else "FAIL"))
-
-    G = _c.kulkarni_nomizu_square()
-    op = _c.curvature_operator(G)
-    check("operator of constant curvature is Id", np.allclose(op.spectrum, 1.0, atol=1e-12))
-    check("spectral pinching on the round anchor", check_bhl(op.spectrum).passed)
-    J0 = _h.standard_complex_structure()
-    check("Ric* of constant curvature is the metric",
-          np.allclose(_c.ricci_star(G, J0), np.eye(6), atol=1e-12))
-    val = _h.canonical_projection_scalar(J0, J0)
-    orc = _h.canonical_projection_scalar_oracle(J0, J0)
-    check("projection scalar equals coframe oracle", abs(val - orc) < 1e-10
-          and abs(val - 3j) < 1e-12)
-    e = np.eye(7)
-    check("octonion table anchor e1 x e2 = e3",
-          np.allclose(_s.cross7(e[0], e[1]), e[2]))
-    pt = _s.sample_points(1, 0)[0]
-    R = _s.riemann(_s.MetricField(family="round"), pt, _s.FDConfig())
-    check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-4)
-    R = _s.riemann(_s.MetricField(family="round"), pt, _s.FDConfig(scheme="exact"))
-    check("exact round-sphere curvature anchor",
-          float(np.max(np.abs(R - G))) <= 1e-12)
-    print("selftest result: %s" % ("PASS" if ok else "FAIL"))
-    return EXIT_OK if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="occert",
@@ -375,6 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
+        from .selftest import run_selftest
+
         return run_selftest()
     try:
         config = parse_config(args)

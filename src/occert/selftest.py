@@ -1,0 +1,47 @@
+"""The ``occert selftest`` command: quick built-in anchor checks, kept
+apart from :mod:`occert.cli` so that certify and spectrum runs do not
+compile them."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from . import curvature as cv
+from . import hermitian as hm
+from . import sphere as sp
+from . import structures as sr
+from .certify import check_bhl
+from .cli import EXIT_OK
+
+
+def run_selftest() -> int:
+    """Quick built-in anchors; prints one line per check."""
+    ok = True
+
+    def check(name: str, passed: bool):
+        nonlocal ok
+        ok = ok and passed
+        print("selftest %-38s %s" % (name, "PASS" if passed else "FAIL"))
+
+    G = cv.kulkarni_nomizu_square()
+    op = cv.curvature_operator(G)
+    check("operator of constant curvature is Id", np.allclose(op.spectrum, 1.0, atol=1e-12))
+    check("spectral pinching on the round anchor", check_bhl(op.spectrum).passed)
+    J0 = hm.standard_complex_structure()
+    check("Ric* of constant curvature is the metric",
+          np.allclose(cv.ricci_star(G, J0), np.eye(6), atol=1e-12))
+    val = sr.canonical_projection_scalar(J0, J0)
+    orc = sr.canonical_projection_scalar_oracle(J0, J0)
+    check("projection scalar equals coframe oracle", abs(val - orc) < 1e-10
+          and abs(val - 3j) < 1e-12)
+    e = np.eye(7)
+    check("octonion table anchor e1 x e2 = e3",
+          np.allclose(sr.cross7(e[0], e[1]), e[2]))
+    pt = sp.sample_points(1, 0)[0]
+    R = sp.riemann(sp.MetricField(family="round"), pt, sp.FDConfig())
+    check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-4)
+    R = sp.riemann(sp.MetricField(family="round"), pt, sp.FDConfig(scheme="exact"))
+    check("exact round-sphere curvature anchor",
+          float(np.max(np.abs(R - G))) <= 1e-12)
+    print("selftest result: %s" % ("PASS" if ok else "FAIL"))
+    return EXIT_OK if ok else 1

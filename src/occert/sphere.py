@@ -1,12 +1,11 @@
 """Concrete metrics on the 6-sphere in stereographic charts.
 
-Christoffel symbols and Riemann curvature, from closed-form 2-jets of the
-metric or from finite differences of it, the
-octonionic almost complex structure as a fixture with nonvanishing
-J-derivative, and residual checks for the canonical metric-and-complex
-connection.  All curvature leaving this module is re-expressed in a
-g-orthonormal frame and projected onto the algebraic curvature tensors,
-so the algebra layers always see g = Id and exact curvature identities.
+Riemann curvature from closed-form 2-jets of the metric or from finite
+differences of it, and point sampling.  All curvature leaving this
+module is re-expressed in a g-orthonormal frame and projected onto the
+algebraic curvature tensors, so the algebra layers always see g = Id and
+exact curvature identities.  The octonionic almost complex structure
+and the covariant derivative of J are in :mod:`occert.structures`.
 
 Charts: inverse stereographic projection from the two poles; the south
 chart flips its last coordinate so both charts induce the same
@@ -15,67 +14,32 @@ orientation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from collections.abc import Mapping
 
 import numpy as np
 
 from .curvature import express_in_frame, project_curvature, validate_symmetries
-from .errors import (
-    ConditioningError,
-    ConfigError,
-    FDQualityError,
-    InputError,
-    MetricError,
-)
+from .errors import ConditioningError, ConfigError, FDQualityError, InputError, MetricError
 from .rng import make_rng
 
 CHART_RADIUS = 1.5
 
-# Octonion structure constants: eps[i,j,k] = +1 on these ordered triples
-# (0-based), totally antisymmetric.  Any consistent table works; this one
-# satisfies u x (u x v) = <u,v> u - |u|^2 v, which is what downstream needs.
-_OCT_TRIPLES = ((0, 1, 2), (0, 3, 4), (0, 6, 5), (1, 3, 5), (1, 4, 6),
-                (2, 3, 6), (2, 5, 4))
 
+# A record that checks its fields subclasses a namedtuple: __new__ checks
+# the built tuple, and __slots__ = () keeps its attributes read-only.
+class ChartPoint(namedtuple("ChartPoint", "chart_id x")):
+    """chart_id 'north' or 'south' and x, 6 chart coordinates, |x| <= 1.5."""
 
-def _octonion_eps() -> np.ndarray:
-    eps = np.zeros((7, 7, 7))
-    for (i, j, k) in _OCT_TRIPLES:
-        for (a, b, c), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
-            eps[a, b, c] = s
-    return eps
+    __slots__ = ()
 
-
-OCTONION_EPS = _octonion_eps()
-
-
-def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Seven-dimensional cross product from the octonion table."""
-    return np.einsum("ijk,i,j->k", OCTONION_EPS, u, v)
-
-
-def g2_structure(p: np.ndarray) -> np.ndarray:
-    """Ambient matrix of v -> p x v at a unit 7-vector p.
-
-    Restricts to an orthogonal complex structure on the tangent space.
-    """
-    p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-        raise InputError("base point must be a unit 7-vector")
-    return np.einsum("ijk,i->kj", OCTONION_EPS, p)
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    chart_id: str                # 'north' | 'south'
-    x: np.ndarray                # 6 chart coordinates, |x| <= 1.5
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.chart_id not in ("north", "south"):
             raise InputError("chart_id must be 'north' or 'south'")
         if np.linalg.norm(self.x) > CHART_RADIUS + 1e-12:
             raise InputError("chart coordinates exceed the chart radius")
+        return self
 
 
 # The south chart flips its last coordinate, and its map to the sphere
@@ -138,12 +102,6 @@ def _jacobian_stack(chart_id: str, xs: np.ndarray) -> np.ndarray:
     return Dp
 
 
-def chart_jacobian(point: ChartPoint) -> np.ndarray:
-    """d(ambient)/d(chart): 7 x 6 Jacobian of :func:`chart_to_ambient`."""
-    return _jacobian_stack(point.chart_id,
-                           np.asarray(point.x, dtype=float)[None])[0]
-
-
 def _stereographic_jets(chart_id: str, x: np.ndarray):
     """Derivatives of the chart map at one point x: Dp[a, i], D2p[a, i, j]
     and D3p[a, i, j, k], with a the ambient index.
@@ -182,8 +140,7 @@ def _stereographic_jets(chart_id: str, x: np.ndarray):
     return Dp, D2p, D3p
 
 
-@dataclass(frozen=True)
-class FDConfig:
+class FDConfig(namedtuple("FDConfig", "h scheme", defaults=(1e-3, "central_2nd"))):
     """How curvature is differentiated: the scheme and the step h.
 
     'central_2nd' and 'richardson_4th' take finite differences of the
@@ -193,14 +150,15 @@ class FDConfig:
     selects 'exact' when neither --fd-step nor --richardson is given.
     """
 
-    h: float = 1e-3
-    scheme: str = "central_2nd"  # or 'richardson_4th', 'exact'
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (1e-6 <= self.h <= 1e-1):
             raise InputError("step size must lie in [1e-6, 1e-1]")
         if self.scheme not in ("central_2nd", "richardson_4th", "exact"):
             raise InputError("unknown curvature scheme %r" % self.scheme)
+        return self
 
 
 def _poly_eval(terms, xs) -> np.ndarray:
@@ -211,8 +169,28 @@ def _poly_eval(terms, xs) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
-class MetricField:
+def _floats(value, shape: tuple):
+    """value as an array of finite floats of the given shape, else None."""
+    try:
+        a = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        return None
+    return a if a.shape == shape and np.isfinite(a).all() else None
+
+
+def _is_table(terms) -> bool:
+    """Whether terms is a list of [i, j, [[coeff, powers], ...]] entries:
+    i and j in 0..5, a finite coeff and 6 finite powers."""
+    try:
+        return all(i in range(6) and j in range(6)
+                   and all(_floats(c, ()) is not None and _floats(p, (6,)) is not None
+                           for c, p in entries)
+                   for i, j, entries in terms)
+    except (TypeError, ValueError):
+        return False
+
+
+class MetricField(namedtuple("MetricField", "family params scale", defaults=(None, 1.0))):
     """Metric evaluator on the sphere, one of the built-in families.
 
     round:     scale * 4/(1+|x|^2)^2 * Id (unit round sphere)
@@ -220,30 +198,40 @@ class MetricField:
     ellipsoid: pullback of the flat 7-space metric under axis scaling
     custom:    per-entry polynomial tables in the chart coordinates
                (a debug family; need not glue to a sphere metric)
+
+    Malformed params raise ConfigError naming the parameter.
     """
 
-    family: str
-    params: dict = field(default_factory=dict)
-    scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.params is None:                      # a fresh dict per metric
+            self = self._replace(params={})
         if self.family not in ("round", "conformal", "ellipsoid", "custom"):
             raise ConfigError("unknown metric family %r" % self.family)
         if not 0 < self.scale < np.inf:              # also rejects nan
             raise ConfigError("scale must be positive and finite")
+        if not isinstance(self.params, Mapping):
+            raise ConfigError("metric params must be a mapping")
         if self.family == "conformal":
-            f = self.params.get("f", {"type": "constant", "value": 0.0})
-            if f.get("type") not in ("ambient_linear", "constant"):
-                raise ConfigError("conformal factor type must be "
+            f = self.params.get("f", {"type": "constant"})
+            kind = f.get("type") if isinstance(f, dict) else None
+            if kind not in ("ambient_linear", "constant"):
+                raise ConfigError("conformal factor 'f' needs a 'type' of "
                                   "'ambient_linear' or 'constant'")
-            if f["type"] == "ambient_linear" and len(f.get("coeffs", [])) != 7:
-                raise ConfigError("ambient_linear conformal factor needs 7 coeffs")
+            if kind == "ambient_linear" and _floats(f.get("coeffs"), (7,)) is None:
+                raise ConfigError("conformal factor 'f' needs 7 finite 'coeffs'")
+            if kind == "constant" and _floats(f.get("value", 0.0), ()) is None:
+                raise ConfigError("conformal factor 'f' needs a finite 'value'")
         if self.family == "ellipsoid":
-            axes = np.asarray(self.params.get("axes", np.ones(7)), dtype=float)
-            if axes.shape != (7,) or not np.all((axes > 0) & np.isfinite(axes)):
-                raise ConfigError("ellipsoid needs 7 positive finite semi-axes")
-        if self.family == "custom" and "terms" not in self.params:
-            raise ConfigError("custom metric needs a 'terms' table")
+            axes = _floats(self.params.get("axes", np.ones(7)), (7,))
+            if axes is None or not (axes > 0).all():
+                raise ConfigError("ellipsoid 'axes' must be 7 positive finite semi-axes")
+        if self.family == "custom" and not _is_table(self.params.get("terms")):
+            raise ConfigError("custom metric needs a 'terms' table of "
+                              "[i, j, [[coeff, 6 powers], ...]] entries, i and j in 0..5")
+        return self
 
     def _conformal_factor(self, chart_id: str, xs: np.ndarray) -> np.ndarray:
         f = self.params.get("f", {"type": "constant", "value": 0.0})
@@ -409,41 +397,6 @@ class MetricField:
         return MetricField(family="custom", params={"terms": terms})
 
 
-@dataclass(frozen=True)
-class ACSField:
-    """Almost-complex-structure field.
-
-    'g2_octonionic' is the octonionic cross product at sphere points;
-    'chart_constant' holds a fixed chart-coordinate matrix (the flat
-    Kaehler toy for tests).
-    """
-
-    kind: str = "g2_octonionic"
-    matrix: np.ndarray | None = None
-
-    def chart_operator(self, point: ChartPoint) -> np.ndarray:
-        """J in chart coordinates: pseudo-inverse conjugation by the
-        chart Jacobian (the image of the cross product is tangent)."""
-        if self.kind == "chart_constant":
-            if self.matrix is None:
-                raise ConfigError("chart_constant ACS field needs a matrix")
-            return np.asarray(self.matrix, dtype=float)
-        if self.kind != "g2_octonionic":
-            raise ConfigError("unknown ACS field kind %r" % self.kind)
-        P = chart_jacobian(point)
-        Jp = g2_structure(chart_to_ambient(point))
-        return np.linalg.solve(P.T @ P, P.T @ (Jp @ P))
-
-
-@dataclass(frozen=True)
-class ConnectionCoefficients:
-    """Christoffel symbols gamma[k, i, j] = Gamma^k_ij at a point."""
-
-    gamma: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-
-
 def _stencil(xs: np.ndarray, h: float, scheme: str) -> np.ndarray:
     """Each row of xs followed by its finite-difference stencil, shape
     (B, 1 + 12, 6) or (B, 1 + 24, 6): for each direction i, x + h e_i and
@@ -523,19 +476,6 @@ def _exact_levi_civita(field: MetricField, point: ChartPoint):
     return (g_inv @ inner).reshape(6, 6, 6, 6), gamma, g, g_inv
 
 
-def christoffel(field: MetricField, point: ChartPoint,
-                fd: FDConfig | None = None) -> ConnectionCoefficients:
-    """Levi-Civita symbols, from the metric's closed-form jets under the
-    'exact' scheme and by finite differences of the metric otherwise."""
-    fd = fd or FDConfig()
-    if fd.scheme == "exact":
-        _, gamma, g, g_inv = _exact_levi_civita(field, point)
-        return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
-    gamma, g, g_inv, _ = _levi_civita(field, point.chart_id,
-                                      np.asarray(point.x, dtype=float)[None], fd)
-    return ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
-
-
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Columns of a g-orthonormal frame (Cholesky Gram-Schmidt)."""
     L = np.linalg.cholesky(g)
@@ -588,80 +528,6 @@ def riemann(field: MetricField, point: ChartPoint,
     return project_curvature(R_onf)
 
 
-@dataclass(frozen=True)
-class NablaJData:
-    """J and its covariant derivative in the g-orthonormal frame."""
-
-    J: np.ndarray                # (6, 6)
-    nabla: np.ndarray            # (6, 6, 6): nabla[i] = (nabla_{e_i} J)
-
-
-def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
-                   fd: FDConfig):
-    """Levi-Civita symbols, the metric derivative dg[i, a, c], J, its
-    coordinate derivative dJ[i, k, j] and its covariant derivative
-    nab[i, k, j], all in chart coordinates; finite differences only."""
-    if fd.scheme == "exact":
-        raise InputError("the covariant derivative of J needs a "
-                         "finite-difference scheme, not 'exact'")
-    x = np.asarray(point.x, dtype=float)
-    gamma, g, g_inv, dg = _levi_civita(field, point.chart_id, x[None], fd)
-    conn = ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
-    Js = np.stack([acs.chart_operator(ChartPoint(point.chart_id, y))
-                   for y in _stencil(x[None], fd.h, fd.scheme)[0]])
-    J = Js[0]
-    dJ = _fd_derivative(Js[1:], fd.h, fd.scheme)
-    nab = (dJ
-           + np.einsum("kim,mj->ikj", conn.gamma, J)
-           - np.einsum("mij,km->ikj", conn.gamma, J))
-    return conn, dg[0], J, dJ, nab
-
-
-def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
-            fd: FDConfig | None = None) -> NablaJData:
-    """Covariant derivative of the J field, re-expressed orthonormally."""
-    conn, _, J, _, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
-    B = orthonormal_frame(conn.g)
-    B_inv = np.linalg.inv(B)
-    J_onf = B_inv @ J @ B
-    nab_onf = np.einsum("ikj,ia,kc,jb->acb", nab, B, B_inv.T, B)
-    return NablaJData(J=J_onf, nabla=nab_onf)
-
-
-@dataclass(frozen=True)
-class CanonicalConnectionReport:
-    metricity: float             # max |Delta g|
-    complex_compat: float        # max |Delta J|
-    torsion_formula: float       # two-route torsion disagreement
-    torsion_norm: float
-
-
-def canonical_connection_check(field: MetricField, acs: ACSField,
-                               point: ChartPoint,
-                               fd: FDConfig | None = None) -> CanonicalConnectionReport:
-    """Residuals of the metric-and-complex connection built from the
-    Levi-Civita symbols and the J-derivative, in chart coordinates."""
-    conn, dg, J, dJ, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
-    # Delta = Levi-Civita - (1/2) J (nabla J)
-    delta = conn.gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
-    # (Delta g)_ijk = d_i g_jk - Delta^m_ij g_mk - Delta^m_ik g_jm
-    metricity = (dg
-                 - np.einsum("mij,mk->ijk", delta, conn.g)
-                 - np.einsum("mik,jm->ijk", delta, conn.g))
-    delta_J = (dJ
-               + np.einsum("kim,mj->ikj", delta, J)
-               - np.einsum("mij,km->ikj", delta, J))
-    torsion = delta - delta.transpose(0, 2, 1)
-    nabJ_J = np.einsum("ikm,mj->ikj", nab, J)
-    formula = 0.5 * (np.einsum("ikj->kij", nabJ_J) - np.einsum("jki->kij", nabJ_J))
-    return CanonicalConnectionReport(
-        metricity=float(np.max(np.abs(metricity))),
-        complex_compat=float(np.max(np.abs(delta_J))),
-        torsion_formula=float(np.max(np.abs(torsion - formula))),
-        torsion_norm=float(np.max(np.abs(torsion))),
-    )
-
-
 def sample_points(n: int, seed: int) -> list[ChartPoint]:
     """n ambient-uniform points, each in the chart where |x| <= 1."""
     if n < 1:
@@ -673,44 +539,3 @@ def sample_points(n: int, seed: int) -> list[ChartPoint]:
         p = p / np.linalg.norm(p)
         pts.append(ambient_to_chart(p))
     return pts
-
-
-def estimate_perturbation(field: MetricField, points: list[ChartPoint],
-                          fd: FDConfig | None = None,
-                          quad_samples: int = 256, seed: int = 0):
-    """Sampled sup-norm deviations (metric, curvature) from the round
-    metric over the given points.  Estimates, not certified suprema.
-
-    Both curvatures are taken with ``fd`` (default central differences);
-    under 'exact' the round one is exact too.
-    """
-    from .certify import PerturbationBudget
-
-    fd = fd or FDConfig()
-    base = MetricField(family="round")
-    eps1 = 0.0
-    eps2 = 0.0
-    rng = make_rng(seed, 13)
-    per_point = max(1, quad_samples // max(1, len(points)))
-    for pt in points:
-        g0 = base.matrix(pt)
-        g1 = field.matrix(pt)
-        B0 = orthonormal_frame(g0)
-        h = B0.T @ (g1 - g0) @ B0
-        eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-        # Deviation sampled in the round orthonormal frame of the point.
-        # Both curvatures use the same scheme: under a finite-difference
-        # one, the O(h^2) error the two share cancels in the difference.
-        dev = express_in_frame(_coordinate_riemann(field, pt, fd)[0]
-                               - _coordinate_riemann(base, pt, fd)[0], B0)
-        eps1 = max(eps1, float(np.max(np.abs(dev))))
-        # the same numbers as one (4, 6) draw per sample
-        vs = rng.normal(size=(per_point, 4, 6))
-        vs /= np.linalg.norm(vs, axis=2)[:, :, None]
-        # dev(v1, v2, v3, v4) = (v1 (x) v2) . dev as a 36 x 36 matrix . (v3 (x) v4)
-        v12 = (vs[:, 0, :, None] * vs[:, 1, None, :]).reshape(-1, 36)
-        v34 = (vs[:, 2, :, None] * vs[:, 3, None, :]).reshape(-1, 36)
-        vals = np.sum((v12 @ dev.reshape(36, 36)) * v34, axis=1)
-        eps1 = max(eps1, float(np.max(np.abs(vals))))
-    return PerturbationBudget(eps1=eps1, eps2=eps2)
-

@@ -1,0 +1,532 @@
+"""Almost complex structures beyond what the certifier runs (library only):
+complex structures from frames, hat/sharp, the canonical-line projection
+scalar with a coframe oracle, (1,0)-forms, psi / phi / Chern-type forms,
+star-Ricci frame matrices, and the octonionic structure on S^6 with its
+covariant derivative (finite differences) and canonical-connection residuals.
+"""
+
+from __future__ import annotations
+
+from collections import namedtuple
+
+import numpy as np
+
+from .curvature import express_in_frame, ricci, ricci_star
+from .errors import (CompatibilityError, ConfigError, ConventionMismatchError,
+                     FormTypeError, FrameError, InputError, StructureError)
+from .hermitian import (TOL_CLASSIFY, ComplexStructure, _as_metric, fundamental_two_form,
+                        lambda2_inner, standard_complex_structure)
+from .rng import haar_orthogonal, make_rng
+from .sphere import (ChartPoint, FDConfig, MetricField, _exact_levi_civita, _fd_derivative,
+                     _jacobian_stack, _levi_civita, _stencil, chart_to_ambient,
+                     orthonormal_frame)
+
+TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
+
+
+_EYE6 = np.eye(6)                # the default metric, shared and read-only
+_EYE6.flags.writeable = False
+
+
+class EuclideanSpace(namedtuple("EuclideanSpace", "dim g orientation",
+                                defaults=(6, _EYE6, 1))):
+    """Even-dimensional Euclidean space with a reference orientation."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.dim % 2 != 0:
+            raise InputError("dimension must be even")
+        _as_metric(self.g, self.dim)
+        if self.orientation not in (1, -1):
+            raise InputError("orientation must be +1 or -1")
+        return self
+
+
+def sharp_index(i: int) -> int:
+    """The pairing involution on 0-based indices: 0<->1, 2<->3, 4<->5."""
+    return i + 1 if i % 2 == 0 else i - 1
+
+
+def check_complex_structure(J: np.ndarray, g: np.ndarray | None = None,
+                            tol: float = TOL_CONSTRUCT) -> None:
+    """Raise unless J^2 = -Id and J is g-orthogonal (both within tol)."""
+    J = np.asarray(J, dtype=float)
+    g = _as_metric(g, J.shape[0])
+    if np.max(np.abs(J @ J + np.eye(J.shape[0]))) > tol:
+        raise StructureError("J^2 differs from -Id beyond tolerance")
+    if np.max(np.abs(J.T @ g @ J - g)) > tol:
+        raise CompatibilityError("J is not orthogonal for the given metric")
+
+
+def orientation_compatible(J: np.ndarray, g: np.ndarray | None = None) -> bool:
+    """True iff a J-adapted orthonormal frame is positively oriented."""
+    F = adapted_frame(J, g)
+    return bool(np.linalg.det(F) > 0)
+
+
+def complex_structure(J: np.ndarray, g: np.ndarray | None = None,
+                      tol: float = TOL_CONSTRUCT) -> ComplexStructure:
+    """Validate J and package it with its orientation class."""
+    J = np.asarray(J, dtype=float)
+    check_complex_structure(J, g, tol)
+    return ComplexStructure(J=J, compatible_orientation=orientation_compatible(J, g))
+
+
+def make_complex_structure(frame: np.ndarray, g: np.ndarray | None = None,
+                           tol: float = TOL_CLASSIFY) -> ComplexStructure:
+    """Complex structure of an ordered orthonormal frame (columns).
+
+    J maps frame vector e_i to (-1)^(i-1) e_{i#} (1-based), i.e. the
+    frame pairs (e_1, e_2), (e_3, e_4), (e_5, e_6) become complex lines.
+    """
+    F = np.asarray(frame, dtype=float)
+    g = _as_metric(g, F.shape[0])
+    gram = F.T @ g @ F
+    if np.max(np.abs(gram - np.eye(F.shape[0]))) > tol:
+        raise FrameError("frame is not orthonormal: Gram defect %.3e"
+                         % np.max(np.abs(gram - np.eye(F.shape[0]))))
+    J0 = standard_complex_structure(F.shape[0])
+    J = F @ J0 @ F.T @ g
+    # F is g-orthonormal, so det F has the sign of the frame orientation.
+    return ComplexStructure(J=J, compatible_orientation=bool(np.linalg.det(F) > 0))
+
+
+def adapted_frame(J: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic g-orthonormal frame (f1, Jf1, f2, Jf2, f3, Jf3)."""
+    J = np.asarray(J, dtype=float)
+    n = J.shape[0]
+    g = _as_metric(g, n)
+    cols = []
+
+    def proj_out(v):
+        for w in cols:
+            v = v - (w @ g @ v) * w
+        return v
+
+    seed_idx = 0
+    while len(cols) < n:
+        v = None
+        while seed_idx < n:
+            cand = proj_out(np.eye(n)[:, seed_idx])
+            seed_idx += 1
+            norm = np.sqrt(cand @ g @ cand)
+            if norm > 1e-8:
+                v = cand / norm
+                break
+        if v is None:
+            raise StructureError("failed to build a J-adapted frame")
+        cols.append(v)
+        w = J @ v
+        w = proj_out(w)
+        nw = np.sqrt(w @ g @ w)
+        if nw < 1e-8:
+            raise StructureError("J does not map the complement to itself")
+        cols.append(w / nw)
+    return np.stack(cols, axis=1)
+
+
+def check_two_form(zeta: np.ndarray, tol: float = TOL_CONSTRUCT) -> None:
+    zeta = np.asarray(zeta, dtype=float)
+    if np.max(np.abs(zeta + zeta.T)) > tol * max(1.0, np.max(np.abs(zeta))):
+        raise InputError("2-form coefficient matrix is not antisymmetric")
+
+
+def hat(A: np.ndarray, g: np.ndarray | None = None,
+        tol: float = TOL_CONSTRUCT) -> np.ndarray:
+    """Index lowering of a skew endomorphism: hat(A)(v, w) = g(v, A w)."""
+    A = np.asarray(A, dtype=float)
+    g = _as_metric(g, A.shape[0])
+    skew_defect = np.max(np.abs(A.T @ g + g @ A))
+    if skew_defect > tol * max(1.0, np.max(np.abs(A))):
+        raise StructureError("endomorphism is not g-skew: defect %.3e" % skew_defect)
+    return g @ A
+
+
+def sharp(zeta: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of :func:`hat`."""
+    check_two_form(zeta)
+    g = _as_metric(g, np.asarray(zeta).shape[0])
+    return np.linalg.solve(g, np.asarray(zeta, dtype=float))
+
+
+def norm_E(zeta: np.ndarray) -> float:
+    """Endomorphism (Frobenius) norm; satisfies norm_E^2 = 2 norm_lambda2^2."""
+    return float(np.linalg.norm(np.asarray(zeta, dtype=float)))
+
+
+def canonical_projection_scalar(A: np.ndarray, J: np.ndarray) -> complex:
+    """Scalar by which A acts on the canonical line: -i (hat(A), omega).
+
+    Works in an orthonormal basis.  The independent route through an
+    explicit (1,0)-coframe is :func:`canonical_projection_scalar_oracle`.
+    """
+    A = np.asarray(A, dtype=float)
+    check_complex_structure(J)
+    omega = fundamental_two_form(None, J)
+    return -1j * lambda2_inner(hat(A), omega)
+
+
+def _wedge3(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
+    """Dense components of c1 ^ c2 ^ c3 (determinant convention)."""
+    t = np.einsum("i,j,k->ijk", c1, c2, c3)
+    out = (t + np.einsum("ijk->jki", t) + np.einsum("ijk->kij", t)
+           - np.einsum("ijk->jik", t) - np.einsum("ijk->ikj", t)
+           - np.einsum("ijk->kji", t))
+    return out
+
+
+def canonical_projection_scalar_oracle(A: np.ndarray, J: np.ndarray) -> complex:
+    """<A* Omega, Omega> for the unit holomorphic volume form Omega.
+
+    Builds a unitary (1,0)-coframe e^a = (f^a + i (J f_a)^flat)/sqrt(2)
+    over a J-adapted frame, extends the pull-back of A to 3-forms as a
+    derivation, and reads off the induced scalar on Lambda^{3,0}.
+    """
+    A = np.asarray(A, dtype=float)
+    check_complex_structure(J)
+    F = adapted_frame(J)
+    cof = [(F[:, 2 * a] + 1j * F[:, 2 * a + 1]) / np.sqrt(2.0) for a in range(3)]
+    omega3 = _wedge3(*cof)
+    pulled = [c @ A for c in cof]            # (A* alpha)(v) = alpha(A v)
+    deriv = (_wedge3(pulled[0], cof[1], cof[2])
+             + _wedge3(cof[0], pulled[1], cof[2])
+             + _wedge3(cof[0], cof[1], pulled[2]))
+    norm2 = np.sum(omega3 * np.conj(omega3)) / 6.0
+    return complex(np.sum(deriv * np.conj(omega3)) / 6.0 / norm2)
+
+
+def project_one_zero(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """(1,0)-part of a Hom-valued 1-form, psi of shape (dim, n1, n0)."""
+    psi = np.asarray(psi, dtype=complex)
+    J = np.asarray(J, dtype=float)
+    psi_J = np.einsum("iab,ij->jab", psi, J)   # precomposition with J
+    return 0.5 * (psi - 1j * psi_J)
+
+
+def check_one_zero(phi: np.ndarray, J: np.ndarray, tol: float = TOL_CLASSIFY) -> None:
+    phi = np.asarray(phi, dtype=complex)
+    phi_J = np.einsum("iab,ij->jab", phi, J)
+    scale = max(1.0, float(np.max(np.abs(phi))))
+    if np.max(np.abs(phi_J - 1j * phi)) > tol * scale:
+        raise FormTypeError("1-form is not of type (1,0): defect %.3e"
+                            % float(np.max(np.abs(phi_J - 1j * phi))))
+
+
+def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None,
+                   tol: float = TOL_CLASSIFY) -> np.ndarray:
+    """Scalar 2-form <(-i Phi* ^ Phi) w, w> for a unit source vector w.
+
+    Phi has shape (6, n1, n0) over the complexified source/target spaces;
+    the wedge uses (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Type (1,0) is
+    a hypothesis and is enforced.
+    """
+    phi = np.asarray(phi, dtype=complex)
+    check_one_zero(phi, J, tol)
+    n0 = phi.shape[2]
+    if w is None:
+        w = np.zeros(n0, dtype=complex)
+        w[0] = 1.0
+    w = np.asarray(w, dtype=complex)
+    w = w / np.linalg.norm(w)
+    # M_ij = -i (Phi_i^H Phi_j - Phi_j^H Phi_i); zeta_ij = w^H M_ij w.
+    H = np.einsum("ica,jcb->ijab", np.conj(phi), phi)  # Phi_i^H Phi_j
+    M = -1j * (H - np.transpose(H, (1, 0, 2, 3)))
+    zeta = np.einsum("a,ijab,b->ij", np.conj(w), M, w)
+    if np.max(np.abs(zeta.imag)) > 1e-10 * max(1.0, np.max(np.abs(zeta.real))):
+        raise FormTypeError("wedge form has a non-real part beyond tolerance")
+    return np.real(zeta)
+
+
+class FrameMatrix(namedtuple("FrameMatrix", "alpha a alpha_plain M frame gap")):
+    """Star-Ricci data of (R, frame).
+
+    ``alpha`` includes the signs of J e_i = (-1)^(i-1) e_{i#} and equals
+    the star-Ricci form in frame coordinates; ``alpha_plain`` is the
+    sign-free double sum, kept for reference (it obeys the symmetry
+    alpha_ij = alpha_{j# i#} without the (-1)^(i+j) factor).  ``M`` is
+    the symmetrized star-Ricci reference matrix computed along an
+    independent route; ``gap`` records max |a - M|.
+    """
+
+    __slots__ = ()
+
+
+# the contractions of (R, J, nabla J) feeding the Chern-type form
+StarRicciData = namedtuple("StarRicciData", "ric ric_star psi phi")
+
+
+PSI_CHECK_TOL = 1e-9             # relative gap allowed between psi's two displays
+
+
+def ricci_star_alt(R: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """Cross-check route: Ric*(X, Y) = (1/2) sum_i R(X, JY, e_i, J e_i)."""
+    R = np.asarray(R, dtype=float)
+    J = np.asarray(J, dtype=float)
+    return 0.5 * np.einsum("iakm,aj,mk->ij", R, J, J)
+
+
+def psi(R: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """psi(X, Y) = sum_i R(X, Y, e_i, J e_i).
+
+    Also evaluates the equivalent display -2 Ric*(X, JY) and raises
+    ConventionMismatchError if the two disagree beyond PSI_CHECK_TOL
+    relative to max(1, max|psi|).
+    """
+    R = np.asarray(R, dtype=float)
+    J = np.asarray(J, dtype=float)
+    direct = np.einsum("xyim,mi->xy", R, J)
+    via_star = -2.0 * (ricci_star(R, J) @ J)
+    gap = float(np.max(np.abs(direct - via_star)))
+    if gap > PSI_CHECK_TOL * max(1.0, float(np.max(np.abs(direct)))):
+        raise ConventionMismatchError(
+            "psi expressions disagree by %.3e; sign conventions broken" % gap)
+    return direct
+
+
+def check_nabla_j(nabla_j: np.ndarray, J: np.ndarray, tol: float = 1e-6) -> None:
+    """Anticommutation with J and skewness of each directional slice."""
+    N = np.asarray(nabla_j, dtype=float)
+    J = np.asarray(J, dtype=float)
+    scale = max(1.0, float(np.max(np.abs(N))))
+    anti = np.max(np.abs(np.einsum("iab,bc->iac", N, J)
+                         + np.einsum("ab,ibc->iac", J, N)))
+    skew = np.max(np.abs(N + N.transpose(0, 2, 1)))
+    if anti > tol * scale or skew > tol * scale:
+        raise StructureError(
+            "nabla J incompatible with J: anticommutation %.3e, skewness %.3e"
+            % (anti, skew))
+
+
+def phi(J: np.ndarray, nabla_j: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+    """phi(X, Y) = trace((nabla_X J)(nabla_{JY} J)).
+
+    The sign is pinned by the identity phi(X, JX) = |nabla_X J|^2
+    (Frobenius), which this evaluation satisfies identically for any
+    input obeying the skewness invariant.
+    """
+    N = np.asarray(nabla_j, dtype=float)
+    J = np.asarray(J, dtype=float)
+    check_nabla_j(N, J, tol)
+    NJ = np.einsum("kj,kab->jab", J, N)        # slice in direction J e_j
+    return np.einsum("iab,jba->ij", N, NJ)
+
+
+def star_ricci_data(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray,
+                    nabla_tol: float = 1e-6) -> StarRicciData:
+    """Bundle the four contractions of one pointwise dataset."""
+    return StarRicciData(ric=ricci(R), ric_star=ricci_star(R, J),
+                         psi=psi(R, J), phi=phi(J, nabla_j, nabla_tol))
+
+
+def chern_form(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray,
+               nabla_tol: float = 1e-6) -> np.ndarray:
+    """First-Chern-type 2-form (2 psi + phi) / (8 pi), pointwise."""
+    return (2.0 * psi(R, J) + phi(J, nabla_j, nabla_tol)) / (8.0 * np.pi)
+
+
+def star_matrix(R: np.ndarray, frame: np.ndarray) -> FrameMatrix:
+    """Frame matrices alpha, a = sym(alpha) and the star-Ricci reference M.
+
+    alpha_ij = sum_k R(e_i, e_k, J e_j, J e_k) in frame coordinates,
+    where J is the complex structure generated by the frame.  M is
+    computed independently by contracting in the working basis and
+    restricting to the frame; a == M up to roundoff is recorded in
+    ``gap``.  The working basis must be orthonormal.
+    """
+    F = np.asarray(frame, dtype=float)
+    cs = make_complex_structure(F)   # raises FrameError when not orthonormal
+    Rf = express_in_frame(R, F)
+    alpha = ricci_star(Rf, standard_complex_structure(F.shape[0]))
+    a = 0.5 * (alpha + alpha.T)
+    # Sign-free double sum from the index display, kept for reference.
+    n = F.shape[0]
+    alpha_plain = np.array(
+        [[sum(Rf[i, k, sharp_index(j), sharp_index(k)] for k in range(n))
+          for j in range(n)] for i in range(n)])
+    ric = ricci_star(np.asarray(R, dtype=float), cs.J)
+    M = F.T @ (0.5 * (ric + ric.T)) @ F
+    gap = float(np.max(np.abs(a - M)))
+    return FrameMatrix(alpha=alpha, a=a, alpha_plain=alpha_plain,
+                       M=M, frame=F, gap=gap)
+
+
+def star_symmetry_defect(alpha: np.ndarray) -> float:
+    """Max violation of alpha_ij = (-1)^(i+j) alpha_{j# i#} (1-based signs)."""
+    alpha = np.asarray(alpha, dtype=float)
+    n = alpha.shape[0]
+    worst = 0.0
+    for i in range(n):
+        for j in range(n):
+            sign = (-1.0) ** ((i + 1) + (j + 1))
+            worst = max(worst, abs(alpha[i, j] - sign * alpha[sharp_index(j), sharp_index(i)]))
+    return worst
+
+
+def random_orthonormal_frame(rng: int | np.random.Generator) -> np.ndarray:
+    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
+    return haar_orthogonal(rng)
+
+
+def random_nabla_j(rng: int | np.random.Generator, J: np.ndarray,
+                   scale: float = 1.0) -> np.ndarray:
+    """Random 3-tensor satisfying the nabla-J invariants exactly:
+    each slice skew and anticommuting with J."""
+    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
+    J = np.asarray(J, dtype=float)
+    N = rng.normal(size=(6, 6, 6)) * scale
+    N = 0.5 * (N - N.transpose(0, 2, 1))
+    return 0.5 * (N + np.einsum("ab,ibc,cd->iad", J, N, J))
+
+
+# Octonion structure constants: eps[i,j,k] = +1 on these ordered triples
+# (0-based), totally antisymmetric.  Any consistent table works; this one
+# satisfies u x (u x v) = <u,v> u - |u|^2 v, which is what downstream needs.
+_OCT_TRIPLES = ((0, 1, 2), (0, 3, 4), (0, 6, 5), (1, 3, 5), (1, 4, 6),
+                (2, 3, 6), (2, 5, 4))
+
+
+def _octonion_eps() -> np.ndarray:
+    eps = np.zeros((7, 7, 7))
+    for (i, j, k) in _OCT_TRIPLES:
+        for (a, b, c), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+                             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
+            eps[a, b, c] = s
+    return eps
+
+
+OCTONION_EPS = _octonion_eps()
+
+
+def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Seven-dimensional cross product from the octonion table."""
+    return np.einsum("ijk,i,j->k", OCTONION_EPS, u, v)
+
+
+def g2_structure(p: np.ndarray) -> np.ndarray:
+    """Ambient matrix of v -> p x v at a unit 7-vector p.
+
+    Restricts to an orthogonal complex structure on the tangent space.
+    """
+    p = np.asarray(p, dtype=float)
+    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
+        raise InputError("base point must be a unit 7-vector")
+    return np.einsum("ijk,i->kj", OCTONION_EPS, p)
+
+
+def chart_jacobian(point: ChartPoint) -> np.ndarray:
+    """d(ambient)/d(chart): 7 x 6 Jacobian of :func:`chart_to_ambient`."""
+    return _jacobian_stack(point.chart_id,
+                           np.asarray(point.x, dtype=float)[None])[0]
+
+
+class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", None))):
+    """Almost-complex-structure field.
+
+    'g2_octonionic' is the octonionic cross product at sphere points;
+    'chart_constant' holds a fixed chart-coordinate matrix (the flat
+    Kaehler toy for tests).
+    """
+
+    __slots__ = ()
+
+    def chart_operator(self, point: ChartPoint) -> np.ndarray:
+        """J in chart coordinates: pseudo-inverse conjugation by the
+        chart Jacobian (the image of the cross product is tangent)."""
+        if self.kind == "chart_constant":
+            if self.matrix is None:
+                raise ConfigError("chart_constant ACS field needs a matrix")
+            return np.asarray(self.matrix, dtype=float)
+        if self.kind != "g2_octonionic":
+            raise ConfigError("unknown ACS field kind %r" % self.kind)
+        P = chart_jacobian(point)
+        Jp = g2_structure(chart_to_ambient(point))
+        return np.linalg.solve(P.T @ P, P.T @ (Jp @ P))
+
+
+# Christoffel symbols gamma[k, i, j] = Gamma^k_ij, the metric and its
+# inverse at a point
+ConnectionCoefficients = namedtuple("ConnectionCoefficients", "gamma g g_inv")
+
+
+def christoffel(field: MetricField, point: ChartPoint,
+                fd: FDConfig | None = None) -> ConnectionCoefficients:
+    """Levi-Civita symbols, from the metric's closed-form jets under the
+    'exact' scheme and by finite differences of the metric otherwise."""
+    fd = fd or FDConfig()
+    if fd.scheme == "exact":
+        _, gamma, g, g_inv = _exact_levi_civita(field, point)
+        return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
+    gamma, g, g_inv, _ = _levi_civita(field, point.chart_id,
+                                      np.asarray(point.x, dtype=float)[None], fd)
+    return ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
+
+
+# J (6, 6) and its covariant derivative nabla[i] = nabla_{e_i} J (6, 6, 6)
+# in the g-orthonormal frame
+NablaJData = namedtuple("NablaJData", "J nabla")
+
+
+def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
+                   fd: FDConfig):
+    """Levi-Civita symbols, the metric derivative dg[i, a, c], J, its
+    coordinate derivative dJ[i, k, j] and its covariant derivative
+    nab[i, k, j], all in chart coordinates; finite differences only."""
+    if fd.scheme == "exact":
+        raise InputError("the covariant derivative of J needs a "
+                         "finite-difference scheme, not 'exact'")
+    x = np.asarray(point.x, dtype=float)
+    gamma, g, g_inv, dg = _levi_civita(field, point.chart_id, x[None], fd)
+    conn = ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
+    Js = np.stack([acs.chart_operator(ChartPoint(point.chart_id, y))
+                   for y in _stencil(x[None], fd.h, fd.scheme)[0]])
+    J = Js[0]
+    dJ = _fd_derivative(Js[1:], fd.h, fd.scheme)
+    nab = (dJ
+           + np.einsum("kim,mj->ikj", conn.gamma, J)
+           - np.einsum("mij,km->ikj", conn.gamma, J))
+    return conn, dg[0], J, dJ, nab
+
+
+def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
+            fd: FDConfig | None = None) -> NablaJData:
+    """Covariant derivative of the J field, re-expressed orthonormally."""
+    conn, _, J, _, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
+    B = orthonormal_frame(conn.g)
+    B_inv = np.linalg.inv(B)
+    J_onf = B_inv @ J @ B
+    nab_onf = np.einsum("ikj,ia,kc,jb->acb", nab, B, B_inv.T, B)
+    return NablaJData(J=J_onf, nabla=nab_onf)
+
+
+# metricity max |Delta g|, complex_compat max |Delta J|, torsion_formula
+# the two-route torsion disagreement
+CanonicalConnectionReport = namedtuple(
+    "CanonicalConnectionReport", "metricity complex_compat torsion_formula torsion_norm")
+
+
+def canonical_connection_check(field: MetricField, acs: ACSField,
+                               point: ChartPoint,
+                               fd: FDConfig | None = None) -> CanonicalConnectionReport:
+    """Residuals of the metric-and-complex connection built from the
+    Levi-Civita symbols and the J-derivative, in chart coordinates."""
+    conn, dg, J, dJ, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
+    # Delta = Levi-Civita - (1/2) J (nabla J)
+    delta = conn.gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
+    # (Delta g)_ijk = d_i g_jk - Delta^m_ij g_mk - Delta^m_ik g_jm
+    metricity = (dg
+                 - np.einsum("mij,mk->ijk", delta, conn.g)
+                 - np.einsum("mik,jm->ijk", delta, conn.g))
+    delta_J = (dJ
+               + np.einsum("kim,mj->ikj", delta, J)
+               - np.einsum("mij,km->ikj", delta, J))
+    torsion = delta - delta.transpose(0, 2, 1)
+    nabJ_J = np.einsum("ikm,mj->ikj", nab, J)
+    formula = 0.5 * (np.einsum("ikj->kij", nabJ_J) - np.einsum("jki->kij", nabJ_J))
+    return CanonicalConnectionReport(
+        metricity=float(np.max(np.abs(metricity))),
+        complex_compat=float(np.max(np.abs(delta_J))),
+        torsion_formula=float(np.max(np.abs(torsion - formula))),
+        torsion_norm=float(np.max(np.abs(torsion))),
+    )

@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import random_form_above_omega, random_one_one_form, random_skew
+from occert import budget as bd
 from occert import certify as ct
 from occert import cli
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import sphere as sp
+from occert import structures as sr
 from occert.rng import make_rng
 
 
@@ -67,8 +69,8 @@ def test_03_projection_lemma_oracle():
     for _ in range(1000):
         A = random_skew(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
-        lemma = hm.canonical_projection_scalar(A, J)
-        oracle = hm.canonical_projection_scalar_oracle(A, J)
+        lemma = sr.canonical_projection_scalar(A, J)
+        oracle = sr.canonical_projection_scalar_oracle(A, J)
         worst = max(worst, abs(lemma - oracle))
     _report(3, "projection lemma vs coframe oracle", worst < 1e-10,
             "max gap=%.2e" % worst)
@@ -79,13 +81,13 @@ def test_04_psi_identity(J0, omega0):
     for k in (0.5, 1.0, 2.0):
         R = cv.kulkarni_nomizu_square(k=k)
         worst_val = max(worst_val, float(np.max(np.abs(
-            cv.psi(R, J0) - 2.0 * k * omega0))))
+            sr.psi(R, J0) - 2.0 * k * omega0))))
     rng = make_rng(4)
     worst_gap = 0.0
     for _ in range(1000):
         R = cv.random_curvature(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
-        direct = cv.psi(R, J)
+        direct = sr.psi(R, J)
         via_star = -2.0 * (cv.ricci_star(R, J) @ J)
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - via_star))))
     ok = worst_val < 1e-12 and worst_gap < 1e-9
@@ -98,19 +100,19 @@ def test_05_phi_identity():
     worst = 0.0
     for _ in range(1000):
         J = hm.random_orthogonal_complex_structure(rng).J
-        N = cv.random_nabla_j(rng, J)
-        phi = cv.phi(J, N)
+        N = sr.random_nabla_j(rng, J)
+        phi = sr.phi(J, N)
         x = rng.normal(size=6)
         lhs = x @ phi @ (J @ x)
         nx = np.einsum("i,iab->ab", x, N)
         rhs = float(np.sum(nx * nx))
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
     field = sp.MetricField("round")
-    acs = sp.ACSField()
+    acs = sr.ACSField()
     fd = sp.FDConfig(h=1e-3)
     for pt in sp.sample_points(20, 55):
-        nd = sp.nabla_J(field, acs, pt, fd)
-        phi = cv.phi(nd.J, nd.nabla, tol=1e-4)
+        nd = sr.nabla_J(field, acs, pt, fd)
+        phi = sr.phi(nd.J, nd.nabla, tol=1e-4)
         for _ in range(10):
             x = rng.normal(size=6)
             lhs = x @ phi @ (nd.J @ x)
@@ -163,7 +165,7 @@ def test_09_perturbation_budget():
     grid = np.linspace(0.0, 0.2, 100)
     for e1 in grid:
         for e2 in grid:
-            r = ct.perturbation_budget_check(ct.PerturbationBudget(e1, e2))
+            r = bd.perturbation_budget_check(bd.PerturbationBudget(e1, e2))
             assert not r.linear_ok or r.quadratic_ok, \
                 "linear bound must imply the quadratic one at (%g, %g)" % (e1, e2)
     rng = make_rng(9)

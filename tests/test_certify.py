@@ -8,9 +8,11 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_form_above_omega, random_one_one_form
+from occert import budget as bd
 from occert import certify as ct
 from occert import curvature as cv
 from occert import hermitian as hm
+from occert import structures as sr
 from occert.errors import InputError
 from occert.rng import make_rng
 
@@ -85,7 +87,7 @@ class TestRefutation:
         assert res.witness.value == pytest.approx(-1.0, abs=1e-6)
         assert abs(np.linalg.norm(res.witness.X) - 1.0) < 1e-12
         # witness J invariants
-        hm.check_complex_structure(res.witness.J, tol=1e-10)
+        sr.check_complex_structure(res.witness.J, tol=1e-10)
 
     def test_round_finds_nothing(self, G):
         res = ct.refute_P(G, ct.SearchConfig(multistarts=8, seed=1))
@@ -251,25 +253,25 @@ class TestLemmaLL:
 
 class TestPerturbationBudget:
     def test_boundary_quadratic(self):
-        r = ct.perturbation_budget_check(ct.PerturbationBudget(1.0 / 6.0, 0.0))
+        r = bd.perturbation_budget_check(bd.PerturbationBudget(1.0 / 6.0, 0.0))
         assert r.quadratic_ok
 
     def test_zero(self):
-        r = ct.perturbation_budget_check(ct.PerturbationBudget(0.0, 0.0))
+        r = bd.perturbation_budget_check(bd.PerturbationBudget(0.0, 0.0))
         assert r.quadratic_ok and r.linear_ok and r.implied_bound == 0.0
 
     def test_arithmetic_violation(self):
-        r = ct.perturbation_budget_check(ct.PerturbationBudget(0.1, 0.05))
+        r = bd.perturbation_budget_check(bd.PerturbationBudget(0.1, 0.05))
         assert not r.quadratic_ok
 
     def test_negative_rejected(self):
         with pytest.raises(InputError):
-            ct.PerturbationBudget(-0.1, 0.0)
+            bd.PerturbationBudget(-0.1, 0.0)
 
     def test_linear_implies_quadratic_small_grid(self):
         for e1 in np.linspace(0.0, 0.2, 25):
             for e2 in np.linspace(0.0, 0.2, 25):
-                r = ct.perturbation_budget_check(ct.PerturbationBudget(e1, e2))
+                r = bd.perturbation_budget_check(bd.PerturbationBudget(e1, e2))
                 assert not r.linear_ok or r.quadratic_ok
 
     def test_kn_difference_chain_bound(self):

@@ -7,6 +7,7 @@ import pytest
 
 from occert import curvature as cv
 from occert import hermitian as hm
+from occert import structures as sr
 from occert.errors import ConventionMismatchError, CurvatureError, FrameError, StructureError
 from occert.kernels import PAIRS
 from occert.rng import make_rng
@@ -129,7 +130,7 @@ class TestRicciContractions:
         for _ in range(200):
             R = cv.random_curvature(rng)
             J = hm.random_orthogonal_complex_structure(rng).J
-            gap = np.max(np.abs(cv.ricci_star(R, J) - cv.ricci_star_alt(R, J)))
+            gap = np.max(np.abs(cv.ricci_star(R, J) - sr.ricci_star_alt(R, J)))
             assert gap < 1e-9
 
     def test_frame_independence(self):
@@ -138,9 +139,9 @@ class TestRicciContractions:
         J = hm.random_orthogonal_complex_structure(rng).J
         ric = cv.ricci(R)
         ric_star = cv.ricci_star(R, J)
-        psi = cv.psi(R, J)
+        psi = sr.psi(R, J)
         for _ in range(10):
-            F = cv.random_orthonormal_frame(rng)
+            F = sr.random_orthonormal_frame(rng)
             # oracle: contract over the frame columns explicitly
             ric_o = sum(np.einsum("ijkl,j,l->ik", R, F[:, a], F[:, a])
                         for a in range(6))
@@ -157,18 +158,18 @@ class TestPsi:
     def test_constant_curvature_value(self, J0, omega0):
         for k in (0.5, 1.0, 2.0):
             R = cv.kulkarni_nomizu_square(k=k)
-            assert np.max(np.abs(cv.psi(R, J0) - 2.0 * k * omega0)) < 1e-12
+            assert np.max(np.abs(sr.psi(R, J0) - 2.0 * k * omega0)) < 1e-12
 
     def test_antisymmetry(self):
         rng = make_rng(21)
         for _ in range(50):
             R = cv.random_curvature(rng)
             J = hm.random_orthogonal_complex_structure(rng).J
-            p = cv.psi(R, J)
+            p = sr.psi(R, J)
             assert np.max(np.abs(p + p.T)) < 1e-12
 
     def test_half_psi_of_round_is_positive(self, G, J0):
-        assert hm.is_positive_form(cv.psi(G, J0) / 2.0, J0) == "positive"
+        assert hm.is_positive_form(sr.psi(G, J0) / 2.0, J0) == "positive"
 
     def test_display_mismatch_is_loud(self, J0):
         # a pair-symmetric tensor with a Bianchi component breaks the
@@ -179,19 +180,19 @@ class TestPsi:
                     + T.transpose(1, 0, 3, 2))
         T = 0.5 * (T + T.transpose(2, 3, 0, 1))   # Bianchi part retained
         with pytest.raises(ConventionMismatchError):
-            cv.psi(T, J0)
+            sr.psi(T, J0)
 
 
 class TestPhi:
     def test_zero_derivative(self, J0):
-        assert np.allclose(cv.phi(J0, np.zeros((6, 6, 6))), 0.0)
+        assert np.allclose(sr.phi(J0, np.zeros((6, 6, 6))), 0.0)
 
     def test_identity_on_random_valid_input(self):
         rng = make_rng(27)
         for _ in range(100):
             J = hm.random_orthogonal_complex_structure(rng).J
-            N = cv.random_nabla_j(rng, J)
-            p = cv.phi(J, N)
+            N = sr.random_nabla_j(rng, J)
+            p = sr.phi(J, N)
             for _ in range(10):
                 x = rng.normal(size=6)
                 lhs = x @ p @ (J @ x)
@@ -201,20 +202,20 @@ class TestPhi:
     def test_incompatible_input_rejected(self, J0):
         rng = make_rng(29)
         with pytest.raises(StructureError):
-            cv.phi(J0, rng.normal(size=(6, 6, 6)))
+            sr.phi(J0, rng.normal(size=(6, 6, 6)))
 
 
 class TestChernForm:
     def test_round_kahler_value(self, G, J0, omega0):
-        gamma = cv.chern_form(G, J0, np.zeros((6, 6, 6)))
+        gamma = sr.chern_form(G, J0, np.zeros((6, 6, 6)))
         assert np.max(np.abs(gamma - omega0 / (2.0 * np.pi))) < 1e-14
 
     def test_zero_case(self, J0):
-        gamma = cv.chern_form(np.zeros((6,) * 4), J0, np.zeros((6, 6, 6)))
+        gamma = sr.chern_form(np.zeros((6,) * 4), J0, np.zeros((6, 6, 6)))
         assert np.allclose(gamma, 0.0)
 
     def test_bundled_contractions(self, G, J0, omega0):
-        data = cv.star_ricci_data(G, J0, np.zeros((6, 6, 6)))
+        data = sr.star_ricci_data(G, J0, np.zeros((6, 6, 6)))
         assert np.allclose(data.ric, 5.0 * np.eye(6))
         assert np.allclose(data.ric_star, np.eye(6))
         assert np.allclose(data.psi, 2.0 * omega0)
@@ -226,8 +227,8 @@ class TestStarMatrix:
     def test_round_reference_is_identity(self, G):
         rng = make_rng(31)
         for _ in range(20):
-            F = cv.random_orthonormal_frame(rng)
-            fm = cv.star_matrix(G, F)
+            F = sr.random_orthonormal_frame(rng)
+            fm = sr.star_matrix(G, F)
             assert np.max(np.abs(fm.M - np.eye(6))) < 1e-12
             assert np.linalg.eigvalsh(fm.M)[0] >= -1e-10
 
@@ -235,16 +236,16 @@ class TestStarMatrix:
         rng = make_rng(33)
         for _ in range(10):
             R = cv.random_curvature(rng)
-            F = cv.random_orthonormal_frame(rng)
-            fm = cv.star_matrix(R, F)
+            F = sr.random_orthonormal_frame(rng)
+            fm = sr.star_matrix(R, F)
             assert np.max(np.abs(fm.a - fm.a.T)) == 0.0
             assert np.max(np.abs(fm.a - 0.5 * (fm.alpha + fm.alpha.T))) < 1e-14
             # index symmetry with the parity signs holds for the signed alpha
-            assert cv.star_symmetry_defect(fm.alpha) < 1e-9
+            assert sr.star_symmetry_defect(fm.alpha) < 1e-9
             # the sign-free double sum obeys it without the parity factor
             n = 6
             plain = max(abs(fm.alpha_plain[i, j]
-                            - fm.alpha_plain[hm.sharp_index(j), hm.sharp_index(i)])
+                            - fm.alpha_plain[sr.sharp_index(j), sr.sharp_index(i)])
                         for i in range(n) for j in range(n))
             assert plain < 1e-12
             # recorded relation: a equals the independently computed M
@@ -252,5 +253,5 @@ class TestStarMatrix:
 
     def test_non_orthonormal_frame_rejected(self, G):
         with pytest.raises(FrameError):
-            cv.star_matrix(G, 2.0 * np.eye(6))
+            sr.star_matrix(G, 2.0 * np.eye(6))
 

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_skew
 from occert import hermitian as hm
+from occert import structures as sr
 from occert.errors import CompatibilityError, FormTypeError, FrameError, StructureError
 from occert.kernels import PAIRS
 from occert.rng import make_rng
@@ -18,7 +19,7 @@ from occert.rng import make_rng
 class TestComplexStructureConstruction:
     def test_standard_frame_pairs_basis_vectors(self, J0):
         e = np.eye(6)
-        cs = hm.make_complex_structure(e)
+        cs = sr.make_complex_structure(e)
         assert np.allclose(cs.J, J0)
         assert np.allclose(cs.J @ e[:, 0], e[:, 1])   # J e1 = e2
         assert np.allclose(cs.J @ e[:, 1], -e[:, 0])  # J e2 = -e1
@@ -31,13 +32,13 @@ class TestComplexStructureConstruction:
         from occert.rng import haar_orthogonal
 
         F = haar_orthogonal(make_rng(seed))
-        cs = hm.make_complex_structure(F)
+        cs = sr.make_complex_structure(F)
         assert np.max(np.abs(cs.J @ cs.J + np.eye(6))) < 1e-12
         assert np.max(np.abs(cs.J.T @ cs.J - np.eye(6))) < 1e-12
 
     def test_swapped_frame_conjugates_and_flips_orientation(self, J0):
         swap = np.eye(6)[:, [1, 0, 2, 3, 4, 5]]
-        cs = hm.make_complex_structure(swap)
+        cs = sr.make_complex_structure(swap)
         expected = swap @ J0 @ swap.T
         assert np.allclose(cs.J, expected)
         assert np.max(np.abs(cs.J.T @ cs.J - np.eye(6))) < 1e-12
@@ -47,13 +48,13 @@ class TestComplexStructureConstruction:
         bad = np.eye(6)
         bad[0, 0] = 1.5
         with pytest.raises(FrameError):
-            hm.make_complex_structure(bad)
+            sr.make_complex_structure(bad)
 
     def test_orientation_detection_matches_construction(self):
         for seed in range(6):
             for orient in (True, False):
                 cs = hm.random_orthogonal_complex_structure(make_rng(seed), orient)
-                assert hm.orientation_compatible(cs.J) == orient
+                assert sr.orientation_compatible(cs.J) == orient
 
 
 class TestFundamentalForm:
@@ -86,21 +87,21 @@ class TestFundamentalForm:
 
 class TestHatSharp:
     def test_hat_of_standard_j_is_minus_omega(self, J0, omega0):
-        assert np.allclose(hm.hat(J0), -omega0)
+        assert np.allclose(sr.hat(J0), -omega0)
 
     def test_hat_zero(self):
-        assert np.allclose(hm.hat(np.zeros((6, 6))), 0.0)
+        assert np.allclose(sr.hat(np.zeros((6, 6))), 0.0)
 
     def test_round_trip(self):
         rng = make_rng(5)
         for _ in range(20):
             A = random_skew(rng)
-            z = hm.hat(A)
-            assert np.max(np.abs(hm.hat(hm.sharp(z)) - z)) < 1e-12
+            z = sr.hat(A)
+            assert np.max(np.abs(sr.hat(sr.sharp(z)) - z)) < 1e-12
 
     def test_non_skew_rejected(self):
         with pytest.raises(StructureError):
-            hm.hat(np.eye(6))
+            sr.hat(np.eye(6))
 
     def test_pairing_identity(self):
         # (A* a, b) = (hat A, a ^ b) for the 2-form inner product
@@ -110,7 +111,7 @@ class TestHatSharp:
             a = rng.normal(size=6)
             b = rng.normal(size=6)
             lhs = (a @ A) @ b
-            rhs = hm.lambda2_inner(hm.hat(A), np.outer(a, b) - np.outer(b, a))
+            rhs = hm.lambda2_inner(sr.hat(A), np.outer(a, b) - np.outer(b, a))
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
@@ -137,8 +138,8 @@ class TestPositiveFormClassification:
 
 class TestCanonicalProjection:
     def test_standard_value_both_routes(self, J0):
-        lemma = hm.canonical_projection_scalar(J0, J0)
-        oracle = hm.canonical_projection_scalar_oracle(J0, J0)
+        lemma = sr.canonical_projection_scalar(J0, J0)
+        oracle = sr.canonical_projection_scalar_oracle(J0, J0)
         assert abs(lemma - 3j) < 1e-12
         assert abs(oracle - 3j) < 1e-10
 
@@ -146,26 +147,26 @@ class TestCanonicalProjection:
         A = np.zeros((6, 6))
         A[0, 1], A[1, 0] = 1.0, -1.0
         A[2, 3], A[3, 2] = -1.0, 1.0   # cancels the omega pairing
-        assert abs(hm.canonical_projection_scalar(A, J0)) < 1e-14
+        assert abs(sr.canonical_projection_scalar(A, J0)) < 1e-14
 
     def test_oracle_agreement_random(self):
         rng = make_rng(23)
         for _ in range(200):
             A = random_skew(rng)
             J = hm.random_orthogonal_complex_structure(rng).J
-            lemma = hm.canonical_projection_scalar(A, J)
-            oracle = hm.canonical_projection_scalar_oracle(A, J)
+            lemma = sr.canonical_projection_scalar(A, J)
+            oracle = sr.canonical_projection_scalar_oracle(A, J)
             assert abs(lemma - oracle) < 1e-10
 
     def test_degenerate_structure_rejected(self):
         with pytest.raises(StructureError):
-            hm.canonical_projection_scalar(np.zeros((6, 6)), np.eye(6))
+            sr.canonical_projection_scalar(np.zeros((6, 6)), np.eye(6))
 
 
 class TestPhiWedge:
     def test_zero_form(self, J0):
         phi = np.zeros((6, 1, 1), dtype=complex)
-        zeta = hm.phi_wedge_form(phi, J0)
+        zeta = sr.phi_wedge_form(phi, J0)
         assert np.allclose(zeta, 0.0)
         assert hm.is_positive_form(zeta, J0) == "nonnegative"
 
@@ -174,7 +175,7 @@ class TestPhiWedge:
         phi = np.zeros((6, 1, 1), dtype=complex)
         phi[0, 0, 0] = 1.0
         phi[1, 0, 0] = 1.0j
-        zeta = hm.phi_wedge_form(phi, J0)
+        zeta = sr.phi_wedge_form(phi, J0)
         assert hm.is_positive_form(zeta, J0) == "nonnegative"
         b = zeta @ J0
         eigs = np.linalg.eigvalsh(0.5 * (b + b.T))
@@ -186,7 +187,7 @@ class TestPhiWedge:
         phi[0, 0, 0] = 1.0
         phi[1, 0, 0] = -1.0j                  # (0,1) component
         with pytest.raises(FormTypeError):
-            hm.phi_wedge_form(phi, J0)
+            sr.phi_wedge_form(phi, J0)
 
     def test_fuzz_never_indefinite(self):
         rng = make_rng(29)
@@ -194,9 +195,9 @@ class TestPhiWedge:
             J = hm.random_orthogonal_complex_structure(rng).J
             k1, k0 = rng.integers(1, 4), rng.integers(1, 4)
             psi = rng.normal(size=(6, k1, k0)) + 1j * rng.normal(size=(6, k1, k0))
-            phi = hm.project_one_zero(psi, J)
+            phi = sr.project_one_zero(psi, J)
             w = rng.normal(size=k0) + 1j * rng.normal(size=k0)
-            zeta = hm.phi_wedge_form(phi, J, w)
+            zeta = sr.phi_wedge_form(phi, J, w)
             assert hm.is_positive_form(zeta, J) in ("positive", "nonnegative")
 
 
@@ -208,13 +209,13 @@ class TestNorms:
         zeta = np.zeros((6, 6))
         zeta[0, 1], zeta[1, 0] = 1.0, -1.0
         assert abs(hm.norm_lambda2(zeta) - 1.0) < 1e-15
-        assert abs(hm.norm_E(zeta) - np.sqrt(2.0)) < 1e-15
+        assert abs(sr.norm_E(zeta) - np.sqrt(2.0)) < 1e-15
 
     @given(arrays(np.float64, (6, 6),
                   elements=st.floats(-1e8, 1e8, allow_nan=False)))
     def test_scaling_identity_exact(self, raw):
         zeta = raw - raw.T
-        assert hm.norm_E(zeta) ** 2 == pytest.approx(
+        assert sr.norm_E(zeta) ** 2 == pytest.approx(
             2.0 * hm.norm_lambda2(zeta) ** 2, rel=1e-14, abs=0.0)
 
     def test_pack_unpack_round_trip(self):
@@ -228,17 +229,17 @@ class TestNorms:
 
 class TestGeneralMetric:
     def test_space_invariants(self):
-        space = hm.EuclideanSpace()
+        space = sr.EuclideanSpace()
         assert space.dim == 6
         with pytest.raises(Exception):
-            hm.EuclideanSpace(dim=5)
+            sr.EuclideanSpace(dim=5)
         with pytest.raises(Exception):
-            hm.EuclideanSpace(g=-np.eye(6))
+            sr.EuclideanSpace(g=-np.eye(6))
 
     def test_structure_from_g_orthonormal_frame(self):
         g = np.diag([4.0, 1.0, 2.0, 1.0, 1.0, 9.0])
         F = np.diag(1.0 / np.sqrt(np.diag(g)))
-        cs = hm.make_complex_structure(F, g)
+        cs = sr.make_complex_structure(F, g)
         assert np.max(np.abs(cs.J @ cs.J + np.eye(6))) < 1e-12
         assert np.max(np.abs(cs.J.T @ g @ cs.J - g)) < 1e-12
         omega = hm.fundamental_two_form(g, cs.J)
@@ -249,15 +250,15 @@ class TestGeneralMetric:
         rng = make_rng(37)
         raw = rng.normal(size=(6, 6))
         A = np.linalg.solve(g, raw - raw.T)   # g-skew by construction
-        zeta = hm.hat(A, g)
+        zeta = sr.hat(A, g)
         assert np.max(np.abs(zeta + zeta.T)) < 1e-12
-        assert np.max(np.abs(hm.sharp(zeta, g) - A)) < 1e-12
+        assert np.max(np.abs(sr.sharp(zeta, g) - A)) < 1e-12
 
     def test_factory_validates(self, J0):
-        cs = hm.complex_structure(J0)
+        cs = sr.complex_structure(J0)
         assert cs.compatible_orientation
         with pytest.raises(StructureError):
-            hm.complex_structure(np.eye(6))
+            sr.complex_structure(np.eye(6))
 
 
 class TestRandomStructures:

@@ -1,0 +1,183 @@
+"""Record contracts: every record keeps its fields, its positional and
+keyword constructors, its defaults and its validation texts, survives a
+pickle round trip, and no attribute of a record can be assigned."""
+
+from __future__ import annotations
+
+import pickle
+
+import numpy as np
+import pytest
+
+from occert import budget as bd
+from occert import certify as ct
+from occert import cli
+from occert import curvature as cv
+from occert import hermitian as hm
+from occert import sphere as sp
+from occert import structures as sr
+from occert.errors import ConfigError, InputError
+
+# (record, its fields in constructor order, valid field values; None: any)
+RECORDS = [
+    (ct.BhlResult, "passed lambda_min lambda_max margin boundary", None),
+    (ct.Witness, "J X value", None),
+    (ct.PMembership, "status sup_lower sup_upper threshold witness", None),
+    (ct.LemmaLLResult, "hypotheses_met nondegenerate det_value deviation", None),
+    (ct.SearchConfig, "multistarts tol seed", None),
+    (ct.RefutationResult, "witness best_value best_J", None),
+    (ct.Certificate, "bhl p_membership lemma_ll spectrum verdict_notes", None),
+    (ct.CertifyOptions, "checks search", None),
+    (cv.CurvatureOperator, "matrix spectrum", None),
+    (hm.ComplexStructure, "J compatible_orientation", None),
+    (sp.ChartPoint, "chart_id x", ("south", np.full(6, 0.1))),
+    (sp.FDConfig, "h scheme", (2e-3, "richardson_4th")),
+    (sp.MetricField, "family params scale", ("ellipsoid", {"axes": [2.0] * 7}, 0.5)),
+    (cli.RunConfig, "metric points seed fd options out", None),
+    (bd.PerturbationBudget, "eps1 eps2", (0.01, 0.02)),
+    (bd.BudgetCheck, "quadratic_ok linear_ok implied_bound", None),
+    (sr.FrameMatrix, "alpha a alpha_plain M frame gap", None),
+    (sr.StarRicciData, "ric ric_star psi phi", None),
+    (sr.EuclideanSpace, "dim g orientation", (4, 2.0 * np.eye(4), -1)),
+    (sr.ACSField, "kind matrix", None),
+    (sr.ConnectionCoefficients, "gamma g g_inv", None),
+    (sr.NablaJData, "J nabla", None),
+    (sr.CanonicalConnectionReport,
+     "metricity complex_compat torsion_formula torsion_norm", None),
+]
+
+
+def _values(fields: str, values):
+    return values if values is not None else tuple(object() for _ in fields.split())
+
+
+@pytest.mark.parametrize("record, fields, values", RECORDS,
+                         ids=[r.__name__ for r, _, _ in RECORDS])
+def test_constructors(record, fields, values):
+    values = _values(fields, values)
+    assert record._fields == tuple(fields.split())
+    by_position = record(*values)
+    by_keyword = record(**dict(zip(record._fields, values)))
+    for name, value in zip(record._fields, values):
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
+    with pytest.raises(TypeError):
+        record(*values, None)
+    with pytest.raises(TypeError):
+        record(*values[:-1], **{record._fields[0] + "_": None})
+
+
+@pytest.mark.parametrize("record, fields, values", RECORDS,
+                         ids=[r.__name__ for r, _, _ in RECORDS])
+def test_attributes_are_read_only(record, fields, values):
+    rec = record(*_values(fields, values))
+    with pytest.raises(AttributeError):
+        setattr(rec, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        rec.note = "extra"
+
+
+def test_defaults():
+    assert sp.FDConfig() == (1e-3, "central_2nd")
+    assert ct.SearchConfig() == (64, 1e-9, 0)
+    assert ct.CertifyOptions() == (("bhl", "p_sufficient"), ct.SearchConfig())
+    assert ct.PMembership("unknown", 0.0, 1.0, 1.0 / 6.0).witness is None
+    assert sr.ACSField() == ("g2_octonionic", None)
+    space = sr.EuclideanSpace()
+    assert (space.dim, space.orientation) == (6, 1)
+    assert np.array_equal(space.g, np.eye(6))
+    field = sp.MetricField("round")
+    assert field.params == {} and field.scale == 1.0
+    field.params["f"] = {"type": "constant"}         # each metric has its own
+    assert sp.MetricField("round").params == {}
+
+
+@pytest.mark.parametrize("record, fields, values", RECORDS,
+                         ids=[r.__name__ for r, _, _ in RECORDS])
+def test_pickle_round_trip(record, fields, values):
+    rec = record(*(values if values is not None else range(len(fields.split()))))
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is record and repr(back) == repr(rec)
+
+
+@pytest.mark.parametrize("build, error, text", [
+    (lambda: sp.ChartPoint("east", np.zeros(6)), InputError,
+     "chart_id must be 'north' or 'south'"),
+    (lambda: sp.ChartPoint("north", np.ones(6)), InputError,
+     "chart coordinates exceed the chart radius"),
+    (lambda: sp.FDConfig(h=1.0), InputError, "step size must lie in [1e-6, 1e-1]"),
+    (lambda: sp.FDConfig(scheme="forward"), InputError,
+     "unknown curvature scheme 'forward'"),
+    (lambda: sp.MetricField("nope"), ConfigError, "unknown metric family 'nope'"),
+    (lambda: sp.MetricField("round", scale=float("nan")), ConfigError,
+     "scale must be positive and finite"),
+    (lambda: bd.PerturbationBudget(0.0, -1e-3), InputError,
+     "perturbation budget entries must be nonnegative"),
+    (lambda: sr.EuclideanSpace(dim=5), InputError, "dimension must be even"),
+    (lambda: sr.EuclideanSpace(orientation=0), InputError,
+     "orientation must be +1 or -1"),
+    (lambda: sr.EuclideanSpace(g=-np.eye(6)), InputError,
+     "metric must be positive definite"),
+])
+def test_validation_texts(build, error, text):
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize("family, params, field", [
+    ("conformal", {"f": 3}, "'f'"),
+    ("conformal", {"f": {"type": "cubic"}}, "'f'"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": [0.1] * 6}}, "'coeffs'"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": ["a"] * 7}}, "'coeffs'"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": 0.1}}, "'coeffs'"),
+    ("conformal", {"f": {"type": "constant", "value": "a"}}, "'value'"),
+    ("ellipsoid", {"axes": ["a"] * 7}, "'axes'"),
+    ("ellipsoid", {"axes": 2.0}, "'axes'"),
+    ("ellipsoid", {"axes": [1.0] * 6 + [None]}, "'axes'"),
+    ("custom", {}, "'terms'"),
+    ("custom", {"terms": 5}, "'terms'"),
+    ("custom", {"terms": [[0, 6, [[1.0, [0] * 6]]]]}, "'terms'"),
+    ("custom", {"terms": [[0, 0, [[1.0, [0] * 5]]]]}, "'terms'"),
+    ("custom", {"terms": [[0, 0, [["a", [0] * 6]]]]}, "'terms'"),
+    ("custom", {"terms": [[0, 0]]}, "'terms'"),
+    ("round", ["not", "a", "mapping"], "params"),
+])
+def test_bad_params_name_the_field(family, params, field):
+    """A directly built metric rejects malformed params by name, before
+    any evaluation can fail on them."""
+    with pytest.raises(ConfigError, match=field):
+        sp.MetricField(family, params)
+
+
+@pytest.mark.parametrize("payload, text", [
+    ({"family": "conformal", "f": 3}, "invalid metric spec at 'f': 3 is not of type 'object'"),
+    ({"family": "conformal", "f": {"type": "constant", "value": "a"}},
+     "invalid metric spec at 'f/value': 'a' is not of type 'number'"),
+    ({"family": "ellipsoid", "axes": ["a"] * 7},
+     "invalid metric spec at 'axes/6': 'a' is not of type 'number'"),
+    ({"family": "custom", "terms": [[0, 6, [[1.0, [0] * 6]]]]},
+     "invalid metric spec at 'terms/0/1': 6 is greater than the maximum of 5"),
+])
+def test_cli_texts_come_from_the_schema(payload, text):
+    with pytest.raises(ConfigError) as err:
+        cli.metric_from_dict(payload)
+    assert str(err.value) == text
+
+
+def test_refuted_membership_keeps_bounds_and_witness():
+    R = -cv.kulkarni_nomizu_square()
+    options = ct.CertifyOptions(checks=("p_refute",),
+                                search=ct.SearchConfig(multistarts=4, seed=3))
+    pm = ct.certify_point(R, options).p_membership
+    sufficient = ct.certify_P_sufficient(R)
+    assert pm.status == "refuted"
+    assert (pm.sup_lower, pm.sup_upper, pm.threshold) == (
+        sufficient.sup_lower, sufficient.sup_upper, sufficient.threshold)
+    assert type(pm.witness) is ct.Witness
+    J, X = pm.witness.J, pm.witness.X
+    assert np.allclose(J @ J, -np.eye(6)) and np.allclose(J.T @ J, np.eye(6))
+    assert np.linalg.norm(X) == pytest.approx(1.0)
+    assert pm.witness.value == pytest.approx(X @ cv.ricci_star(R, J) @ X)
+    assert pm.witness.value < -options.search.tol

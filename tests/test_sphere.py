@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import chart_coords, saddle_metric
+from occert import budget as bd
 from occert import curvature as cv
 from occert import sphere as sp
+from occert import structures as sr
 from occert.errors import ConfigError, FDQualityError, InputError, MetricError
 from occert.rng import make_rng
 
@@ -23,27 +25,27 @@ def _g00_drops_along(k):
 
 class TestOctonionTable:
     def test_three_form_total_antisymmetry(self):
-        eps = sp.OCTONION_EPS
+        eps = sr.OCTONION_EPS
         assert np.max(np.abs(eps + eps.transpose(1, 0, 2))) == 0.0
         assert np.max(np.abs(eps + eps.transpose(0, 2, 1))) == 0.0
         assert np.max(np.abs(eps - eps.transpose(1, 2, 0))) == 0.0
 
     def test_anchor_product(self):
         e = np.eye(7)
-        assert np.allclose(sp.cross7(e[0], e[1]), e[2])
+        assert np.allclose(sr.cross7(e[0], e[1]), e[2])
 
     def test_unit_products(self):
         e = np.eye(7)
         for i in range(7):
             for j in range(7):
                 if i != j:
-                    assert abs(np.linalg.norm(sp.cross7(e[i], e[j])) - 1.0) < 1e-14
+                    assert abs(np.linalg.norm(sr.cross7(e[i], e[j])) - 1.0) < 1e-14
 
     def test_alternativity(self):
         rng = make_rng(1)
         for _ in range(200):
             u, v = rng.normal(size=7), rng.normal(size=7)
-            lhs = sp.cross7(u, sp.cross7(u, v))
+            lhs = sr.cross7(u, sr.cross7(u, v))
             rhs = (u @ v) * u - (u @ u) * v
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -51,14 +53,14 @@ class TestOctonionTable:
 class TestG2Structure:
     def test_unit_point_required(self):
         with pytest.raises(InputError):
-            sp.g2_structure(np.ones(7))
+            sr.g2_structure(np.ones(7))
 
     def test_tangent_orthogonality_and_square(self):
         rng = make_rng(2)
         for _ in range(20):
             p = rng.normal(size=7)
             p /= np.linalg.norm(p)
-            Jp = sp.g2_structure(p)
+            Jp = sr.g2_structure(p)
             assert np.max(np.abs(Jp @ p)) < 1e-14
             for _ in range(100):
                 v = rng.normal(size=7)
@@ -83,7 +85,7 @@ class TestCharts:
         for chart in ("north", "south"):
             x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2])
             pt = sp.ChartPoint(chart, x)
-            jac = sp.chart_jacobian(pt)
+            jac = sr.chart_jacobian(pt)
             h = 1e-6
             for i in range(6):
                 xp, xm = x.copy(), x.copy()
@@ -135,7 +137,7 @@ class TestMetricFamilies:
             x = chart_coords(rng)
             for chart in ("north", "south"):
                 pt = sp.ChartPoint(chart, x)
-                P = sp.chart_jacobian(pt)
+                P = sr.chart_jacobian(pt)
                 assert np.max(np.abs(P.T @ P - f.matrix(pt))) < 1e-12
 
     def test_trivial_conformal_equals_round(self):
@@ -229,17 +231,17 @@ class TestMetricFamilies:
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
-        conn = sp.christoffel(sp.MetricField.flat_toy(),
+        conn = sr.christoffel(sp.MetricField.flat_toy(),
                               sp.ChartPoint("north", np.array([0.2, 0, 0, 0, 0, 0.1])))
         assert np.max(np.abs(conn.gamma)) < 1e-14
 
     def test_round_vanishes_at_origin(self):
-        conn = sp.christoffel(sp.MetricField("round"),
+        conn = sr.christoffel(sp.MetricField("round"),
                               sp.ChartPoint("north", np.zeros(6)))
         assert np.max(np.abs(conn.gamma)) < 1e-12
 
     def test_symmetry_exact(self):
-        conn = sp.christoffel(sp.MetricField("round"),
+        conn = sr.christoffel(sp.MetricField("round"),
                               sp.ChartPoint("north", np.full(6, 0.2)))
         assert np.max(np.abs(conn.gamma - conn.gamma.transpose(0, 2, 1))) == 0.0
 
@@ -247,7 +249,7 @@ class TestChristoffel:
         fd = sp.FDConfig(h=1e-3)
         field = sp.MetricField("round")
         for pt in sp.sample_points(20, 31):
-            conn = sp.christoffel(field, pt, fd)
+            conn = sr.christoffel(field, pt, fd)
             stencil = sp._stencil(pt.x[None], fd.h, fd.scheme)[0, 1:]
             dg = sp._fd_derivative(field.matrices(pt.chart_id, stencil),
                                    fd.h, fd.scheme)
@@ -394,7 +396,7 @@ class TestRiemann:
                     R = sp._coordinate_riemann(field, pt, fd)[0]
                     assert np.array_equal(sp._coordinate_riemann(field, pt, fd)[0], R)
                     gamma, g, g_inv, _ = stacks[0]
-                    conn = sp.christoffel(field, pt, fd)
+                    conn = sr.christoffel(field, pt, fd)
                     assert np.array_equal(conn.gamma, gamma[0])
                     assert np.array_equal(conn.g, g[0])
                     assert np.array_equal(conn.g_inv, g_inv[0])
@@ -523,8 +525,8 @@ class TestExactJets:
         fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
         for field in _jet_fields():
             for pt in _jet_points():
-                exact = sp.christoffel(field, pt, EXACT)
-                ref = sp.christoffel(field, pt, fd)
+                exact = sr.christoffel(field, pt, EXACT)
+                ref = sr.christoffel(field, pt, fd)
                 assert np.array_equal(exact.g, ref.g)
                 assert np.max(np.abs(exact.gamma - ref.gamma)) <= 10 * fd.h ** 2 * max(
                     1.0, np.max(np.abs(exact.gamma)))
@@ -532,9 +534,9 @@ class TestExactJets:
     def test_nabla_j_needs_finite_differences(self):
         pt = sp.sample_points(1, 62)[0]
         with pytest.raises(InputError, match="finite-difference"):
-            sp.nabla_J(sp.MetricField("round"), sp.ACSField(), pt, EXACT)
+            sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt, EXACT)
         with pytest.raises(InputError, match="finite-difference"):
-            sp.canonical_connection_check(sp.MetricField("round"), sp.ACSField(),
+            sr.canonical_connection_check(sp.MetricField("round"), sr.ACSField(),
                                           pt, EXACT)
 
     def test_identity_gate_applies(self, monkeypatch):
@@ -555,16 +557,16 @@ class TestExactJets:
 class TestNablaJ:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            sp.ACSField(kind="custom").chart_operator(
+            sr.ACSField(kind="custom").chart_operator(
                 sp.ChartPoint("north", np.zeros(6)))
 
     def test_nearly_kahler_skewness(self):
         fd = sp.FDConfig(h=1e-3)
         field = sp.MetricField("round")
-        acs = sp.ACSField()
+        acs = sr.ACSField()
         rng = make_rng(47)
         for pt in sp.sample_points(3, 48):
-            nd = sp.nabla_J(field, acs, pt, fd)
+            nd = sr.nabla_J(field, acs, pt, fd)
             for _ in range(100):
                 x = rng.normal(size=6)
                 nx = np.einsum("i,iab->ab", x, nd.nabla)
@@ -572,28 +574,28 @@ class TestNablaJ:
 
     def test_skewness_residual_decays_quadratically(self):
         field = sp.MetricField("round")
-        acs = sp.ACSField()
+        acs = sr.ACSField()
         pt = sp.sample_points(1, 49)[0]
         rng = make_rng(50)
         x = rng.normal(size=6)
         res = {}
         for h in (2e-3, 1e-3):
-            nd = sp.nabla_J(field, acs, pt, sp.FDConfig(h=h))
+            nd = sr.nabla_J(field, acs, pt, sp.FDConfig(h=h))
             nx = np.einsum("i,iab->ab", x, nd.nabla)
             res[h] = np.max(np.abs(nx @ x))
         assert res[2e-3] / res[1e-3] >= 3.5
 
     def test_constant_j_flat_metric(self):
         J6 = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        acs = sp.ACSField(kind="chart_constant", matrix=J6)
-        nd = sp.nabla_J(sp.MetricField.flat_toy(), acs,
+        acs = sr.ACSField(kind="chart_constant", matrix=J6)
+        nd = sr.nabla_J(sp.MetricField.flat_toy(), acs,
                         sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])))
         assert np.max(np.abs(nd.nabla)) < 1e-12
         assert np.max(np.abs(nd.J - J6)) < 1e-12
 
     def test_anticommutation(self):
         fd = sp.FDConfig(h=1e-3)
-        nd = sp.nabla_J(sp.MetricField("round"), sp.ACSField(),
+        nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(),
                         sp.sample_points(1, 51)[0], fd)
         anti = (np.einsum("iab,bc->iac", nd.nabla, nd.J)
                 + np.einsum("ab,ibc->iac", nd.J, nd.nabla))
@@ -603,8 +605,8 @@ class TestNablaJ:
         fd = sp.FDConfig(h=1e-3)
         rng = make_rng(52)
         for pt in sp.sample_points(5, 53):
-            nd = sp.nabla_J(sp.MetricField("round"), sp.ACSField(), pt, fd)
-            phi = cv.phi(nd.J, nd.nabla, tol=1e-4)
+            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt, fd)
+            phi = sr.phi(nd.J, nd.nabla, tol=1e-4)
             for _ in range(50):
                 x = rng.normal(size=6)
                 x /= np.linalg.norm(x)
@@ -614,9 +616,9 @@ class TestNablaJ:
 class TestCanonicalConnection:
     def test_flat_kahler_toy(self):
         J6 = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        rep = sp.canonical_connection_check(
+        rep = sr.canonical_connection_check(
             sp.MetricField.flat_toy(),
-            sp.ACSField(kind="chart_constant", matrix=J6),
+            sr.ACSField(kind="chart_constant", matrix=J6),
             sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])))
         assert rep.metricity < 1e-10
         assert rep.complex_compat < 1e-10
@@ -624,8 +626,8 @@ class TestCanonicalConnection:
 
     def test_round_g2_torsion(self):
         fd = sp.FDConfig(h=1e-3)
-        rep = sp.canonical_connection_check(sp.MetricField("round"),
-                                            sp.ACSField(),
+        rep = sr.canonical_connection_check(sp.MetricField("round"),
+                                            sr.ACSField(),
                                             sp.sample_points(1, 54)[0], fd)
         assert rep.metricity < 1e-3
         assert rep.complex_compat < 1e-3
@@ -660,23 +662,23 @@ class TestSampling:
 class TestPerturbationEstimate:
     def test_round_is_zero(self):
         pts = sp.sample_points(2, 11)
-        budget = sp.estimate_perturbation(sp.MetricField("round"), pts,
+        budget = bd.estimate_perturbation(sp.MetricField("round"), pts,
                                           quad_samples=20)
         assert budget.eps1 < 1e-8
         assert budget.eps2 < 1e-14
 
     def test_small_conformal_feeds_budget_check(self):
-        from occert.certify import perturbation_budget_check
+        from occert.budget import perturbation_budget_check
 
         conf = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                   "coeffs": [0.002, 0, 0, 0, 0, 0, 0]}})
         pts = sp.sample_points(3, 12)
-        budget = sp.estimate_perturbation(conf, pts, quad_samples=30)
+        budget = bd.estimate_perturbation(conf, pts, quad_samples=30)
         assert budget.eps2 < 0.02
         assert perturbation_budget_check(budget).quadratic_ok
 
     def test_saddle_is_far(self):
-        budget = sp.estimate_perturbation(saddle_metric(),
+        budget = bd.estimate_perturbation(saddle_metric(),
                                           sp.sample_points(2, 13),
                                           quad_samples=20)
         assert budget.eps1 > 0.5
