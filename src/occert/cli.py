@@ -18,9 +18,10 @@ import numpy as np
 from . import __version__
 from .certify import VALID_CHECKS, CertifyOptions, SearchConfig, certify_point
 from .curvature import curvature_operator
-from .errors import ConfigError, OccertError, SchemaError
+from .errors import ConfigError, OccertError
 from .kernels import BACKEND
-from .sphere import FDConfig, MetricField, chart_to_ambient, riemann, sample_points
+from .sphere import (FDConfig, MetricField, chart_to_ambient, check_spec, riemann,
+                     sample_points)
 from .validation import load_schema, validate
 
 EXIT_OK = 0
@@ -39,10 +40,8 @@ class RunConfig(namedtuple("RunConfig", "metric points seed fd options out")):
     __slots__ = ()
 
     def to_dict(self) -> dict:
-        spec = {"family": self.metric.family, "scale": self.metric.scale}
-        spec.update(self.metric.params)
         return {
-            "metric": spec,
+            "metric": self.metric.spec(),
             "points": self.points,
             "seed": self.seed,
             "fd": {"h": self.fd.h, "scheme": self.fd.scheme},
@@ -79,12 +78,7 @@ def _finite(parse):
 
 
 def metric_from_dict(raw: dict) -> MetricField:
-    try:
-        validate(raw, load_schema("metric_spec.schema.json"))
-    except SchemaError as exc:
-        field = "/".join(str(p) for p in exc.absolute_path) or "family"
-        raise ConfigError("invalid metric spec at '%s': %s"
-                          % (field, exc.message)) from exc
+    check_spec(raw)                 # before the document is taken apart
     params = {k: v for k, v in raw.items() if k not in ("family", "scale")}
     return MetricField(family=raw["family"], params=params,
                        scale=float(raw.get("scale", 1.0)))

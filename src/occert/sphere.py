@@ -14,14 +14,17 @@ orientation.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from collections.abc import Mapping
 
 import numpy as np
 
 from .curvature import express_in_frame, project_curvature, validate_symmetries
-from .errors import ConditioningError, ConfigError, FDQualityError, InputError, MetricError
+from .errors import (ConditioningError, ConfigError, FDQualityError, InputError, MetricError,
+                     SchemaError)
 from .rng import make_rng
+from .validation import load_schema, validate
 
 CHART_RADIUS = 1.5
 
@@ -169,25 +172,28 @@ def _poly_eval(terms, xs) -> np.ndarray:
     return total
 
 
-def _floats(value, shape: tuple):
-    """value as an array of finite floats of the given shape, else None."""
+def check_spec(doc) -> None:
+    """Check a metric spec document against the packaged schema and for NaN
+    and inf (which only Python callers can pass); ConfigError names the field."""
     try:
-        a = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        return None
-    return a if a.shape == shape and np.isfinite(a).all() else None
+        validate(doc, load_schema("metric_spec.schema.json"))
+    except SchemaError as exc:
+        path, message = exc.absolute_path, exc.message
+    else:
+        path, value = next(_non_finite(doc, ()), (None, None))
+        message = "%r is not a finite number" % value
+    if path is not None:                # a document-level error is put at 'family'
+        raise ConfigError("invalid metric spec at '%s': %s"
+                          % ("/".join(map(str, path)) or "family", message))
 
 
-def _is_table(terms) -> bool:
-    """Whether terms is a list of [i, j, [[coeff, powers], ...]] entries:
-    i and j in 0..5, a finite coeff and 6 finite powers."""
-    try:
-        return all(i in range(6) and j in range(6)
-                   and all(_floats(c, ()) is not None and _floats(p, (6,)) is not None
-                           for c, p in entries)
-                   for i, j, entries in terms)
-    except (TypeError, ValueError):
-        return False
+def _non_finite(value, path: tuple):
+    """(path, number) for each NaN or inf in a JSON document."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(child, path + (key,))
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path, value
 
 
 class MetricField(namedtuple("MetricField", "family params scale", defaults=(None, 1.0))):
@@ -199,7 +205,7 @@ class MetricField(namedtuple("MetricField", "family params scale", defaults=(Non
     custom:    per-entry polynomial tables in the chart coordinates
                (a debug family; need not glue to a sphere metric)
 
-    Malformed params raise ConfigError naming the parameter.
+    Its :meth:`spec` document passes :func:`check_spec`, as every spec file must.
     """
 
     __slots__ = ()
@@ -208,30 +214,23 @@ class MetricField(namedtuple("MetricField", "family params scale", defaults=(Non
         self = super().__new__(cls, *args, **kwargs)
         if self.params is None:                      # a fresh dict per metric
             self = self._replace(params={})
-        if self.family not in ("round", "conformal", "ellipsoid", "custom"):
-            raise ConfigError("unknown metric family %r" % self.family)
-        if not 0 < self.scale < np.inf:              # also rejects nan
-            raise ConfigError("scale must be positive and finite")
         if not isinstance(self.params, Mapping):
             raise ConfigError("metric params must be a mapping")
-        if self.family == "conformal":
-            f = self.params.get("f", {"type": "constant"})
-            kind = f.get("type") if isinstance(f, dict) else None
-            if kind not in ("ambient_linear", "constant"):
-                raise ConfigError("conformal factor 'f' needs a 'type' of "
-                                  "'ambient_linear' or 'constant'")
-            if kind == "ambient_linear" and _floats(f.get("coeffs"), (7,)) is None:
-                raise ConfigError("conformal factor 'f' needs 7 finite 'coeffs'")
-            if kind == "constant" and _floats(f.get("value", 0.0), ()) is None:
-                raise ConfigError("conformal factor 'f' needs a finite 'value'")
-        if self.family == "ellipsoid":
-            axes = _floats(self.params.get("axes", np.ones(7)), (7,))
-            if axes is None or not (axes > 0).all():
-                raise ConfigError("ellipsoid 'axes' must be 7 positive finite semi-axes")
-        if self.family == "custom" and not _is_table(self.params.get("terms")):
+        if "family" in self.params or "scale" in self.params:
+            raise ConfigError("metric params must not hold 'family' or 'scale'")
+        check_spec(self.spec())
+        # what the schema cannot say: the params each family needs
+        if self.family == "custom" and "terms" not in self.params:
             raise ConfigError("custom metric needs a 'terms' table of "
                               "[i, j, [[coeff, 6 powers], ...]] entries, i and j in 0..5")
+        f = self.params.get("f", {})
+        if self.family == "conformal" and f.get("type") == "ambient_linear" and "coeffs" not in f:
+            raise ConfigError("conformal factor 'f' needs 7 finite 'coeffs'")
         return self
+
+    def spec(self) -> dict:
+        """The metric as a spec document: family, scale, then the params."""
+        return {"family": self.family, "scale": self.scale, **self.params}
 
     def _conformal_factor(self, chart_id: str, xs: np.ndarray) -> np.ndarray:
         f = self.params.get("f", {"type": "constant", "value": 0.0})

@@ -24,12 +24,8 @@ from .sphere import (ChartPoint, FDConfig, MetricField, _exact_levi_civita, _fd_
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
 
 
-_EYE6 = np.eye(6)                # the default metric, shared and read-only
-_EYE6.flags.writeable = False
-
-
 class EuclideanSpace(namedtuple("EuclideanSpace", "dim g orientation",
-                                defaults=(6, _EYE6, 1))):
+                                defaults=(6, None, 1))):
     """Even-dimensional Euclidean space with a reference orientation."""
 
     __slots__ = ()
@@ -38,6 +34,8 @@ class EuclideanSpace(namedtuple("EuclideanSpace", "dim g orientation",
         self = super().__new__(cls, *args, **kwargs)
         if self.dim % 2 != 0:
             raise InputError("dimension must be even")
+        if self.g is None:                      # the identity of the dimension
+            self = self._replace(g=np.eye(self.dim))
         _as_metric(self.g, self.dim)
         if self.orientation not in (1, -1):
             raise InputError("orientation must be +1 or -1")

@@ -17,6 +17,7 @@ schema.)  The schemas' enum and const values are strings and
 
 from __future__ import annotations
 
+import functools
 import json
 import numbers
 import os
@@ -44,6 +45,7 @@ _TYPES = {
 _SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
 
 
+@functools.cache                        # read once per process: do not modify the result
 def load_schema(name: str) -> dict:
     with open(os.path.join(_SCHEMA_DIR, name)) as fh:
         return json.load(fh)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import saddle_metric
 from occert import cli, validation
+from occert.certify import CertifyOptions
 from occert.errors import ConditioningError, ConfigError, SchemaError
 from occert.sphere import FDConfig, MetricField, riemann, sample_points
 
@@ -616,3 +617,38 @@ class TestSchemaValidator:
         mutated = _mutate(data.draw(st.sampled_from(real_reports)), data)
         assert (_outcome(validation.validate, mutated, schema)
                 == _oracle(mutated, schema))
+
+
+def _built(build):
+    """The metric that build returns, or the text of its ConfigError."""
+    try:
+        return build()
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestEntryPointsAgree:
+    """A spec document and a metric built in Python from the same parts
+    pass the same check."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=_METRIC_SPECS, data=st.data())
+    def test_spec_and_direct_construction_agree(self, spec, data):
+        doc = _mutate(spec, data) if data.draw(st.booleans()) else spec
+        via_spec = _built(lambda: cli.metric_from_dict(doc))
+        if not isinstance(doc, dict):
+            assert isinstance(via_spec, str)
+            return
+        params = {k: v for k, v in doc.items() if k not in ("family", "scale")}
+        direct = _built(lambda: MetricField(doc.get("family"), params,
+                                            doc.get("scale", 1.0)))
+        if isinstance(direct, str) or isinstance(via_spec, str):
+            assert isinstance(direct, str) and isinstance(via_spec, str)
+            if "family" in doc:
+                assert direct == via_spec
+            return
+        assert direct == via_spec
+        config = cli.RunConfig(metric=direct, points=1, seed=0, fd=FDConfig(),
+                               options=CertifyOptions(), out=None)
+        reported = json.loads(json.dumps(config.to_dict()["metric"]))
+        assert cli.metric_from_dict(reported) == direct

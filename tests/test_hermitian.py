@@ -236,6 +236,12 @@ class TestGeneralMetric:
         with pytest.raises(Exception):
             sr.EuclideanSpace(g=-np.eye(6))
 
+    def test_space_default_metric_has_its_dimension(self):
+        space = sr.EuclideanSpace(dim=4)
+        assert (space.dim, space.orientation) == (4, 1)
+        assert np.array_equal(space.g, np.eye(4))
+        assert sr.EuclideanSpace(dim=4).g is not space.g     # each has its own
+
     def test_structure_from_g_orthonormal_frame(self):
         g = np.diag([4.0, 1.0, 2.0, 1.0, 1.0, 9.0])
         F = np.diag(1.0 / np.sqrt(np.diag(g)))

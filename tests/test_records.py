@@ -108,9 +108,11 @@ def test_pickle_round_trip(record, fields, values):
     (lambda: sp.FDConfig(h=1.0), InputError, "step size must lie in [1e-6, 1e-1]"),
     (lambda: sp.FDConfig(scheme="forward"), InputError,
      "unknown curvature scheme 'forward'"),
-    (lambda: sp.MetricField("nope"), ConfigError, "unknown metric family 'nope'"),
+    (lambda: sp.MetricField("nope"), ConfigError,
+     "invalid metric spec at 'family': 'nope' is not one of "
+     "['round', 'conformal', 'ellipsoid', 'custom']"),
     (lambda: sp.MetricField("round", scale=float("nan")), ConfigError,
-     "scale must be positive and finite"),
+     "invalid metric spec at 'scale': nan is not a finite number"),
     (lambda: bd.PerturbationBudget(0.0, -1e-3), InputError,
      "perturbation budget entries must be nonnegative"),
     (lambda: sr.EuclideanSpace(dim=5), InputError, "dimension must be even"),
@@ -126,29 +128,55 @@ def test_validation_texts(build, error, text):
     assert str(err.value) == text
 
 
-@pytest.mark.parametrize("family, params, field", [
-    ("conformal", {"f": 3}, "'f'"),
-    ("conformal", {"f": {"type": "cubic"}}, "'f'"),
-    ("conformal", {"f": {"type": "ambient_linear", "coeffs": [0.1] * 6}}, "'coeffs'"),
-    ("conformal", {"f": {"type": "ambient_linear", "coeffs": ["a"] * 7}}, "'coeffs'"),
-    ("conformal", {"f": {"type": "ambient_linear", "coeffs": 0.1}}, "'coeffs'"),
-    ("conformal", {"f": {"type": "constant", "value": "a"}}, "'value'"),
-    ("ellipsoid", {"axes": ["a"] * 7}, "'axes'"),
-    ("ellipsoid", {"axes": 2.0}, "'axes'"),
-    ("ellipsoid", {"axes": [1.0] * 6 + [None]}, "'axes'"),
-    ("custom", {}, "'terms'"),
-    ("custom", {"terms": 5}, "'terms'"),
-    ("custom", {"terms": [[0, 6, [[1.0, [0] * 6]]]]}, "'terms'"),
-    ("custom", {"terms": [[0, 0, [[1.0, [0] * 5]]]]}, "'terms'"),
-    ("custom", {"terms": [[0, 0, [["a", [0] * 6]]]]}, "'terms'"),
-    ("custom", {"terms": [[0, 0]]}, "'terms'"),
-    ("round", ["not", "a", "mapping"], "params"),
-])
-def test_bad_params_name_the_field(family, params, field):
+# (family, params, the field at fault, the error text)
+_BAD_PARAMS = [
+    ("conformal", {"f": 3}, "'f'", "invalid metric spec at 'f': 3 is not of type 'object'"),
+    ("conformal", {"f": {"type": "cubic"}}, "'f'",
+     "invalid metric spec at 'f/type': 'cubic' is not one of ['ambient_linear', 'constant']"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": [0.1] * 6}}, "'coeffs'",
+     "invalid metric spec at 'f/coeffs': [0.1, 0.1, 0.1, 0.1, 0.1, 0.1] is too short"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": ["a"] * 7}}, "'coeffs'",
+     "invalid metric spec at 'f/coeffs/6': 'a' is not of type 'number'"),
+    ("conformal", {"f": {"type": "ambient_linear", "coeffs": 0.1}}, "'coeffs'",
+     "invalid metric spec at 'f/coeffs': 0.1 is not of type 'array'"),
+    ("conformal", {"f": {"type": "constant", "value": "a"}}, "'value'",
+     "invalid metric spec at 'f/value': 'a' is not of type 'number'"),
+    ("ellipsoid", {"axes": ["a"] * 7}, "'axes'",
+     "invalid metric spec at 'axes/6': 'a' is not of type 'number'"),
+    ("ellipsoid", {"axes": 2.0}, "'axes'",
+     "invalid metric spec at 'axes': 2.0 is not of type 'array'"),
+    ("ellipsoid", {"axes": [1.0] * 6 + [None]}, "'axes'",
+     "invalid metric spec at 'axes/6': None is not of type 'number'"),
+    ("custom", {}, "'terms'", "custom metric needs a 'terms' table of "
+     "[i, j, [[coeff, 6 powers], ...]] entries, i and j in 0..5"),
+    ("custom", {"terms": 5}, "'terms'",
+     "invalid metric spec at 'terms': 5 is not of type 'array'"),
+    ("custom", {"terms": [[0, 6, [[1.0, [0] * 6]]]]}, "'terms'",
+     "invalid metric spec at 'terms/0/1': 6 is greater than the maximum of 5"),
+    ("custom", {"terms": [[0, 0, [[1.0, [0] * 5]]]]}, "'terms'",
+     "invalid metric spec at 'terms/0/2/0/1': [0, 0, 0, 0, 0] is too short"),
+    ("custom", {"terms": [[0, 0, [["a", [0] * 6]]]]}, "'terms'",
+     "invalid metric spec at 'terms/0/2/0/0': 'a' is not of type 'number'"),
+    ("custom", {"terms": [[0, 0]]}, "'terms'",
+     "invalid metric spec at 'terms/0': [0, 0] is too short"),
+    ("round", ["not", "a", "mapping"], "params", "metric params must be a mapping"),
+]
+
+
+@pytest.mark.parametrize("family, params, field, text", _BAD_PARAMS,
+                         ids=["%s-params%d-%s" % (family, i, field)
+                              for i, (family, _, field, _) in enumerate(_BAD_PARAMS)])
+def test_bad_params_name_the_field(family, params, field, text):
     """A directly built metric rejects malformed params by name, before
-    any evaluation can fail on them."""
-    with pytest.raises(ConfigError, match=field):
+    any evaluation can fail on them, with the text a spec file gets."""
+    with pytest.raises(ConfigError) as err:
         sp.MetricField(family, params)
+    assert str(err.value) == text
+    assert field.strip("'") in text
+    if isinstance(params, dict):
+        with pytest.raises(ConfigError) as err:
+            cli.metric_from_dict({"family": family, **params})
+        assert str(err.value) == text
 
 
 @pytest.mark.parametrize("payload, text", [

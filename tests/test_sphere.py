@@ -23,6 +23,12 @@ def _g00_drops_along(k):
         for i in range(6)]})
 
 
+def _g11_with_power(p):
+    """Custom params of the chart metric Id + 0.3 x_0^p e_1 e_1."""
+    terms = [[i, i, [[1.0, [0] * 6]]] for i in range(6)]
+    terms[1][2].append([0.3, [p, 0, 0, 0, 0, 0]])
+    return {"terms": terms}
+
 class TestOctonionTable:
     def test_three_form_total_antisymmetry(self):
         eps = sr.OCTONION_EPS
@@ -222,12 +228,37 @@ class TestMetricFamilies:
 
     def test_non_finite_parameters_rejected(self):
         for scale in (0.0, -1.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="scale"):
+            with pytest.raises(ConfigError, match="at 'scale'"):
                 sp.MetricField("round", scale=scale)
         for bad in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ConfigError, match="semi-axes"):
+            with pytest.raises(ConfigError, match="at 'axes/6'"):
                 sp.MetricField("ellipsoid", {"axes": [1.0] * 6 + [bad]})
 
+
+    @pytest.mark.parametrize("family, params, scale, text", [
+        ("ellipsoid", {"axis": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}, 1.0,
+         "invalid metric spec at 'family': Additional properties are not allowed "
+         "('axis' was unexpected)"),
+        ("custom", _g11_with_power(1.5), 1.0,
+         "invalid metric spec at 'terms/1/2/1/1/0': 1.5 is not of type 'integer'"),
+        ("custom", _g11_with_power(-1), 1.0,
+         "invalid metric spec at 'terms/1/2/1/1/0': -1 is less than the minimum of 0"),
+        ("round", {}, True, "invalid metric spec at 'scale': True is not of type 'number'"),
+    ], ids=["misspelled-key", "fractional-power", "negative-power", "bool-scale"])
+    def test_what_a_spec_file_may_not_hold_is_rejected(self, family, params, scale, text):
+        # each was once accepted: a misspelled key evaluated the round
+        # metric, fractional and negative powers gave wrong exact curvature
+        with pytest.raises(ConfigError) as err:
+            sp.MetricField(family, params, scale)
+        assert str(err.value) == text
+
+    def test_integer_power_exact_matches_richardson(self):
+        field = sp.MetricField("custom", _g11_with_power(2))
+        pt = sp.ChartPoint("north", np.array([0.4, 0.1, 0, 0, 0, 0]))
+        R = sp.riemann(field, pt, sp.FDConfig(scheme="exact"))
+        ref = sp.riemann(field, pt, sp.FDConfig(scheme="richardson_4th"))
+        assert np.max(np.abs(R - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(np.abs(ref)) > 1e-2
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
