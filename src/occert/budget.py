@@ -12,10 +12,11 @@ from .certify import P_THRESHOLD
 from .curvature import express_in_frame
 from .errors import InputError
 from .rng import make_rng
-from .sphere import ChartPoint, FDConfig, MetricField, _coordinate_riemann, orthonormal_frame
+from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _coordinate_riemann,
+                     orthonormal_frame)
 
 
-class PerturbationBudget(namedtuple("PerturbationBudget", "eps1 eps2")):
+class PerturbationBudget(CheckedRecord, namedtuple("PerturbationBudget", "eps1 eps2")):
     """Sup-norm deviations from the round metric: eps1 of the curvature,
     eps2 of the metric."""
 

@@ -123,15 +123,21 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     an improving trial.  A trial moves J to E J E^T along the normalized
     negative gradient, with E the Cayley retraction (``_cayley``) of the
     step's skew generator.  Per start, a trial is accepted when it lowers
-    the value (step x 1.5) and rejected otherwise (step x 0.5).
+    the value (step x 1.5) and rejected otherwise (step x 0.5).  Only
+    starts that accepted a trial go on, so the next gradient takes the
+    eigenpair their accepted trial was valued with.
     """
+    Rp = kernels._by_pair(R)
     Js = np.array(Js, dtype=float)
     step = np.full(len(Js), STEP0)
+    low_val = np.empty(len(Js))                    # lambda_min of each start's J
+    low_vec = np.empty((len(Js), 6, 1))            # and its unit eigenvector
     active = np.arange(len(Js))
+    low = None                                     # the first gradient runs eigh
     for _ in range(MAX_ITER):
         if not active.size:
             break
-        val, grad = kernels.refute_value_and_grad(R, Js[active])
+        val, grad = kernels.refute_value_and_grad(R, Js[active], Rp, low)
         gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
         moving = gnorm >= GRAD_TOL
         active, val = active[moving], val[moving]
@@ -147,14 +153,19 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             K[:, _P, _Q] = -c
             E = _cayley(K)
             J_try = E @ Js[starts] @ E.transpose(0, 2, 1)
-            accept = kernels.refute_value(R, J_try) < val[pending]
-            Js[starts[accept]] = J_try[accept]
+            trial, vec = kernels.refute_value(R, J_try, Rp, with_vectors=True)
+            accept = trial < val[pending]
+            kept = starts[accept]
+            Js[kept] = J_try[accept]
+            low_val[kept] = trial[accept]
+            low_vec[kept] = vec[accept]
             step[starts] *= np.where(accept, 1.5, 0.5)
             moved[pending[accept]] = True
             pending = pending[~accept & (step[starts] > 1e-12)]
         active = active[moved]
+        low = low_val[active], low_vec[active]
     Js = _polish_complex_structure(Js)
-    return kernels.refute_value(R, Js), Js
+    return kernels.refute_value(R, Js, Rp), Js
 
 
 def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationResult:

@@ -30,38 +30,64 @@ def _columns(Js: np.ndarray) -> np.ndarray:
 # Every contraction below is a stacked matmul, eigh or elementwise step,
 # so each slice of a stack is computed the same way whatever the stack
 # size; a start's descent does not depend on the starts around it.
+# ``Rp`` is ``_by_pair(R)``, for a caller that contracts one R many times.
 
-def ricci_star_matrix(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
-    """M[s, i, j] = sum_k R(e_i, e_k, J_s e_j, J_s e_k) for an (S, 6, 6) stack."""
-    Y = (_by_pair(R).reshape(36, 36) @ _columns(Js)).reshape(-1, 6, 6)
+def _star(Rp: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    Y = (Rp.reshape(36, 36) @ _columns(Js)).reshape(-1, 6, 6)
     return Y @ Js                                  # Y[s, i, a] J_s[a, j]
 
 
-def _symmetrized(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
-    M = ricci_star_matrix(R, Js)
+def ricci_star_matrix(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    """M[s, i, j] = sum_k R(e_i, e_k, J_s e_j, J_s e_k) for an (S, 6, 6) stack."""
+    return _star(_by_pair(R), Js)
+
+
+def _symmetrized(Rp: np.ndarray, Js: np.ndarray) -> np.ndarray:
+    M = _star(Rp, Js)
     return 0.5 * (M + M.transpose(0, 2, 1))
 
 
-def refute_value(R: np.ndarray, Js: np.ndarray) -> np.ndarray:
+def refute_value(R: np.ndarray, Js: np.ndarray, Rp: np.ndarray | None = None,
+                 with_vectors: bool = False):
     """Smallest eigenvalue of the symmetrized star-Ricci form of (R, J_s),
-    one per slice of the (S, 6, 6) stack."""
-    return np.linalg.eigvalsh(_symmetrized(R, Js))[:, 0]
+    one per slice of the (S, 6, 6) stack.
+
+    With ``with_vectors`` the values come from ``eigh`` and are returned
+    with their unit eigenvectors (S, 6, 1): the ``low`` pair that
+    :func:`refute_value_and_grad` takes in place of its own ``eigh``.
+    """
+    S = _symmetrized(_by_pair(R) if Rp is None else Rp, Js)
+    if not with_vectors:
+        return np.linalg.eigvalsh(S)[:, 0]
+    w, vecs = np.linalg.eigh(S)
+    return w[:, 0], np.ascontiguousarray(vecs[:, :, :1])
 
 
-def refute_value_and_grad(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def refute_value_and_grad(R: np.ndarray, Js: np.ndarray, Rp: np.ndarray | None = None,
+                          low: tuple[np.ndarray, np.ndarray] | None = None
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """Objective (S,) and its gradient (S, 15) over the 15 rotation generators.
 
     Generator (p, q) moves J along E J E^T with E = exp(t (E_qp - E_pq)).
-    For a simple lambda_min with unit eigenvector x the derivative is
-    x^T (dM) x (Magnus 1985); M is bilinear in J, so all 15 partials come
-    from contracting R once with x.  At a repeated lambda_min this is one
-    subgradient (Overton 1992).
+    ``low`` is (lambda_min, x) of each slice, as ``refute_value(...,
+    with_vectors=True)`` returns it; without it, ``eigh`` runs here.
+
+    Every eigenvalue of the symmetrized form S is double: rho*(JX, JY) =
+    rho*(Y, X) gives J^T S J = S, so each eigenspace is J-invariant, and
+    x and Jx span the lambda_min one.  Along the search J^T S J = S keeps
+    holding, so where that pair is simple (lambda_min of multiplicity
+    exactly two) lambda_min is smooth and its derivative is x^T (dS) x
+    for either unit vector of the pair (Magnus 1985).  M is bilinear in
+    J, so all 15 partials come from contracting R once with x.
     """
-    w, vecs = np.linalg.eigh(_symmetrized(R, Js))
-    x = np.ascontiguousarray(vecs[:, :, :1])       # (S, 6, 1)
+    Rp = _by_pair(R) if Rp is None else Rp
+    if low is None:
+        w, vecs = np.linalg.eigh(_symmetrized(Rp, Js))
+        low = w[:, 0], np.ascontiguousarray(vecs[:, :, :1])
+    val, x = low                                   # x: (S, 6, 1)
     xt = x.transpose(0, 2, 1)                      # (S, 1, 6)
     # A[s, a, 6 k + b] = R(x_s, e_k, e_a, e_b)
-    A = (xt @ _by_pair(R).reshape(6, 216)).reshape(-1, 6, 36)
+    A = (xt @ Rp.reshape(6, 216)).reshape(-1, 6, 36)
     U = A @ _columns(Js)                           # (S, 6, 1): sum A[k,a,b] J[b,k]
     V = (((Js @ x).transpose(0, 2, 1) @ A)         # (S, 1, 36): sum A[k,a,b] (Jx)_a
          .reshape(-1, 6, 6).transpose(0, 2, 1))    # V[s, b, k]
@@ -72,5 +98,4 @@ def refute_value_and_grad(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np
     Z = W @ Jt - Jt @ W
     # C order at every stack size: advanced indexing lays a stack of one
     # out differently, and reductions over the rows follow the layout
-    return w[:, 0], np.ascontiguousarray(Z[:, _Q, _P] - Z[:, _P, _Q])
-
+    return val, np.ascontiguousarray(Z[:, _Q, _P] - Z[:, _P, _Q])

@@ -29,9 +29,21 @@ from .validation import load_schema, validate
 CHART_RADIUS = 1.5
 
 
-# A record that checks its fields subclasses a namedtuple: __new__ checks
-# the built tuple, and __slots__ = () keeps its attributes read-only.
-class ChartPoint(namedtuple("ChartPoint", "chart_id x")):
+class CheckedRecord:
+    """Base of a record that checks its fields, listed before its namedtuple.
+
+    The record's ``__new__`` checks the built tuple, and ``_make``, and so
+    ``_replace``, build through it too.  The record sets ``__slots__ = ()``
+    to keep its attributes read-only."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class ChartPoint(CheckedRecord, namedtuple("ChartPoint", "chart_id x")):
     """chart_id 'north' or 'south' and x, 6 chart coordinates, |x| <= 1.5."""
 
     __slots__ = ()
@@ -143,7 +155,8 @@ def _stereographic_jets(chart_id: str, x: np.ndarray):
     return Dp, D2p, D3p
 
 
-class FDConfig(namedtuple("FDConfig", "h scheme", defaults=(1e-3, "central_2nd"))):
+class FDConfig(CheckedRecord,
+               namedtuple("FDConfig", "h scheme", defaults=(1e-3, "central_2nd"))):
     """How curvature is differentiated: the scheme and the step h.
 
     'central_2nd' and 'richardson_4th' take finite differences of the
@@ -172,31 +185,49 @@ def _poly_eval(terms, xs) -> np.ndarray:
     return total
 
 
+def _factors(g: np.ndarray) -> bool:
+    """True when every matrix of the stack has a Cholesky factor, which
+    proves it SPD: one stacked factorization instead of a spectrum."""
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def check_spec(doc) -> None:
-    """Check a metric spec document against the packaged schema and for NaN
-    and inf (which only Python callers can pass); ConfigError names the field."""
+    """Check a metric spec document against the packaged schema and for
+    NaN, inf and integers beyond the float range (which only Python
+    callers can pass); ConfigError names the field."""
     try:
         validate(doc, load_schema("metric_spec.schema.json"))
     except SchemaError as exc:
         path, message = exc.absolute_path, exc.message
     else:
-        path, value = next(_non_finite(doc, ()), (None, None))
-        message = "%r is not a finite number" % value
+        path, message = next(_non_finite(doc, ()), (None, None))
     if path is not None:                # a document-level error is put at 'family'
         raise ConfigError("invalid metric spec at '%s': %s"
                           % ("/".join(map(str, path)) or "family", message))
 
 
 def _non_finite(value, path: tuple):
-    """(path, number) for each NaN or inf in a JSON document."""
+    """(path, message) for each number of a JSON document that is not a
+    finite float: NaN, inf, or an integer that float() cannot hold."""
     if isinstance(value, (dict, list)):
         for key, child in value.items() if isinstance(value, dict) else enumerate(value):
             yield from _non_finite(child, path + (key,))
     elif isinstance(value, float) and not math.isfinite(value):
-        yield path, value
+        yield path, "%r is not a finite number" % value
+    elif isinstance(value, int):
+        try:
+            float(value)
+        except OverflowError:
+            yield path, ("an integer of %d bits is not a finite number"
+                         % value.bit_length())
 
 
-class MetricField(namedtuple("MetricField", "family params scale", defaults=(None, 1.0))):
+class MetricField(CheckedRecord,
+                  namedtuple("MetricField", "family params scale", defaults=(None, 1.0))):
     """Metric evaluator on the sphere, one of the built-in families.
 
     round:     scale * 4/(1+|x|^2)^2 * Id (unit round sphere)
@@ -213,7 +244,7 @@ class MetricField(namedtuple("MetricField", "family params scale", defaults=(Non
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.params is None:                      # a fresh dict per metric
-            self = self._replace(params={})
+            self = super().__new__(cls, self.family, {}, self.scale)
         if not isinstance(self.params, Mapping):
             raise ConfigError("metric params must be a mapping")
         if "family" in self.params or "scale" in self.params:
@@ -261,8 +292,9 @@ class MetricField(namedtuple("MetricField", "family params scale", defaults=(Non
             g = np.where(finite[:, None, None], g, np.eye(6))
         asym = (np.max(np.abs(g - g.transpose(0, 2, 1)), axis=(1, 2))
                 > 1e-12 * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2))))
-        not_spd = np.linalg.eigvalsh(g)[:, 0] <= 0
-        bad = np.flatnonzero(~finite | asym | not_spd)
+        bad = np.flatnonzero(~finite | asym)
+        if len(bad) or not _factors(g):         # a row scan names the first failure
+            bad = np.flatnonzero(~finite | asym | (np.linalg.eigvalsh(g)[:, 0] <= 0))
         if len(bad):
             k = bad[0]
             if not finite[k]:
@@ -432,13 +464,15 @@ def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
 def _christoffel(g: np.ndarray, dg: np.ndarray, bases: np.ndarray):
     """Christoffel symbols gamma[b, k, i, j] and g_inv[b] from the metric
     g[b] and its derivative dg[b] at each row of bases; ConditioningError
-    names the first base whose metric has condition number above 1e8."""
-    cond = np.linalg.cond(g)
-    bad = np.flatnonzero(cond > 1e8)
+    names the first base whose metric has condition number above 1e8.
+    Each g[b] is SPD (checked by :meth:`MetricField.matrices`), so its
+    condition number is lambda_max / lambda_min."""
+    lam = np.linalg.eigvalsh(g)
+    bad = np.flatnonzero(lam[:, -1] > 1e8 * lam[:, 0])
     if len(bad):
         k = bad[0]
         raise ConditioningError("metric condition number %.3e at %s"
-                                % (cond[k], bases[k]))
+                                % (lam[k, -1] / lam[k, 0], bases[k]))
     g_inv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
     B = len(g)

@@ -17,15 +17,15 @@ from .errors import (CompatibilityError, ConfigError, ConventionMismatchError,
 from .hermitian import (TOL_CLASSIFY, ComplexStructure, _as_metric, fundamental_two_form,
                         lambda2_inner, standard_complex_structure)
 from .rng import haar_orthogonal, make_rng
-from .sphere import (ChartPoint, FDConfig, MetricField, _exact_levi_civita, _fd_derivative,
-                     _jacobian_stack, _levi_civita, _stencil, chart_to_ambient,
-                     orthonormal_frame)
+from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _exact_levi_civita,
+                     _fd_derivative, _jacobian_stack, _levi_civita, _stencil,
+                     chart_to_ambient, orthonormal_frame)
 
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
 
 
-class EuclideanSpace(namedtuple("EuclideanSpace", "dim g orientation",
-                                defaults=(6, None, 1))):
+class EuclideanSpace(CheckedRecord, namedtuple("EuclideanSpace", "dim g orientation",
+                                               defaults=(6, None, 1))):
     """Even-dimensional Euclidean space with a reference orientation."""
 
     __slots__ = ()
@@ -35,7 +35,7 @@ class EuclideanSpace(namedtuple("EuclideanSpace", "dim g orientation",
         if self.dim % 2 != 0:
             raise InputError("dimension must be even")
         if self.g is None:                      # the identity of the dimension
-            self = self._replace(g=np.eye(self.dim))
+            self = super().__new__(cls, self.dim, np.eye(self.dim), self.orientation)
         _as_metric(self.g, self.dim)
         if self.orientation not in (1, -1):
             raise InputError("orientation must be +1 or -1")

@@ -12,6 +12,7 @@ from occert import budget as bd
 from occert import certify as ct
 from occert import curvature as cv
 from occert import hermitian as hm
+from occert import kernels
 from occert import structures as sr
 from occert.errors import InputError
 from occert.rng import make_rng
@@ -178,6 +179,47 @@ class TestStackedSearch:
                             lambda R, Js: (np.full(len(Js), np.nan), Js))
         res = ct.refute_P(G, ct.SearchConfig(multistarts=3, seed=1))
         assert res.witness is None and res.best_value == np.inf
+
+
+class TestKeptEigenpairs:
+    """Each gradient after the first takes the eigenpair its start's
+    accepted trial was valued with, instead of running eigh again."""
+
+    @pytest.fixture(scope="class")
+    def case(self, G):
+        R = G + 0.3 * cv.random_curvature(make_rng(0))
+        starts = np.array([hm.random_orthogonal_complex_structure(
+            make_rng(5, 211, s)).J for s in range(16)])
+        return R, starts
+
+    def test_kept_pairs_are_a_fresh_eigh(self, case, monkeypatch):
+        R, starts = case
+        grad_calls = []
+        value_and_grad = kernels.refute_value_and_grad
+
+        def checked(R, Js, Rp=None, low=None):
+            grad_calls.append(low is not None)
+            if low is not None:
+                Rp = kernels._by_pair(R)
+                for s in range(len(Js)):
+                    w, vecs = np.linalg.eigh(kernels._symmetrized(Rp, Js[s:s + 1]))
+                    assert low[0][s] == w[0, 0]
+                    assert np.array_equal(low[1][s], vecs[0, :, :1])
+            return value_and_grad(R, Js, Rp, low)
+
+        monkeypatch.setattr(kernels, "refute_value_and_grad", checked)
+        ct._descend(R, starts)
+        assert grad_calls[0] is False and all(grad_calls[1:])
+        assert len(grad_calls) == ct.MAX_ITER
+
+    def test_descent_is_the_one_without_kept_pairs(self, case, monkeypatch):
+        R, starts = case
+        vals, Js = ct._descend(R, starts)
+        value_and_grad = kernels.refute_value_and_grad
+        monkeypatch.setattr(kernels, "refute_value_and_grad",
+                            lambda R, Js, Rp=None, low=None: value_and_grad(R, Js, Rp))
+        fresh_vals, fresh_Js = ct._descend(R, starts)
+        assert np.array_equal(vals, fresh_vals) and np.array_equal(Js, fresh_Js)
 
 
 class TestCayley:

@@ -112,3 +112,61 @@ class TestRefuteKernel:
         _, grad = kernels.refute_value_and_grad(R, J[None])
         assert abs(slope - c @ grad[0]) < 1e-7
 
+
+
+class TestDoubleSpectrum:
+    """rho*(JX, JY) = rho*(Y, X) for every algebraic curvature tensor and
+    orthogonal J, so J^T S J = S for the symmetrized form S: every
+    eigenvalue of S is double, its eigenspaces spanned by pairs (x, Jx)."""
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        rng = make_rng(101)
+        return [(cv.random_curvature(rng), hm.random_orthogonal_complex_structure(rng).J)
+                for _ in range(50)]
+
+    def test_every_eigenvalue_is_double(self, pairs):
+        for R, J in pairs:
+            M = kernels.ricci_star_matrix(R, J[None])[0]
+            S = 0.5 * (M + M.T)
+            scale = max(1.0, np.max(np.abs(S)))
+            assert np.max(np.abs(J.T @ M @ J - M.T)) < 1e-12 * scale
+            assert np.max(np.abs(J.T @ S @ J - S)) < 1e-12 * scale
+            w = np.linalg.eigvalsh(S)
+            assert np.max(np.abs(w[0::2] - w[1::2])) < 1e-12 * scale
+
+    def test_gradient_from_either_vector_of_the_pair(self, pairs):
+        """x^T (dS) x is the same for x and Jx where lambda_min is a simple
+        pair, so the gradient does not depend on which one eigh returns."""
+        for R, J in pairs:
+            w, vecs = np.linalg.eigh(kernels._symmetrized(kernels._by_pair(R), J[None]))
+            assert w[0, 2] - w[0, 1] > 1e-3            # the lambda_min pair is simple
+            x = vecs[:, :, :1]
+            _, grad = kernels.refute_value_and_grad(R, J[None], low=(w[:, 0], x))
+            _, grad_J = kernels.refute_value_and_grad(R, J[None], low=(w[:, 0], J @ x))
+            assert np.max(np.abs(grad - grad_J)) < 1e-10 * max(1.0, np.max(np.abs(grad)))
+
+
+class TestKeptEigenpairs:
+    """What the line search reuses: ``refute_value(..., with_vectors=True)``
+    returns eigh's lowest pair, and the gradient taken from that pair is
+    the gradient that runs its own eigh, bit for bit."""
+
+    def test_vectors_are_eighs(self, samples):
+        Js = np.array([J for _, J, _ in samples])
+        for R, _, _ in samples[:5]:
+            val, x = kernels.refute_value(R, Js, with_vectors=True)
+            w, vecs = np.linalg.eigh(kernels._symmetrized(kernels._by_pair(R), Js))
+            assert np.array_equal(val, w[:, 0]) and np.array_equal(x, vecs[:, :, :1])
+            assert x.flags.c_contiguous
+            assert np.max(np.abs(val - kernels.refute_value(R, Js))) < 1e-12
+
+    def test_gradient_from_kept_pair_is_identical(self, samples):
+        Js = np.array([J for _, J, _ in samples])
+        for R, _, _ in samples[:5]:
+            Rp = kernels._by_pair(R)
+            val, grad = kernels.refute_value_and_grad(R, Js)
+            low = kernels.refute_value(R, Js, Rp, with_vectors=True)
+            kept_val, kept_grad = kernels.refute_value_and_grad(R, Js, Rp, low)
+            assert np.array_equal(kept_val, val) and np.array_equal(kept_grad, grad)
+            assert np.array_equal(kernels.refute_value(R, Js, Rp), kernels.refute_value(R, Js))

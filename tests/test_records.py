@@ -209,3 +209,47 @@ def test_refuted_membership_keeps_bounds_and_witness():
     assert np.linalg.norm(X) == pytest.approx(1.0)
     assert pm.witness.value == pytest.approx(X @ cv.ricci_star(R, J) @ X)
     assert pm.witness.value < -options.search.tol
+
+
+# the records that check their fields: (record, valid values, a bad field)
+CHECKED = [
+    (sp.ChartPoint, ("north", np.zeros(6)), {"chart_id": "east"}),
+    (sp.FDConfig, (), {"h": 1.0}),
+    (sp.MetricField, ("round",), {"scale": float("nan")}),
+    (sr.EuclideanSpace, (), {"orientation": 2}),
+    (bd.PerturbationBudget, (0.0, 0.0), {"eps1": -1.0}),
+]
+
+
+@pytest.mark.parametrize("record, values, bad", CHECKED,
+                         ids=[r.__name__ for r, _, _ in CHECKED])
+def test_replace_and_make_check_their_fields(record, values, bad):
+    """``_replace`` and ``_make`` build through the record's checks, with
+    the texts its constructor gives; a valid replacement still works."""
+    rec = record(*values)
+    fields = [bad.get(name, getattr(rec, name)) for name in record._fields]
+    with pytest.raises((ConfigError, InputError)) as direct:
+        record(*fields)
+    for build in (lambda: rec._replace(**bad), lambda: record._make(fields)):
+        with pytest.raises(type(direct.value)) as err:
+            build()
+        assert str(err.value) == str(direct.value)
+    same = rec._replace()
+    assert type(same) is record and repr(same) == repr(rec)
+    assert type(record._make(list(rec))) is record
+
+
+def test_only_the_checked_records_route_make_through_new():
+    # the others, PMembership among them (certify_point replaces its
+    # status), keep the plain namedtuple's _make
+    checked = {record for record, _, _ in CHECKED}
+    assert {r for r, _, _ in RECORDS if issubclass(r, sp.CheckedRecord)} == checked
+
+
+def test_metric_checks_its_spec_once(monkeypatch):
+    calls = []
+    check = sp.check_spec
+    monkeypatch.setattr(sp, "check_spec", lambda doc: calls.append(doc) or check(doc))
+    metric = sp.MetricField("round")
+    assert calls == [{"family": "round", "scale": 1.0}]
+    assert metric.params == {} and metric.params is not sp.MetricField("round").params

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import chart_coords, saddle_metric
 from occert import budget as bd
+from occert import cli
 from occert import curvature as cv
 from occert import sphere as sp
 from occert import structures as sr
@@ -259,6 +260,71 @@ class TestMetricFamilies:
         ref = sp.riemann(field, pt, sp.FDConfig(scheme="richardson_4th"))
         assert np.max(np.abs(R - ref)) <= 1e-8 * max(1.0, np.max(np.abs(ref)))
         assert np.max(np.abs(ref)) > 1e-2
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_integer_beyond_the_float_range_rejected(self, sign):
+        # an int converts to float only up to about 1.8e308; it once got
+        # through to an uncaught OverflowError at evaluation
+        scale = sign * 10 ** 400
+        texts = []
+        for build in (lambda: sp.MetricField("round", scale=scale),
+                      lambda: cli.metric_from_dict({"family": "round", "scale": scale})):
+            with pytest.raises(ConfigError, match="^invalid metric spec at 'scale': ") as err:
+                build()
+            texts.append(str(err.value))
+        assert texts[0] == texts[1]
+        with pytest.raises(ConfigError, match="^invalid metric spec at 'axes/3': an integer "
+                                              "of 1329 bits is not a finite number$"):
+            sp.MetricField("ellipsoid", {"axes": [1, 1, 1, 10 ** 400, 1, 1, 1]})
+        assert sp.MetricField("round", scale=10 ** 300).scale == 10 ** 300
+
+
+class TestSPDScreen:
+    """``matrices`` proves a stack SPD with one Cholesky factorization and
+    scans rows only when that fails, so a failure names the row and text
+    a row-by-row spectrum would."""
+
+    xs = make_rng(32).uniform(-0.5, 0.5, size=(625, 6))    # one Richardson stencil
+
+    @pytest.fixture
+    def stack(self, monkeypatch):
+        A = make_rng(31).normal(size=(len(self.xs), 6, 6))
+        g = A @ A.transpose(0, 2, 1) + 0.5 * np.eye(6)
+        monkeypatch.setattr(sp.MetricField, "_unchecked",
+                            lambda self, chart_id, xs, xx: g.copy())
+        return g
+
+    def _error(self) -> str:
+        with pytest.raises(MetricError) as err:
+            sp.MetricField("round").matrices("north", self.xs)
+        return str(err.value)
+
+    def test_all_spd_returned_unchanged(self, stack):
+        g = sp.MetricField("round", scale=2.0).matrices("north", self.xs)
+        assert np.array_equal(g, 2.0 * stack)
+
+    @pytest.mark.parametrize("spd_row, sym_row", [
+        (400, None), (None, 400), (200, 500), (500, 200), (624, None), (0, None)])
+    def test_first_failing_row_named(self, stack, spd_row, sym_row):
+        if spd_row is not None:
+            stack[spd_row] = np.diag([1.0, 1.0, -1e-3, 1.0, 1.0, 1.0])
+        if sym_row is not None:
+            stack[sym_row, 0, 1] += 1e-6
+        if sym_row is None or (spd_row is not None and spd_row < sym_row):
+            assert self._error() == ("metric evaluator returned a non-SPD matrix at %s"
+                                     % self.xs[spd_row])
+        else:
+            assert self._error() == "metric evaluator returned a non-symmetric matrix"
+
+    def test_non_finite_and_non_spd_rows_in_row_order(self, stack):
+        stack[100, 2, 2] = np.inf
+        stack[50:60] *= -1.0
+        assert self._error() == ("metric evaluator returned a non-SPD matrix at %s"
+                                 % self.xs[50])
+        stack[50:60] *= -1.0
+        assert self._error() == ("metric evaluator returned a non-finite matrix at %s"
+                                 % self.xs[100])
+
 
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
