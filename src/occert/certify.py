@@ -58,7 +58,7 @@ LemmaLLResult = namedtuple("LemmaLLResult", "hypotheses_met nondegenerate det_va
 # knobs of the refutation search (engineering defaults); tol is the
 # witness threshold on the negative side
 SearchConfig = namedtuple("SearchConfig", "multistarts tol seed", defaults=(64, 1e-9, 0))
-RefutationResult = namedtuple("RefutationResult", "witness best_value best_J")
+RefutationResult = namedtuple("RefutationResult", "witness best_value")
 # per-point verdict record; a field is None when its check did not run
 Certificate = namedtuple("Certificate", "bhl p_membership lemma_ll spectrum verdict_notes")
 
@@ -115,29 +115,30 @@ def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
     return U @ Vt
 
 
-def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Descend every start of the (S, 6, 6) stack; final values and Js.
+def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Descend every start of the (S, 6, 6) stack; final values, their
+    unit eigenvectors (S, 6, 1) and Js.
 
     Each start keeps its own step and stops on its own: at MAX_ITER, at a
     gradient norm below GRAD_TOL, or when its step falls to 1e-12 without
     an improving trial.  A trial moves J to E J E^T along the normalized
     negative gradient, with E the Cayley retraction (``_cayley``) of the
     step's skew generator.  Per start, a trial is accepted when it lowers
-    the value (step x 1.5) and rejected otherwise (step x 0.5).  Only
-    starts that accepted a trial go on, so the next gradient takes the
-    eigenpair their accepted trial was valued with.
+    the value (step x 1.5) and rejected otherwise (step x 0.5).  Every
+    valuation (the starts, each round of trials, the polished result) is
+    one stacked ``kernels.refute_value``, and each gradient takes the
+    eigenpair its start's J was last valued with.
     """
     Rp = kernels._by_pair(R)
     Js = np.array(Js, dtype=float)
     step = np.full(len(Js), STEP0)
-    low_val = np.empty(len(Js))                    # lambda_min of each start's J
-    low_vec = np.empty((len(Js), 6, 1))            # and its unit eigenvector
+    low_val, low_vec = kernels.refute_value(Rp, Js)  # each start's lambda_min pair
     active = np.arange(len(Js))
-    low = None                                     # the first gradient runs eigh
     for _ in range(MAX_ITER):
         if not active.size:
             break
-        val, grad = kernels.refute_value_and_grad(R, Js[active], Rp, low)
+        val, grad = kernels.refute_value_and_grad(
+            Rp, Js[active], (low_val[active], low_vec[active]))
         gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
         moving = gnorm >= GRAD_TOL
         active, val = active[moving], val[moving]
@@ -153,7 +154,7 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             K[:, _P, _Q] = -c
             E = _cayley(K)
             J_try = E @ Js[starts] @ E.transpose(0, 2, 1)
-            trial, vec = kernels.refute_value(R, J_try, Rp, with_vectors=True)
+            trial, vec = kernels.refute_value(Rp, J_try)
             accept = trial < val[pending]
             kept = starts[accept]
             Js[kept] = J_try[accept]
@@ -163,9 +164,8 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             moved[pending[accept]] = True
             pending = pending[~accept & (step[starts] > 1e-12)]
         active = active[moved]
-        low = low_val[active], low_vec[active]
     Js = _polish_complex_structure(Js)
-    return kernels.refute_value(R, Js, Rp), Js
+    return (*kernels.refute_value(Rp, Js), Js)
 
 
 def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationResult:
@@ -173,33 +173,27 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     symmetrized star-Ricci form over orthogonal complex structures.
 
     All starts descend together as one stack.  Returns a witness when a
-    value below -tol is found; ``none found`` is NOT a membership proof.
-    Starts are orientation-compatible.
+    value below -tol is found: the winner's J, and as X its eigenvector
+    with the largest entry positive.  ``none found`` is NOT a membership
+    proof.  Starts are orientation-compatible.
     """
     cfg = config or SearchConfig()
     R = np.asarray(R, dtype=float)
     starts = [random_orthogonal_complex_structure(make_rng(cfg.seed, 211, start)).J
               for start in range(cfg.multistarts)]
-    best_val, best_J = np.inf, standard_complex_structure()
+    best_val, witness = np.inf, None
     if starts:
-        vals, Js = _descend(R, starts)
+        vals, vecs, Js = _descend(R, starts)
         # the first strict minimum in start order; a NaN is never picked
-        s = int(np.argmin(np.where(np.isnan(vals), np.inf, vals)))
-        if vals[s] < best_val:
-            best_val, best_J = vals[s], Js[s]
-    witness = None
-    if best_val < -cfg.tol:
-        M = ricci_star(R, best_J)
-        Ms = 0.5 * (M + M.T)
-        eigvals, eigvecs = np.linalg.eigh(Ms)
-        X = eigvecs[:, 0]
-        k = int(np.argmax(np.abs(X)))
-        if X[k] < 0:
-            X = -X
-        value = float(X @ M @ X)
-        witness = Witness(J=best_J, X=X, value=value)
-    return RefutationResult(witness=witness, best_value=float(best_val),
-                            best_J=best_J)
+        vals = np.where(np.isnan(vals), np.inf, vals)
+        s = int(np.argmin(vals))
+        best_val = vals[s]
+        if best_val < -cfg.tol:
+            J, X = Js[s], vecs[s, :, 0]
+            if X[np.argmax(np.abs(X))] < 0:
+                X = -X
+            witness = Witness(J=J, X=X, value=float(X @ ricci_star(R, J) @ X))
+    return RefutationResult(witness=witness, best_value=float(best_val))
 
 
 def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,

@@ -33,9 +33,10 @@ EXIT_IO = 5
 _BUILTIN_METRICS = ("round", "flat")
 
 
-class RunConfig(namedtuple("RunConfig", "metric points seed fd options out")):
-    """A parsed command line: the metric, the sampling, the curvature
-    scheme, the checks and the report path (None: no report)."""
+class RunConfig(namedtuple("RunConfig", "metric points fd options out")):
+    """A parsed command line: the metric, the point count, the curvature
+    scheme, the checks with the search (whose seed also draws the
+    points) and the report path (None: no report)."""
 
     __slots__ = ()
 
@@ -43,7 +44,7 @@ class RunConfig(namedtuple("RunConfig", "metric points seed fd options out")):
         return {
             "metric": self.metric.spec(),
             "points": self.points,
-            "seed": self.seed,
+            "seed": self.options.search.seed,
             "fd": {"h": self.fd.h, "scheme": self.fd.scheme},
             "multistarts": self.options.search.multistarts,
             "tol": self.options.search.tol,
@@ -130,8 +131,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         checks=checks,
         search=SearchConfig(multistarts=args.multistarts, tol=args.tol,
                             seed=args.seed))
-    return RunConfig(metric=metric, points=args.points, seed=args.seed,
-                     fd=fd, options=options, out=args.out)
+    return RunConfig(metric=metric, points=args.points, fd=fd,
+                     options=options, out=args.out)
 
 
 def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
@@ -139,7 +140,7 @@ def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
     its curvature tensor, or the error that stopped the point) and the
     number of points per verdict."""
     records = []
-    for index, point in enumerate(sample_points(config.points, config.seed)):
+    for index, point in enumerate(sample_points(config.points, config.options.search.seed)):
         record: dict = {
             "index": index,
             "chart": point.chart_id,

@@ -30,7 +30,7 @@ def _columns(Js: np.ndarray) -> np.ndarray:
 # Every contraction below is a stacked matmul, eigh or elementwise step,
 # so each slice of a stack is computed the same way whatever the stack
 # size; a start's descent does not depend on the starts around it.
-# ``Rp`` is ``_by_pair(R)``, for a caller that contracts one R many times.
+# ``Rp`` is ``_by_pair(R)``, built once by a caller that contracts one R many times.
 
 def _star(Rp: np.ndarray, Js: np.ndarray) -> np.ndarray:
     Y = (Rp.reshape(36, 36) @ _columns(Js)).reshape(-1, 6, 6)
@@ -47,30 +47,21 @@ def _symmetrized(Rp: np.ndarray, Js: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.transpose(0, 2, 1))
 
 
-def refute_value(R: np.ndarray, Js: np.ndarray, Rp: np.ndarray | None = None,
-                 with_vectors: bool = False):
-    """Smallest eigenvalue of the symmetrized star-Ricci form of (R, J_s),
-    one per slice of the (S, 6, 6) stack.
-
-    With ``with_vectors`` the values come from ``eigh`` and are returned
-    with their unit eigenvectors (S, 6, 1): the ``low`` pair that
-    :func:`refute_value_and_grad` takes in place of its own ``eigh``.
-    """
-    S = _symmetrized(_by_pair(R) if Rp is None else Rp, Js)
-    if not with_vectors:
-        return np.linalg.eigvalsh(S)[:, 0]
-    w, vecs = np.linalg.eigh(S)
+def refute_value(Rp: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest eigenvalue of the symmetrized star-Ricci form of (R, J_s)
+    and its unit eigenvector (S, 6, 1), per slice of the (S, 6, 6) stack,
+    from one stacked ``eigh``: the ``low`` pair of the gradient below."""
+    w, vecs = np.linalg.eigh(_symmetrized(Rp, Js))
     return w[:, 0], np.ascontiguousarray(vecs[:, :, :1])
 
 
-def refute_value_and_grad(R: np.ndarray, Js: np.ndarray, Rp: np.ndarray | None = None,
-                          low: tuple[np.ndarray, np.ndarray] | None = None
+def refute_value_and_grad(Rp: np.ndarray, Js: np.ndarray,
+                          low: tuple[np.ndarray, np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Objective (S,) and its gradient (S, 15) over the 15 rotation generators.
 
     Generator (p, q) moves J along E J E^T with E = exp(t (E_qp - E_pq)).
-    ``low`` is (lambda_min, x) of each slice, as ``refute_value(...,
-    with_vectors=True)`` returns it; without it, ``eigh`` runs here.
+    ``low`` is (lambda_min, x) of each slice, as :func:`refute_value` returns it.
 
     Every eigenvalue of the symmetrized form S is double: rho*(JX, JY) =
     rho*(Y, X) gives J^T S J = S, so each eigenspace is J-invariant, and
@@ -80,10 +71,6 @@ def refute_value_and_grad(R: np.ndarray, Js: np.ndarray, Rp: np.ndarray | None =
     for either unit vector of the pair (Magnus 1985).  M is bilinear in
     J, so all 15 partials come from contracting R once with x.
     """
-    Rp = _by_pair(R) if Rp is None else Rp
-    if low is None:
-        w, vecs = np.linalg.eigh(_symmetrized(Rp, Js))
-        low = w[:, 0], np.ascontiguousarray(vecs[:, :, :1])
     val, x = low                                   # x: (S, 6, 1)
     xt = x.transpose(0, 2, 1)                      # (S, 1, 6)
     # A[s, a, 6 k + b] = R(x_s, e_k, e_a, e_b)

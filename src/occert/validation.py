@@ -59,6 +59,19 @@ def validate(instance, schema: dict) -> None:
         raise SchemaError(best[1], best[0])
 
 
+def _show(value) -> str:
+    """``repr``, but an int too long for it (over 4300 digits by default)
+    is named by its bit length, also inside a list or an object."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return "an integer of %d bits" % value.bit_length()
+        if isinstance(value, list):
+            return "[%s]" % ", ".join(map(_show, value))
+        return "{%s}" % ", ".join("%s: %s" % (_show(k), _show(v)) for k, v in value.items())
+
+
 def _errors(value, schema: dict, path: tuple):
     """(path, message) per error, in keyword order."""
     is_object, is_array = isinstance(value, dict), isinstance(value, list)
@@ -68,10 +81,10 @@ def _errors(value, schema: dict, path: tuple):
         if key == "type":
             types = [arg] if isinstance(arg, str) else arg
             if not any(_TYPES[t](value) for t in types):
-                message = "%r is not of type %s" % (value, ", ".join(map(repr, types)))
+                message = "%s is not of type %s" % (_show(value), ", ".join(map(repr, types)))
         elif key == "enum":
             if value not in arg:
-                message = "%r is not one of %r" % (value, arg)
+                message = "%s is not one of %r" % (_show(value), arg)
         elif key == "const":
             if value != arg:
                 message = "%r was expected" % (arg,)
@@ -100,22 +113,22 @@ def _errors(value, schema: dict, path: tuple):
                 yield from _errors(item, sub, path + (i,))
         elif key == "minItems":
             if is_array and len(value) < arg:
-                message = "%r %s" % (value, "should be non-empty" if arg == 1
+                message = "%s %s" % (_show(value), "should be non-empty" if arg == 1
                                      else "is too short")
         elif key == "maxItems":
             if is_array and len(value) > arg:
-                message = "%r %s" % (value, "is expected to be empty" if arg == 0
+                message = "%s %s" % (_show(value), "is expected to be empty" if arg == 0
                                      else "is too long")
         elif key == "minimum":
             if is_number and value < arg:
-                message = "%r is less than the minimum of %r" % (value, arg)
+                message = "%s is less than the minimum of %r" % (_show(value), arg)
         elif key == "maximum":
             if is_number and value > arg:
-                message = "%r is greater than the maximum of %r" % (value, arg)
+                message = "%s is greater than the maximum of %r" % (_show(value), arg)
         elif key == "exclusiveMinimum":
             if is_number and value <= arg:
-                message = ("%r is less than or equal to the minimum of %r"
-                           % (value, arg))
+                message = ("%s is less than or equal to the minimum of %r"
+                           % (_show(value), arg))
         elif key not in KEYWORDS:
             raise NotImplementedError("schema keyword %r is not supported" % key)
         if message is not None:

@@ -3,6 +3,8 @@ the nondegeneracy lemma, perturbation budgets, per-point certificates."""
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -114,6 +116,17 @@ class TestRefutation:
         again = wit.X @ cv.ricci_star(-0.7 * G, wit.J) @ wit.X
         assert abs(again - wit.value) < 1e-10
 
+    def test_witness_value_survives_a_json_round_trip(self, G):
+        """The reported value is X . Ric*(R, J) . X as a reader of the
+        report recomputes it from J and X, bit for bit."""
+        rng = make_rng(4242)
+        for seed in range(20):
+            R = G + 0.8 * cv.random_curvature(rng)
+            wit = ct.refute_P(R, ct.SearchConfig(multistarts=4, seed=seed)).witness
+            assert wit is not None
+            J, X = (np.array(json.loads(json.dumps(a.tolist()))) for a in (wit.J, wit.X))
+            assert float(X @ cv.ricci_star(R, J) @ X) == wit.value
+
     def test_soundness_on_certified_tensors(self, G):
         rng = make_rng(11)
         for _ in range(3):
@@ -132,19 +145,20 @@ class TestStackedSearch:
         res = ct.refute_P(G, ct.SearchConfig(multistarts=0))
         assert res.witness is None
         assert res.best_value == np.inf
-        assert np.array_equal(res.best_J, hm.standard_complex_structure())
 
     def test_starts_do_not_depend_on_the_stack(self, tensor):
         """Byte-identical across batch size: a start descended alone ends
         where it ends inside stacks of 7 and 64."""
         starts = np.array([hm.random_orthogonal_complex_structure(
             make_rng(5, 211, s)).J for s in range(64)])
-        vals64, Js64 = ct._descend(tensor, starts)
-        vals7, Js7 = ct._descend(tensor, starts[:7])
+        vals64, vecs64, Js64 = ct._descend(tensor, starts)
+        vals7, vecs7, Js7 = ct._descend(tensor, starts[:7])
         assert np.array_equal(vals7, vals64[:7]) and np.array_equal(Js7, Js64[:7])
+        assert np.array_equal(vecs7, vecs64[:7])
         for s in [*range(7), *range(7, 64, 4)]:
-            val, J = ct._descend(tensor, starts[s:s + 1])
+            val, vec, J = ct._descend(tensor, starts[s:s + 1])
             assert val[0] == vals64[s] and np.array_equal(J[0], Js64[s])
+            assert np.array_equal(vec[0], vecs64[s])
 
     def test_one_draw_per_start_through_certify(self, tensor, monkeypatch):
         draws = []
@@ -164,26 +178,31 @@ class TestStackedSearch:
         def fake_descend(R, Js):
             starts.append(len(Js))
             vals = np.array([np.nan, 2.0, -1.0, -1.0, np.nan])
-            return vals, np.arange(len(Js), dtype=float)[:, None, None] * Js
+            vecs = -np.eye(6)[:len(Js), :, None]
+            return vals, vecs, np.arange(len(Js), dtype=float)[:, None, None] * Js
 
         monkeypatch.setattr(ct, "_descend", fake_descend)
         res = ct.refute_P(G, ct.SearchConfig(multistarts=5, seed=1))
         assert starts == [5]
         assert res.best_value == -1.0
-        assert np.array_equal(
-            res.best_J,
-            2.0 * hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J)
+        J = 2.0 * hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J
+        assert np.array_equal(res.witness.J, J)
+        # the winner's vector, signed so that its largest entry is positive
+        assert np.array_equal(res.witness.X, np.eye(6)[2])
+        assert res.witness.value == float(res.witness.X @ cv.ricci_star(G, J) @ res.witness.X)
 
     def test_all_nan_finds_nothing(self, G, monkeypatch):
         monkeypatch.setattr(ct, "_descend",
-                            lambda R, Js: (np.full(len(Js), np.nan), Js))
+                            lambda R, Js: (np.full(len(Js), np.nan),
+                                           np.zeros((len(Js), 6, 1)), Js))
         res = ct.refute_P(G, ct.SearchConfig(multistarts=3, seed=1))
         assert res.witness is None and res.best_value == np.inf
 
 
 class TestKeptEigenpairs:
-    """Each gradient after the first takes the eigenpair its start's
-    accepted trial was valued with, instead of running eigh again."""
+    """Each gradient takes the eigenpair its start's J was last valued
+    with (the starts' own valuation, then each accepted trial's),
+    instead of running eigh again."""
 
     @pytest.fixture(scope="class")
     def case(self, G):
@@ -197,29 +216,29 @@ class TestKeptEigenpairs:
         grad_calls = []
         value_and_grad = kernels.refute_value_and_grad
 
-        def checked(R, Js, Rp=None, low=None):
-            grad_calls.append(low is not None)
-            if low is not None:
-                Rp = kernels._by_pair(R)
-                for s in range(len(Js)):
-                    w, vecs = np.linalg.eigh(kernels._symmetrized(Rp, Js[s:s + 1]))
-                    assert low[0][s] == w[0, 0]
-                    assert np.array_equal(low[1][s], vecs[0, :, :1])
-            return value_and_grad(R, Js, Rp, low)
+        def checked(Rp, Js, low):
+            grad_calls.append(len(Js))
+            for s in range(len(Js)):
+                w, vecs = np.linalg.eigh(kernels._symmetrized(Rp, Js[s:s + 1]))
+                assert low[0][s] == w[0, 0]
+                assert np.array_equal(low[1][s], vecs[0, :, :1])
+            return value_and_grad(Rp, Js, low)
 
         monkeypatch.setattr(kernels, "refute_value_and_grad", checked)
         ct._descend(R, starts)
-        assert grad_calls[0] is False and all(grad_calls[1:])
+        assert grad_calls[0] == len(starts)
         assert len(grad_calls) == ct.MAX_ITER
 
     def test_descent_is_the_one_without_kept_pairs(self, case, monkeypatch):
         R, starts = case
-        vals, Js = ct._descend(R, starts)
+        vals, vecs, Js = ct._descend(R, starts)
         value_and_grad = kernels.refute_value_and_grad
         monkeypatch.setattr(kernels, "refute_value_and_grad",
-                            lambda R, Js, Rp=None, low=None: value_and_grad(R, Js, Rp))
-        fresh_vals, fresh_Js = ct._descend(R, starts)
+                            lambda Rp, Js, low: value_and_grad(
+                                Rp, Js, kernels.refute_value(Rp, Js)))
+        fresh_vals, fresh_vecs, fresh_Js = ct._descend(R, starts)
         assert np.array_equal(vals, fresh_vals) and np.array_equal(Js, fresh_Js)
+        assert np.array_equal(vecs, fresh_vecs)
 
 
 class TestCayley:

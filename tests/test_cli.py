@@ -7,6 +7,7 @@ import json
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,8 @@ from conftest import saddle_metric
 from occert import cli, validation
 from occert.certify import CertifyOptions
 from occert.errors import ConditioningError, ConfigError, SchemaError
-from occert.sphere import FDConfig, MetricField, riemann, sample_points
+from occert.curvature import ricci_star
+from occert.sphere import ChartPoint, FDConfig, MetricField, riemann, sample_points
 
 
 def _write_spec(tmp_path, payload, name="spec.json"):
@@ -33,7 +35,7 @@ class TestConfigParsing:
         config = cli.parse_config(args)
         assert config.metric.family == "round"
         assert config.points == 20
-        assert config.seed == 7
+        assert config.options.search.seed == 7
         assert config.fd.h == 1e-3
         assert config.fd.scheme == "exact"
         assert config.options.checks == ("bhl", "p_sufficient")
@@ -255,7 +257,7 @@ class TestReports:
         # OCCERT_THREADS is not read any more: it must not reach the report
         monkeypatch.setenv("OCCERT_THREADS", "3")
         cli.main(argv + ["--out", out1])
-        assert open(out0, "rb").read() == open(out1, "rb").read()
+        assert Path(out0).read_bytes() == Path(out1).read_bytes()
         assert cli.load_report(out1)["meta"]["threads"] == 1
 
     def test_witness_serialized_in_report(self, tmp_path):
@@ -269,17 +271,24 @@ class TestReports:
                          "--multistarts", "4", "--out", out])
         assert code == cli.EXIT_REFUTED
         report = cli.load_report(out)
-        witnesses = [r["p_membership"]["witness"] for r in report["points"]
-                     if r.get("p_membership", {}) and r["p_membership"]["witness"]]
-        assert witnesses
-        w = witnesses[0]
-        J = np.asarray(w["J"])
-        X = np.asarray(w["X"])
-        assert J.shape == (6, 6)
-        assert X.shape == (6,)
-        assert w["value"] < -1e-9
-        assert abs(np.linalg.norm(X) - 1.0) < 1e-9
-        assert np.max(np.abs(J @ J + np.eye(6))) < 1e-9
+        points = [r for r in report["points"]
+                  if r.get("p_membership", {}) and r["p_membership"]["witness"]]
+        assert points
+        for point in points:
+            w = point["p_membership"]["witness"]
+            J = np.asarray(w["J"])
+            X = np.asarray(w["X"])
+            assert J.shape == (6, 6)
+            assert X.shape == (6,)
+            assert w["value"] < -1e-9
+            assert abs(np.linalg.norm(X) - 1.0) < 1e-9
+            assert np.max(np.abs(J @ J + np.eye(6))) < 1e-9
+            # the value a reader recomputes from the report, bit for bit
+            config = report["config"]
+            R = riemann(cli.metric_from_dict(config["metric"]),
+                        ChartPoint(point["chart"], np.asarray(point["x"])),
+                        FDConfig(h=config["fd"]["h"], scheme=config["fd"]["scheme"]))
+            assert float(X @ ricci_star(R, J) @ X) == w["value"]
 
     def test_reports_hold_plain_json_types(self, tmp_path):
         """Records are built from plain types and only the envelope is
@@ -648,7 +657,7 @@ class TestEntryPointsAgree:
                 assert direct == via_spec
             return
         assert direct == via_spec
-        config = cli.RunConfig(metric=direct, points=1, seed=0, fd=FDConfig(),
+        config = cli.RunConfig(metric=direct, points=1, fd=FDConfig(),
                                options=CertifyOptions(), out=None)
         reported = json.loads(json.dumps(config.to_dict()["metric"]))
         assert cli.metric_from_dict(reported) == direct

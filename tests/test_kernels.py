@@ -27,10 +27,27 @@ def givens_conj(J, p, q, angle):
     return out
 
 
+def value(R, Js):
+    """lambda_min of each slice of the stack."""
+    return kernels.refute_value(kernels._by_pair(R), Js)[0]
+
+
+def value_and_grad(R, Js):
+    """Objective and gradient from the pair ``refute_value`` returns."""
+    Rp = kernels._by_pair(R)
+    return kernels.refute_value_and_grad(Rp, Js, kernels.refute_value(Rp, Js))
+
+
+def eigvalsh_lowest(R, Js):
+    """lambda_min of each slice by eigvalsh: a reference apart from the kernels."""
+    M = kernels.ricci_star_matrix(R, Js)
+    return np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
+
+
 def central_difference_grad(R, J, eps=1e-5):
     return np.array([
-        (kernels.refute_value(R, givens_conj(J, p, q, eps)[None])[0]
-         - kernels.refute_value(R, givens_conj(J, p, q, -eps)[None])[0]) / (2.0 * eps)
+        (value(R, givens_conj(J, p, q, eps)[None])[0]
+         - value(R, givens_conj(J, p, q, -eps)[None])[0]) / (2.0 * eps)
         for p, q in kernels.PAIRS])
 
 
@@ -52,20 +69,20 @@ class TestRefuteKernel:
     def test_value_matches_refute_value(self, samples):
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples:
-            val, grad = kernels.refute_value_and_grad(R, Js)
+            val, grad = value_and_grad(R, Js)
             assert val.shape == (25,) and grad.shape == (25, 15)
-            assert np.max(np.abs(val - kernels.refute_value(R, Js))) < 1e-12
+            assert np.max(np.abs(val - eigvalsh_lowest(R, Js))) < 1e-12
 
     def test_gradient_matches_central_differences(self, samples):
         for R, J, _ in samples:
-            _, grad = kernels.refute_value_and_grad(R, J[None])
+            _, grad = value_and_grad(R, J[None])
             # central differences amplify eigensolver noise by 1/(2 eps)
             assert np.max(np.abs(grad[0] - central_difference_grad(R, J))) < 1e-8
 
     def test_stacked_gradient_matches_central_differences(self, samples):
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples:
-            _, grads = kernels.refute_value_and_grad(R, Js)
+            _, grads = value_and_grad(R, Js)
             for grad, J in zip(grads, Js):
                 assert np.max(np.abs(grad - central_difference_grad(R, J))) < 1e-8
 
@@ -73,14 +90,15 @@ class TestRefuteKernel:
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples[:5]:
             M = kernels.ricci_star_matrix(R, Js)
-            val, grad = kernels.refute_value_and_grad(R, Js)
-            low = kernels.refute_value(R, Js)
+            val, grad = value_and_grad(R, Js)
+            _, x = kernels.refute_value(kernels._by_pair(R), Js)
             for s in (0, 7, 24):
                 one = Js[s:s + 1]
                 assert np.array_equal(kernels.ricci_star_matrix(R, one)[0], M[s])
-                v1, g1 = kernels.refute_value_and_grad(R, one)
+                v1, g1 = value_and_grad(R, one)
                 assert v1[0] == val[s] and np.array_equal(g1[0], grad[s])
-                assert kernels.refute_value(R, one)[0] == low[s]
+                assert np.array_equal(kernels.refute_value(kernels._by_pair(R), one)[1][0],
+                                      x[s])
             assert grad.flags.c_contiguous
 
     def test_ricci_star_is_a_stack_of_one(self, samples):
@@ -104,12 +122,12 @@ class TestRefuteKernel:
             S[p, q] -= c[idx]
         eps = 1e-5
 
-        def value(t):
+        def along(t):
             E = expm(t * S)
-            return kernels.refute_value(R, (E @ J @ E.T)[None])[0]
+            return value(R, (E @ J @ E.T)[None])[0]
 
-        slope = (value(eps) - value(-eps)) / (2.0 * eps)
-        _, grad = kernels.refute_value_and_grad(R, J[None])
+        slope = (along(eps) - along(-eps)) / (2.0 * eps)
+        _, grad = value_and_grad(R, J[None])
         assert abs(slope - c @ grad[0]) < 1e-7
 
 
@@ -139,34 +157,36 @@ class TestDoubleSpectrum:
         """x^T (dS) x is the same for x and Jx where lambda_min is a simple
         pair, so the gradient does not depend on which one eigh returns."""
         for R, J in pairs:
-            w, vecs = np.linalg.eigh(kernels._symmetrized(kernels._by_pair(R), J[None]))
+            Rp = kernels._by_pair(R)
+            w, vecs = np.linalg.eigh(kernels._symmetrized(Rp, J[None]))
             assert w[0, 2] - w[0, 1] > 1e-3            # the lambda_min pair is simple
             x = vecs[:, :, :1]
-            _, grad = kernels.refute_value_and_grad(R, J[None], low=(w[:, 0], x))
-            _, grad_J = kernels.refute_value_and_grad(R, J[None], low=(w[:, 0], J @ x))
+            _, grad = kernels.refute_value_and_grad(Rp, J[None], (w[:, 0], x))
+            _, grad_J = kernels.refute_value_and_grad(Rp, J[None], (w[:, 0], J @ x))
             assert np.max(np.abs(grad - grad_J)) < 1e-10 * max(1.0, np.max(np.abs(grad)))
 
 
 class TestKeptEigenpairs:
-    """What the line search reuses: ``refute_value(..., with_vectors=True)``
-    returns eigh's lowest pair, and the gradient taken from that pair is
-    the gradient that runs its own eigh, bit for bit."""
+    """What the search reuses: ``refute_value`` returns eigh's lowest pair,
+    and the gradient taken from that pair is the gradient taken from a
+    fresh eigh of the same stack, bit for bit."""
 
     def test_vectors_are_eighs(self, samples):
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples[:5]:
-            val, x = kernels.refute_value(R, Js, with_vectors=True)
+            val, x = kernels.refute_value(kernels._by_pair(R), Js)
             w, vecs = np.linalg.eigh(kernels._symmetrized(kernels._by_pair(R), Js))
             assert np.array_equal(val, w[:, 0]) and np.array_equal(x, vecs[:, :, :1])
             assert x.flags.c_contiguous
-            assert np.max(np.abs(val - kernels.refute_value(R, Js))) < 1e-12
+            assert np.max(np.abs(val - eigvalsh_lowest(R, Js))) < 1e-12
 
     def test_gradient_from_kept_pair_is_identical(self, samples):
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples[:5]:
             Rp = kernels._by_pair(R)
-            val, grad = kernels.refute_value_and_grad(R, Js)
-            low = kernels.refute_value(R, Js, Rp, with_vectors=True)
-            kept_val, kept_grad = kernels.refute_value_and_grad(R, Js, Rp, low)
+            w, vecs = np.linalg.eigh(kernels._symmetrized(Rp, Js))
+            val, grad = kernels.refute_value_and_grad(
+                Rp, Js, (w[:, 0], np.ascontiguousarray(vecs[:, :, :1])))
+            kept_val, kept_grad = kernels.refute_value_and_grad(
+                Rp, Js, kernels.refute_value(Rp, Js))
             assert np.array_equal(kept_val, val) and np.array_equal(kept_grad, grad)
-            assert np.array_equal(kernels.refute_value(R, Js, Rp), kernels.refute_value(R, Js))

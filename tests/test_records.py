@@ -25,7 +25,7 @@ RECORDS = [
     (ct.PMembership, "status sup_lower sup_upper threshold witness", None),
     (ct.LemmaLLResult, "hypotheses_met nondegenerate det_value deviation", None),
     (ct.SearchConfig, "multistarts tol seed", None),
-    (ct.RefutationResult, "witness best_value best_J", None),
+    (ct.RefutationResult, "witness best_value", None),
     (ct.Certificate, "bhl p_membership lemma_ll spectrum verdict_notes", None),
     (ct.CertifyOptions, "checks search", None),
     (cv.CurvatureOperator, "matrix spectrum", None),
@@ -33,7 +33,7 @@ RECORDS = [
     (sp.ChartPoint, "chart_id x", ("south", np.full(6, 0.1))),
     (sp.FDConfig, "h scheme", (2e-3, "richardson_4th")),
     (sp.MetricField, "family params scale", ("ellipsoid", {"axes": [2.0] * 7}, 0.5)),
-    (cli.RunConfig, "metric points seed fd options out", None),
+    (cli.RunConfig, "metric points fd options out", None),
     (bd.PerturbationBudget, "eps1 eps2", (0.01, 0.02)),
     (bd.BudgetCheck, "quadratic_ok linear_ok implied_bound", None),
     (sr.FrameMatrix, "alpha a alpha_plain M frame gap", None),

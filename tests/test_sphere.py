@@ -277,6 +277,28 @@ class TestMetricFamilies:
                                               "of 1329 bits is not a finite number$"):
             sp.MetricField("ellipsoid", {"axes": [1, 1, 1, 10 ** 400, 1, 1, 1]})
         assert sp.MetricField("round", scale=10 ** 300).scale == 10 ** 300
+        # the schema's own messages: repr fails on an int of more than
+        # 4300 digits, so such an int is named by its bit length
+        huge = 10 ** 5000
+        index = [[huge, 0, [[1.0, [0] * 6]]]]
+        power = [[0, 0, [[1.0, [-huge] + [0] * 5]]]]
+        for build, where, text in (
+                (lambda: sp.MetricField("ellipsoid", {"axes": [1] * 6 + [-huge]}),
+                 "axes/6", "is less than or equal to the minimum of 0"),
+                (lambda: sp.MetricField("custom", {"terms": index}),
+                 "terms/0/0", "is greater than the maximum of 5"),
+                (lambda: sp.MetricField("custom", {"terms": power}),
+                 "terms/0/2/0/1/0", "is less than the minimum of 0"),
+                (lambda: sp.MetricField("round", scale=-huge),
+                 "scale", "is less than or equal to the minimum of 0")):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert str(err.value) == ("invalid metric spec at '%s': an integer of "
+                                      "16610 bits %s" % (where, text))
+        with pytest.raises(ConfigError) as err:
+            sp.MetricField("ellipsoid", {"axes": [1] * 7 + [sign * huge]})
+        assert str(err.value) == ("invalid metric spec at 'axes': [1, 1, 1, 1, 1, 1, 1, "
+                                  "an integer of 16610 bits] is too long")
 
 
 class TestSPDScreen:
