@@ -31,7 +31,6 @@ from .hermitian import (
     random_orthogonal_complex_structure,
     standard_complex_structure,
 )
-from .kernels import _P, _Q
 from .rng import make_rng
 
 P_THRESHOLD = 1.0 / 6.0          # sufficient sup-norm bound for dim 6
@@ -97,21 +96,21 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
 
 
 _EYE6 = np.eye(6)
+_THETA = math.sqrt(0.5)
 
 
-def _cayley(K: np.ndarray) -> np.ndarray:
-    """Cayley retraction (I - K/2)^-1 (I + K/2) of each real skew matrix
-    of an (S, 6, 6) stack: a rotation that agrees with exp(K) to second
-    order (Wen & Yin 2013).  I - K/2 is invertible for every skew K, as
-    its eigenvalues are 1 - i t/2 with t real."""
-    half = 0.5 * K
-    return np.linalg.solve(_EYE6 - half, _EYE6 + half)
+def _geodesic(D: np.ndarray, D2: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp(t_s D_s) for unit tangents D (S, 6, 6) of the twistor fibre
+    SO(6)/U(3) = CP^3 (skew, anticommuting with J, |D|_F^2 = 2), D2 = D @ D.
+    CP^3 has rank one, so D^3 = -theta^2 D with theta^2 = |D|_F^2 / 4."""
+    a = np.sin(_THETA * t) / _THETA
+    b = 2.0 * (np.sin(0.5 * _THETA * t) / _THETA) ** 2
+    return _EYE6 + a[:, None, None] * D + b[:, None, None] * D2
 
 
 def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
     """Nearest orthogonal complex structure (polar factor of the skew part)."""
-    A = 0.5 * (Js - Js.transpose(0, 2, 1))
-    U, _, Vt = np.linalg.svd(A)
+    U, _, Vt = np.linalg.svd(0.5 * (Js - Js.transpose(0, 2, 1)))
     return U @ Vt
 
 
@@ -121,13 +120,13 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 
     Each start keeps its own step and stops on its own: at MAX_ITER, at a
     gradient norm below GRAD_TOL, or when its step falls to 1e-12 without
-    an improving trial.  A trial moves J to E J E^T along the normalized
-    negative gradient, with E the Cayley retraction (``_cayley``) of the
-    step's skew generator.  Per start, a trial is accepted when it lowers
-    the value (step x 1.5) and rejected otherwise (step x 0.5).  Every
-    valuation (the starts, each round of trials, the polished result) is
-    one stacked ``kernels.refute_value``, and each gradient takes the
-    eigenpair its start's J was last valued with.
+    an improving trial; |g| = |G|_F / sqrt 2 is the gradient norm.  A
+    trial moves J to E J E^T along the geodesic E = exp(step D) of the
+    unit direction D = -G / |g| (``_geodesic``).  Per start, it is
+    accepted when it lowers the value (step x 1.5) and rejected otherwise
+    (step x 0.5).  Every valuation (the starts, each round of trials, the
+    polished result) is one stacked ``kernels.refute_value``, and each
+    gradient takes the eigenpair its start's J was last valued with.
     """
     Rp = kernels._by_pair(R)
     Js = np.array(Js, dtype=float)
@@ -137,22 +136,20 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     for _ in range(MAX_ITER):
         if not active.size:
             break
-        val, grad = kernels.refute_value_and_grad(
+        val, G = kernels.refute_value_and_grad(
             Rp, Js[active], (low_val[active], low_vec[active]))
-        gnorm = np.sqrt((grad[:, None, :] @ grad[:, :, None])[:, 0, 0])
+        gnorm = np.sqrt(0.5 * (G.reshape(-1, 1, 36) @ G.reshape(-1, 36, 1))[:, 0, 0])
         moving = gnorm >= GRAD_TOL
         active, val = active[moving], val[moving]
-        direction = -grad[moving] / gnorm[moving, None]
+        D = -G[moving] / gnorm[moving, None, None]
+        D2 = D @ D
         # line search in rounds: each round tries every pending start once
         pending = np.flatnonzero(step[active] > 1e-12)
         moved = np.zeros(len(active), dtype=bool)
         while pending.size:
             starts = active[pending]
-            c = step[starts, None] * direction[pending]
-            K = np.zeros((len(pending), 6, 6))
-            K[:, _Q, _P] = c
-            K[:, _P, _Q] = -c
-            E = _cayley(K)
+            E = _geodesic(D[pending], D2[pending], step[starts])
+            # E J E^T, not E^2 J, which would let J's rounding error grow
             J_try = E @ Js[starts] @ E.transpose(0, 2, 1)
             trial, vec = kernels.refute_value(Rp, J_try)
             accept = trial < val[pending]
@@ -168,14 +165,22 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return (*kernels.refute_value(Rp, Js), Js)
 
 
+def _witness_direction(J: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Unit projection onto the plane span(x, Jx) of the first e_k whose
+    projection is longest: it depends on the plane, not on x within it."""
+    y = J @ x
+    k = int(np.argmax(x * x + y * y))
+    return (x[k] * x + y[k] * y) / math.sqrt(x[k] ** 2 + y[k] ** 2)
+
+
 def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationResult:
     """Multistart minimization of the smallest eigenvalue of the
     symmetrized star-Ricci form over orthogonal complex structures.
 
     All starts descend together as one stack.  Returns a witness when a
-    value below -tol is found: the winner's J, and as X its eigenvector
-    with the largest entry positive.  ``none found`` is NOT a membership
-    proof.  Starts are orientation-compatible.
+    value below -tol is found: the winner's J and, as X, a unit vector of
+    its lambda_min plane (``_witness_direction``).  ``none found`` is NOT
+    a membership proof.  Starts are orientation-compatible.
     """
     cfg = config or SearchConfig()
     R = np.asarray(R, dtype=float)
@@ -189,10 +194,8 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
         s = int(np.argmin(vals))
         best_val = vals[s]
         if best_val < -cfg.tol:
-            J, X = Js[s], vecs[s, :, 0]
-            if X[np.argmax(np.abs(X))] < 0:
-                X = -X
-            witness = Witness(J=J, X=X, value=float(X @ ricci_star(R, J) @ X))
+            X = _witness_direction(Js[s], vecs[s, :, 0])
+            witness = Witness(J=Js[s], X=X, value=float(X @ ricci_star(R, Js[s]) @ X))
     return RefutationResult(witness=witness, best_value=float(best_val))
 
 
@@ -234,10 +237,8 @@ def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
     project onto (1,1), and check nondegeneracy around zeta0 = omega."""
     J = standard_complex_structure()
     omega = fundamental_two_form(None, J)
-    if bhl.passed:
-        c = 0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
-    else:
-        c = 1.0
+    c = (0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
+         if bhl.passed else 1.0)
     zeta_raw = c * operator_apply(op, omega)
     zeta = 0.5 * (zeta_raw + J.T @ zeta_raw @ J)   # (1,1) projection
     return check_lemma_LL(omega, zeta, J)
@@ -250,6 +251,8 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
     unknown = set(opts.checks) - set(VALID_CHECKS)
     if unknown or not opts.checks:
         raise InputError("invalid checks: %s" % sorted(unknown))
+    if "lemma_ll_demo" in opts.checks and "bhl" not in opts.checks:
+        raise InputError("lemma_ll_demo needs the bhl check")
 
     op = curvature_operator(R)
     notes = []
@@ -274,7 +277,7 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
                      % (membership.status, membership.sup_upper, membership.threshold))
 
     lemma = None
-    if "lemma_ll_demo" in opts.checks and bhl is not None:
+    if "lemma_ll_demo" in opts.checks:
         lemma = _lemma_ll_demo(op, bhl)
         notes.append("lemma_ll demo: hypotheses %s, nondegenerate %s"
                      % (lemma.hypotheses_met, lemma.nondegenerate))

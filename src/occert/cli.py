@@ -115,6 +115,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     bad = set(checks) - set(VALID_CHECKS)
     if bad:
         raise ConfigError("unknown checks: %s" % ", ".join(sorted(bad)))
+    if "lemma_ll_demo" in checks and "bhl" not in checks:
+        raise ConfigError("--checks lemma_ll_demo needs bhl, whose result it reads")
     # closed-form curvature unless a finite-difference flag is given
     if args.richardson:
         scheme = "richardson_4th"
@@ -164,13 +166,11 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
         "lambda_min": float(cert.spectrum[0]),
         "lambda_max": float(cert.spectrum[-1]),
     }
-    refuted = False
-    affirmed = True
+    statuses = []                   # one per decision check that ran
     if cert.bhl is not None:
         record["bhl"] = {"passed": cert.bhl.passed, "margin": cert.bhl.margin,
                          "boundary": cert.bhl.boundary}
-        refuted = refuted or not cert.bhl.passed
-        affirmed = affirmed and cert.bhl.passed
+        statuses.append("certified" if cert.bhl.passed else "refuted")
     if cert.p_membership is not None:
         pm = cert.p_membership
         wit = None
@@ -180,8 +180,7 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
         record["p_membership"] = {"status": pm.status, "sup_lower": pm.sup_lower,
                                   "sup_upper": pm.sup_upper,
                                   "threshold": pm.threshold, "witness": wit}
-        refuted = refuted or pm.status == "refuted"
-        affirmed = affirmed and pm.status == "certified"
+        statuses.append(pm.status)
     if cert.lemma_ll is not None:
         record["lemma_ll"] = {
             "hypotheses_met": cert.lemma_ll.hypotheses_met,
@@ -189,8 +188,8 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
             "det_value": cert.lemma_ll.det_value,
             "deviation": cert.lemma_ll.deviation,
         }
-    record["verdict"] = ("refuted" if refuted
-                         else "certified" if affirmed else "unknown")
+    record["verdict"] = ("refuted" if "refuted" in statuses
+                         else "certified" if set(statuses) == {"certified"} else "unknown")
     record["notes"] = cert.verdict_notes
     record["error"] = None
     return record

@@ -58,9 +58,8 @@ def refute_value(Rp: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def refute_value_and_grad(Rp: np.ndarray, Js: np.ndarray,
                           low: tuple[np.ndarray, np.ndarray]
                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Objective (S,) and its gradient (S, 15) over the 15 rotation generators.
-
-    Generator (p, q) moves J along E J E^T with E = exp(t (E_qp - E_pq)).
+    """Objective (S,) and its gradient, the skew G (S, 6, 6) whose <K, G> / 2
+    is the slope along exp(t K) J exp(-t K) for skew K; G anticommutes with J.
     ``low`` is (lambda_min, x) of each slice, as :func:`refute_value` returns it.
 
     Every eigenvalue of the symmetrized form S is double: rho*(JX, JY) =
@@ -69,7 +68,7 @@ def refute_value_and_grad(Rp: np.ndarray, Js: np.ndarray,
     holding, so where that pair is simple (lambda_min of multiplicity
     exactly two) lambda_min is smooth and its derivative is x^T (dS) x
     for either unit vector of the pair (Magnus 1985).  M is bilinear in
-    J, so all 15 partials come from contracting R once with x.
+    J, so the whole gradient comes from contracting R once with x.
     """
     val, x = low                                   # x: (S, 6, 1)
     xt = x.transpose(0, 2, 1)                      # (S, 1, 6)
@@ -83,6 +82,4 @@ def refute_value_and_grad(Rp: np.ndarray, Js: np.ndarray,
     # dJ = K J - J K for skew K, so <dJ, W> = <K, W J^T - J^T W>
     Jt = Js.transpose(0, 2, 1)
     Z = W @ Jt - Jt @ W
-    # C order at every stack size: advanced indexing lays a stack of one
-    # out differently, and reductions over the rows follow the layout
-    return val, np.ascontiguousarray(Z[:, _Q, _P] - Z[:, _P, _Q])
+    return val, Z - Z.transpose(0, 2, 1)

@@ -18,6 +18,7 @@ from occert import kernels
 from occert import structures as sr
 from occert.errors import InputError
 from occert.rng import make_rng
+from occert.sphere import FDConfig, MetricField, riemann, sample_points
 
 
 class TestBhl:
@@ -179,16 +180,16 @@ class TestStackedSearch:
             starts.append(len(Js))
             vals = np.array([np.nan, 2.0, -1.0, -1.0, np.nan])
             vecs = -np.eye(6)[:len(Js), :, None]
-            return vals, vecs, np.arange(len(Js), dtype=float)[:, None, None] * Js
+            return vals, vecs, Js
 
         monkeypatch.setattr(ct, "_descend", fake_descend)
         res = ct.refute_P(G, ct.SearchConfig(multistarts=5, seed=1))
         assert starts == [5]
         assert res.best_value == -1.0
-        J = 2.0 * hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J
+        J = hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J
         assert np.array_equal(res.witness.J, J)
-        # the winner's vector, signed so that its largest entry is positive
-        assert np.array_equal(res.witness.X, np.eye(6)[2])
+        # from the winner's vector -e_2: e_2 is in its plane span(x, Jx)
+        assert np.max(np.abs(res.witness.X - np.eye(6)[2])) < 1e-15
         assert res.witness.value == float(res.witness.X @ cv.ricci_star(G, J) @ res.witness.X)
 
     def test_all_nan_finds_nothing(self, G, monkeypatch):
@@ -241,39 +242,85 @@ class TestKeptEigenpairs:
         assert np.array_equal(vecs, fresh_vecs)
 
 
-class TestCayley:
-    """The line search's retraction on random skew stacks, small steps to
-    steps far beyond any the search takes."""
+class TestGeodesic:
+    """The line search's step exp(t D) on unit tangents D of the twistor
+    fibre, small steps to steps far beyond any the search takes."""
 
     @pytest.fixture(scope="class")
-    def skews(self):
-        a = make_rng(17).normal(size=(64, 6, 6))
-        K = a - a.transpose(0, 2, 1)
-        return K / np.linalg.norm(K, ord=2, axis=(1, 2))[:, None, None]
+    def tangents(self):
+        """Random D = (K + J K J) / 2, the part of a skew K that anticommutes
+        with J, scaled as the search scales -G: |D|_F^2 = 2."""
+        rng = make_rng(17)
+        out = []
+        for _ in range(64):
+            J = hm.random_orthogonal_complex_structure(rng).J
+            K = rng.normal(size=(6, 6))
+            K -= K.T
+            D = 0.5 * (K + J @ K @ J)
+            out.append(D / np.sqrt(0.5 * np.sum(D * D)))
+        D = np.array(out)
+        return D, D @ D
 
     @pytest.mark.parametrize("t", [1e-6, 1e-2, 0.3, 1.0, 10.0, 100.0])
-    def test_rotation(self, skews, t):
-        E = ct._cayley(t * skews)
-        assert np.max(np.abs(E @ E.transpose(0, 2, 1) - np.eye(6))) <= 1e-13
-        assert np.max(np.abs(np.linalg.det(E) - 1.0)) <= 1e-13
+    def test_rotation(self, tangents, t):
+        E = ct._geodesic(*tangents, np.full(64, t))
+        assert np.max(np.abs(E @ E.transpose(0, 2, 1) - np.eye(6))) <= 1e-14
+        assert np.max(np.abs(np.linalg.det(E) - 1.0)) <= 1e-14
 
-    def test_third_order_agreement_with_exp(self, skews):
-        """On an eigenvalue i theta of K, exp is e^(i theta) and Cayley is
-        e^(2 i atan(theta / 2)), so for |K|_2 = t small the spectral-norm
-        error is |e^(it) - e^(2i atan(t/2))| = t^3 / 12 + O(t^5)."""
-        for t in (1e-1, 3e-2, 1e-2):
-            expected = abs(np.exp(1j * t) - np.exp(2j * np.arctan(t / 2)))
-            assert expected <= t ** 3 / 12
-            for K in t * skews:
-                err = np.linalg.norm(ct._cayley(K[None])[0] - expm(K), ord=2)
-                assert err == pytest.approx(expected, rel=1e-6)
+    def test_matches_expm(self, tangents):
+        """expm's own error grows with |t D|: against a 40-digit exp it is
+        up to 5e-14 at t = 100, where the closed form is within 2e-14."""
+        D, D2 = tangents
+        for t in (1e-6, 1e-2, 0.3, 1.0, 10.0, 100.0):
+            E = ct._geodesic(D, D2, np.full(64, t))
+            tol = 1e-14 if t <= 1.0 else 1e-13
+            for s in range(64):
+                assert np.max(np.abs(E[s] - expm(t * D[s]))) <= tol
 
-    def test_slices_do_not_depend_on_the_stack(self, skews):
-        K = 2.0 * skews
-        E64 = ct._cayley(K)
-        assert np.array_equal(ct._cayley(K[:7]), E64[:7])
+    def test_slices_do_not_depend_on_the_stack(self, tangents):
+        D, D2 = tangents
+        t = np.geomspace(1e-6, 100.0, 64)
+        E64 = ct._geodesic(D, D2, t)
+        assert np.array_equal(ct._geodesic(D[:7], D2[:7], t[:7]), E64[:7])
         for s in range(64):
-            assert np.array_equal(ct._cayley(K[s:s + 1])[0], E64[s])
+            assert np.array_equal(ct._geodesic(D[s:s + 1], D2[s:s + 1], t[s:s + 1])[0],
+                                  E64[s])
+
+    def test_search_stays_on_the_complex_structures(self, monkeypatch):
+        """Unpolished, every J the search values on the refute ellipsoid is
+        an orthogonal complex structure to rounding.  Moving J by E^2 J
+        instead of E J E^T lets its error grow into the next gradients."""
+        metric = MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]})
+        fd = FDConfig(h=1e-3, scheme="richardson_4th")
+        starts = np.array([hm.random_orthogonal_complex_structure(
+            make_rng(7, 211, s)).J for s in range(8)])
+        worst = []
+        value = kernels.refute_value
+
+        def checked(Rp, Js):
+            worst.append(max(np.max(np.abs(Js @ Js + np.eye(6))),
+                             np.max(np.abs(Js @ Js.transpose(0, 2, 1) - np.eye(6)))))
+            return value(Rp, Js)
+
+        monkeypatch.setattr(ct, "_polish_complex_structure", lambda Js: Js)
+        monkeypatch.setattr(kernels, "refute_value", checked)
+        for point in sample_points(2, 7):
+            ct._descend(riemann(metric, point, fd), starts)
+        assert len(worst) > 2 * ct.MAX_ITER and max(worst) <= 1e-12
+
+
+class TestWitnessDirection:
+    def test_depends_on_the_plane_only(self):
+        rng = make_rng(31)
+        for _ in range(50):
+            J = hm.random_orthogonal_complex_structure(rng).J
+            x = rng.normal(size=6)
+            x /= np.linalg.norm(x)
+            X = ct._witness_direction(J, x)
+            assert abs(np.linalg.norm(X) - 1.0) < 1e-14
+            for phi in np.linspace(0.1, 2 * np.pi, 13):
+                turned = np.cos(phi) * x + np.sin(phi) * (J @ x)
+                assert np.max(np.abs(ct._witness_direction(J, turned) - X)) <= 1e-14
 
 
 class TestLemmaLL:
@@ -389,3 +436,12 @@ class TestCertifyPoint:
     def test_invalid_checks_rejected(self, G):
         with pytest.raises(InputError):
             ct.certify_point(G, options=ct.CertifyOptions(checks=("nope",)))
+
+    def test_lemma_demo_needs_bhl(self, G):
+        """Without bhl, no decision check would run and the point would read
+        as certified."""
+        with pytest.raises(InputError, match="lemma_ll_demo needs the bhl check"):
+            ct.certify_point(G, options=ct.CertifyOptions(checks=("lemma_ll_demo",)))
+        with pytest.raises(InputError, match="lemma_ll_demo"):
+            ct.certify_point(G, options=ct.CertifyOptions(
+                checks=("p_sufficient", "lemma_ll_demo")))

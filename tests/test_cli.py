@@ -128,6 +128,18 @@ class TestConfigParsing:
             cli.parse_config(parser.parse_args(
                 ["certify", "--metric", "round", "--checks", "bhl,nope"]))
 
+    @pytest.mark.parametrize("checks", ["lemma_ll_demo", "p_sufficient,p_refute,lemma_ll_demo"])
+    def test_lemma_demo_without_bhl_exit_2(self, tmp_path, capsys, checks):
+        """The demo reads bhl's result; without bhl no decision check would
+        run and every point would read as certified."""
+        out = tmp_path / "report.json"
+        code = cli.main(["certify", "--metric", "round", "--points", "3",
+                         "--checks", checks, "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "error: --checks lemma_ll_demo needs bhl, whose result it reads\n")
+        assert not out.exists()
+
     def test_metric_or_spec_required(self):
         args = cli.build_parser().parse_args(["certify"])
         with pytest.raises(ConfigError):

@@ -1,6 +1,6 @@
 """The search kernels: the analytic lambda_min gradient against central
-differences over the 15 Givens generators, the pair order, and stacks of
-complex structures."""
+differences over the 15 Givens generators, its skew generator form, and
+stacks of complex structures."""
 
 from __future__ import annotations
 
@@ -44,6 +44,16 @@ def eigvalsh_lowest(R, Js):
     return np.linalg.eigvalsh(0.5 * (M + M.transpose(0, 2, 1)))[:, 0]
 
 
+def givens_slopes(G):
+    """The slope <S, G> / 2 along each Givens generator S = E_qp - E_pq."""
+    out = []
+    for p, q in kernels.PAIRS:
+        S = np.zeros((6, 6))
+        S[q, p], S[p, q] = 1.0, -1.0
+        out.append(0.5 * np.sum(S * G))
+    return np.array(out)
+
+
 def central_difference_grad(R, J, eps=1e-5):
     return np.array([
         (value(R, givens_conj(J, p, q, eps)[None])[0]
@@ -70,21 +80,23 @@ class TestRefuteKernel:
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples:
             val, grad = value_and_grad(R, Js)
-            assert val.shape == (25,) and grad.shape == (25, 15)
+            assert val.shape == (25,) and grad.shape == (25, 6, 6)
             assert np.max(np.abs(val - eigvalsh_lowest(R, Js))) < 1e-12
 
     def test_gradient_matches_central_differences(self, samples):
         for R, J, _ in samples:
             _, grad = value_and_grad(R, J[None])
             # central differences amplify eigensolver noise by 1/(2 eps)
-            assert np.max(np.abs(grad[0] - central_difference_grad(R, J))) < 1e-8
+            assert np.max(np.abs(givens_slopes(grad[0])
+                                 - central_difference_grad(R, J))) < 1e-8
 
     def test_stacked_gradient_matches_central_differences(self, samples):
         Js = np.array([J for _, J, _ in samples])
         for R, _, _ in samples:
             _, grads = value_and_grad(R, Js)
             for grad, J in zip(grads, Js):
-                assert np.max(np.abs(grad - central_difference_grad(R, J))) < 1e-8
+                assert np.max(np.abs(givens_slopes(grad)
+                                     - central_difference_grad(R, J))) < 1e-8
 
     def test_slices_do_not_depend_on_the_stack(self, samples):
         Js = np.array([J for _, J, _ in samples])
@@ -112,7 +124,7 @@ class TestRefuteKernel:
     def test_pair_order(self, samples):
         assert kernels.PAIRS == tuple(
             (i, j) for i in range(6) for j in range(i + 1, 6))
-        # a step assembled from PAIRS as the search does has slope c . grad
+        # a skew step assembled from PAIRS has slope <S, G> / 2 = c . (G[q, p])
         rng = make_rng(7)
         R, J, _ = samples[0]
         c = rng.normal(size=len(kernels.PAIRS))
@@ -128,8 +140,18 @@ class TestRefuteKernel:
 
         slope = (along(eps) - along(-eps)) / (2.0 * eps)
         _, grad = value_and_grad(R, J[None])
-        assert abs(slope - c @ grad[0]) < 1e-7
+        assert abs(slope - 0.5 * np.sum(S * grad[0])) < 1e-7
+        assert abs(slope - c @ givens_slopes(grad[0])) < 1e-7
 
+    def test_gradient_anticommutes_with_J(self, samples):
+        """A generator that commutes with J does not move it, so G has no
+        u(3) part (G - J G J) / 2: it is a tangent of SO(6)/U(3)."""
+        Js = np.array([J for _, J, _ in samples])
+        for R, _, _ in samples:
+            _, G = value_and_grad(R, Js)
+            u3 = 0.5 * (G - Js @ G @ Js)
+            norms = np.linalg.norm(G, axis=(1, 2))
+            assert np.all(np.linalg.norm(u3, axis=(1, 2)) <= 1e-14 * norms)
 
 
 class TestDoubleSpectrum:
