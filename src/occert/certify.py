@@ -110,7 +110,8 @@ def _geodesic(D: np.ndarray, D2: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
     """Nearest orthogonal complex structure (polar factor of the skew part)."""
-    U, _, Vt = np.linalg.svd(0.5 * (Js - Js.transpose(0, 2, 1)))
+    A = 0.5 * (Js - Js.transpose(0, 2, 1))
+    U, _, Vt = np.linalg.svd(A)
     return U @ Vt
 
 
@@ -237,8 +238,10 @@ def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
     project onto (1,1), and check nondegeneracy around zeta0 = omega."""
     J = standard_complex_structure()
     omega = fundamental_two_form(None, J)
-    c = (0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
-         if bhl.passed else 1.0)
+    if bhl.passed:
+        c = 0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
+    else:
+        c = 1.0
     zeta_raw = c * operator_apply(op, omega)
     zeta = 0.5 * (zeta_raw + J.T @ zeta_raw @ J)   # (1,1) projection
     return check_lemma_LL(omega, zeta, J)

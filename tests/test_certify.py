@@ -180,13 +180,13 @@ class TestStackedSearch:
             starts.append(len(Js))
             vals = np.array([np.nan, 2.0, -1.0, -1.0, np.nan])
             vecs = -np.eye(6)[:len(Js), :, None]
-            return vals, vecs, Js
+            return vals, vecs, -np.asarray(Js)   # -J: a complex structure, same planes
 
         monkeypatch.setattr(ct, "_descend", fake_descend)
         res = ct.refute_P(G, ct.SearchConfig(multistarts=5, seed=1))
         assert starts == [5]
         assert res.best_value == -1.0
-        J = hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J
+        J = -hm.random_orthogonal_complex_structure(make_rng(1, 211, 2)).J
         assert np.array_equal(res.witness.J, J)
         # from the winner's vector -e_2: e_2 is in its plane span(x, Jx)
         assert np.max(np.abs(res.witness.X - np.eye(6)[2])) < 1e-15
