@@ -32,6 +32,7 @@ from .hermitian import (
     standard_complex_structure,
 )
 from .rng import make_rng
+from .sphere import CheckedRecord
 
 P_THRESHOLD = 1.0 / 6.0          # sufficient sup-norm bound for dim 6
 TIE_TOL = 1e-12                  # strict inequalities: ties reported as fail
@@ -54,12 +55,27 @@ PMembership = namedtuple("PMembership", "status sup_lower sup_upper threshold wi
                          defaults=(None,))
 # deviation = |zeta - zeta0| in the 2-form norm
 LemmaLLResult = namedtuple("LemmaLLResult", "hypotheses_met nondegenerate det_value deviation")
-# knobs of the refutation search (engineering defaults); tol is the
-# witness threshold on the negative side
-SearchConfig = namedtuple("SearchConfig", "multistarts tol seed", defaults=(64, 1e-9, 0))
 RefutationResult = namedtuple("RefutationResult", "witness best_value")
 # per-point verdict record; a field is None when its check did not run
 Certificate = namedtuple("Certificate", "bhl p_membership lemma_ll spectrum verdict_notes")
+
+
+class SearchConfig(CheckedRecord,
+                   namedtuple("SearchConfig", "multistarts tol seed", defaults=(64, 1e-9, 0))):
+    """The refutation search (engineering defaults): multistarts >= 0 starts
+    drawn from seed >= 0; tol, 0 < tol < inf, is the witness threshold."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.multistarts < 0:
+            raise InputError("multistarts must be nonnegative")
+        if not 0 < self.tol < math.inf:          # also rejects nan
+            raise InputError("tol must be positive and finite")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
+        return self
 
 
 def check_bhl(spectrum) -> BhlResult:
@@ -224,11 +240,27 @@ def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,
                          det_value=det_value, deviation=float(dev))
 
 
-CertifyOptions = namedtuple("CertifyOptions", "checks search",
-                            defaults=(("bhl", "p_sufficient"), SearchConfig()))
-
-
 VALID_CHECKS = ("bhl", "p_sufficient", "p_refute", "lemma_ll_demo")
+
+
+class CertifyOptions(CheckedRecord,
+                     namedtuple("CertifyOptions", "checks search",
+                                defaults=(("bhl", "p_sufficient"), SearchConfig()))):
+    """The checks to run, at least one and each in VALID_CHECKS (lemma_ll_demo
+    reads bhl's result, so it needs bhl), and the search p_refute runs."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if not self.checks:
+            raise InputError("checks must name at least one check")
+        unknown = set(self.checks) - set(VALID_CHECKS)
+        if unknown:
+            raise InputError("unknown checks: %s" % ", ".join(sorted(unknown)))
+        if "lemma_ll_demo" in self.checks and "bhl" not in self.checks:
+            raise InputError("checks lemma_ll_demo needs bhl, whose result it reads")
+        return self
 
 
 def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
@@ -251,12 +283,6 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
     """Run the requested checks on one algebraic curvature tensor, given
     in a g-orthonormal basis."""
     opts = options or CertifyOptions()
-    unknown = set(opts.checks) - set(VALID_CHECKS)
-    if unknown or not opts.checks:
-        raise InputError("invalid checks: %s" % sorted(unknown))
-    if "lemma_ll_demo" in opts.checks and "bhl" not in opts.checks:
-        raise InputError("lemma_ll_demo needs the bhl check")
-
     op = curvature_operator(R)
     notes = []
     bhl = None

@@ -437,11 +437,10 @@ class TestCertifyPoint:
         with pytest.raises(InputError):
             ct.certify_point(G, options=ct.CertifyOptions(checks=("nope",)))
 
-    def test_lemma_demo_needs_bhl(self, G):
-        """Without bhl, no decision check would run and the point would read
-        as certified."""
-        with pytest.raises(InputError, match="lemma_ll_demo needs the bhl check"):
-            ct.certify_point(G, options=ct.CertifyOptions(checks=("lemma_ll_demo",)))
-        with pytest.raises(InputError, match="lemma_ll_demo"):
-            ct.certify_point(G, options=ct.CertifyOptions(
-                checks=("p_sufficient", "lemma_ll_demo")))
+    def test_lemma_demo_needs_bhl(self):
+        """The demo reads bhl's result, so options without bhl are rejected
+        when they are built, before any point runs."""
+        for checks in (("lemma_ll_demo",), ("p_sufficient", "lemma_ll_demo")):
+            with pytest.raises(InputError) as err:
+                ct.CertifyOptions(checks=checks)
+            assert str(err.value) == "checks lemma_ll_demo needs bhl, whose result it reads"

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 from conftest import saddle_metric
 from occert import cli, validation
-from occert.certify import CertifyOptions
-from occert.errors import ConditioningError, ConfigError, SchemaError
+from occert.certify import CertifyOptions, SearchConfig
+from occert.errors import ConditioningError, ConfigError, InputError, SchemaError
 from occert.curvature import ricci_star
 from occert.sphere import ChartPoint, FDConfig, MetricField, riemann, sample_points
 
@@ -26,6 +26,22 @@ def _write_spec(tmp_path, payload, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+# options the CLI rejects, and the record built directly from the same value
+_REJECTED_OPTIONS = [
+    (["--tol", "-1"], lambda: SearchConfig(tol=-1.0)),
+    (["--tol", "nan"], lambda: SearchConfig(tol=float("nan"))),
+    (["--tol", "inf"], lambda: SearchConfig(tol=float("inf"))),
+    (["--multistarts", "-1"], lambda: SearchConfig(multistarts=-1)),
+    (["--seed", "-3"], lambda: SearchConfig(seed=-3)),
+    (["--checks", " "], lambda: CertifyOptions(checks=())),
+    (["--checks", "bhl,nope"], lambda: CertifyOptions(checks=("bhl", "nope"))),
+    (["--checks", "lemma_ll_demo"], lambda: CertifyOptions(checks=("lemma_ll_demo",))),
+    (["--checks", "p_sufficient,p_refute,lemma_ll_demo"],
+     lambda: CertifyOptions(checks=("p_sufficient", "p_refute", "lemma_ll_demo"))),
+    (["--fd-step", "1.0"], lambda: FDConfig(h=1.0)),
+]
 
 
 class TestConfigParsing:
@@ -89,11 +105,31 @@ class TestConfigParsing:
         ("1" + "0" * 400, '{"family": "round", "scale": 1%s}' % ("0" * 400)),
     ])
     def test_non_finite_spec_numbers_exit_2(self, tmp_path, capsys, token, text):
+        """check_spec names the field that holds the number."""
+        at = {"NaN": "'axes/0': nan", "Infinity": "'scale': inf",
+              "-Infinity": "'f/coeffs/0': -inf", "1e999": "'scale': inf",
+              "1" + "0" * 400: "'scale': an integer of 1329 bits"}[token]
         path = tmp_path / "spec.json"
         path.write_text(text)
         code = cli.main(["certify", "--spec", str(path), "--points", "1"])
         assert code == cli.EXIT_CONFIG
-        assert "non-finite number %s" % token in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: invalid metric spec at %s is not a finite number\n" % at)
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"family": "round"}',
+        b'{"family": "round", "scale": 1' + b"0" * 4999 + b"}",
+    ], ids=["not-utf8", "5000-digit-integer"])
+    def test_unparsable_spec_file_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "spec.json"
+        path.write_bytes(content)
+        out = tmp_path / "report.json"
+        code = cli.main(["certify", "--spec", str(path), "--points", "1", "--out", str(out)])
+        assert code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_integral_floats_index_custom_terms(self):
         # the schema's "integer" admits 1.0, so table indices may be floats
@@ -137,7 +173,21 @@ class TestConfigParsing:
                          "--checks", checks, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
-            "error: --checks lemma_ll_demo needs bhl, whose result it reads\n")
+            "error: checks lemma_ll_demo needs bhl, whose result it reads\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, build", _REJECTED_OPTIONS,
+                             ids=[" ".join(flags) for flags, _ in _REJECTED_OPTIONS])
+    def test_cli_gives_the_record_text(self, tmp_path, capsys, flags, build):
+        """A rejected option prints the text of the record that states its
+        rule.  --points has no record: only parse_config checks it."""
+        with pytest.raises(InputError) as direct:
+            build()
+        out = tmp_path / "report.json"
+        code = cli.main(["certify", "--metric", "round", "--points", "1",
+                         "--out", str(out)] + flags)
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == "error: %s\n" % direct.value
         assert not out.exists()
 
     def test_metric_or_spec_required(self):

@@ -24,10 +24,10 @@ RECORDS = [
     (ct.Witness, "J X value", None),
     (ct.PMembership, "status sup_lower sup_upper threshold witness", None),
     (ct.LemmaLLResult, "hypotheses_met nondegenerate det_value deviation", None),
-    (ct.SearchConfig, "multistarts tol seed", None),
+    (ct.SearchConfig, "multistarts tol seed", (8, 1e-6, 3)),
     (ct.RefutationResult, "witness best_value", None),
     (ct.Certificate, "bhl p_membership lemma_ll spectrum verdict_notes", None),
-    (ct.CertifyOptions, "checks search", None),
+    (ct.CertifyOptions, "checks search", (("bhl", "p_refute"), ct.SearchConfig(8, 1e-6, 3))),
     (cv.CurvatureOperator, "matrix spectrum", None),
     (hm.ComplexStructure, "J compatible_orientation", None),
     (sp.ChartPoint, "chart_id x", ("south", np.full(6, 0.1))),
@@ -120,6 +120,13 @@ def test_pickle_round_trip(record, fields, values):
      "orientation must be +1 or -1"),
     (lambda: sr.EuclideanSpace(g=-np.eye(6)), InputError,
      "metric must be positive definite"),
+    (lambda: ct.SearchConfig(tol=float("nan")), InputError, "tol must be positive and finite"),
+    (lambda: ct.SearchConfig(multistarts=-1), InputError, "multistarts must be nonnegative"),
+    (lambda: ct.SearchConfig(seed=-3), InputError, "seed must be nonnegative"),
+    (lambda: ct.CertifyOptions(checks=()), InputError, "checks must name at least one check"),
+    (lambda: ct.CertifyOptions(checks=("bhl", "nope")), InputError, "unknown checks: nope"),
+    (lambda: ct.CertifyOptions(checks=("lemma_ll_demo",)), InputError,
+     "checks lemma_ll_demo needs bhl, whose result it reads"),
 ])
 def test_validation_texts(build, error, text):
     with pytest.raises(error) as err:
@@ -218,6 +225,8 @@ CHECKED = [
     (sp.MetricField, ("round",), {"scale": float("nan")}),
     (sr.EuclideanSpace, (), {"orientation": 2}),
     (bd.PerturbationBudget, (0.0, 0.0), {"eps1": -1.0}),
+    (ct.SearchConfig, (), {"tol": float("nan")}),
+    (ct.CertifyOptions, (), {"checks": ("lemma_ll_demo",)}),
 ]
 
 
