@@ -1,5 +1,6 @@
 """The perturbation budget around the round metric and a sampled estimate
-of a metric's deviation; library only, the command line never loads it."""
+of a metric's deviation, from exact curvature; library only, the command
+line never loads it."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ class PerturbationBudget(CheckedRecord, namedtuple("PerturbationBudget", "eps1 e
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.eps1 < 0 or self.eps2 < 0:
+        if not (self.eps1 >= 0 and self.eps2 >= 0):     # also rejects nan
             raise InputError("perturbation budget entries must be nonnegative")
         return self
 
@@ -52,20 +53,18 @@ def perturbation_budget_check(budget: PerturbationBudget) -> BudgetCheck:
 
 
 def estimate_perturbation(field: MetricField, points: list[ChartPoint],
-                          fd: FDConfig | None = None,
                           quad_samples: int = 256, seed: int = 0):
     """Sampled sup-norm deviations (metric, curvature) from the round
-    metric over the given points.  Estimates, not certified suprema.
-
-    Both curvatures are taken with ``fd`` (default central differences);
-    under 'exact' the round one is exact too.
+    metric over the given points, at least one; both curvatures are
+    exact.  Estimates, not certified suprema.
     """
-    fd = fd or FDConfig()
+    if not points:
+        raise InputError("need at least one point to estimate a perturbation")
     base = MetricField(family="round")
     eps1 = 0.0
     eps2 = 0.0
     rng = make_rng(seed, 13)
-    per_point = max(1, quad_samples // max(1, len(points)))
+    per_point = max(1, quad_samples // len(points))
     for pt in points:
         g0 = base.matrix(pt)
         g1 = field.matrix(pt)
@@ -73,10 +72,8 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint],
         h = B0.T @ (g1 - g0) @ B0
         eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
         # Deviation sampled in the round orthonormal frame of the point.
-        # Both curvatures use the same scheme: under a finite-difference
-        # one, the O(h^2) error the two share cancels in the difference.
-        dev = express_in_frame(_coordinate_riemann(field, pt, fd)[0]
-                               - _coordinate_riemann(base, pt, fd)[0], B0)
+        dev = express_in_frame(_coordinate_riemann(field, pt, FDConfig())[0]
+                               - _coordinate_riemann(base, pt, FDConfig())[0], B0)
         eps1 = max(eps1, float(np.max(np.abs(dev))))
         # the same numbers as one (4, 6) draw per sample
         vs = rng.normal(size=(per_point, 4, 6))

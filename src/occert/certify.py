@@ -10,6 +10,7 @@ as unknown; a failed search is never upgraded to a certificate.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -63,18 +64,21 @@ Certificate = namedtuple("Certificate", "bhl p_membership lemma_ll spectrum verd
 class SearchConfig(CheckedRecord,
                    namedtuple("SearchConfig", "multistarts tol seed", defaults=(64, 1e-9, 0))):
     """The refutation search (engineering defaults): multistarts >= 0 starts
-    drawn from seed >= 0; tol, 0 < tol < inf, is the witness threshold."""
+    drawn from seed >= 0, both integers; tol, 0 < tol < inf, is the
+    witness threshold."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.multistarts < 0:
-            raise InputError("multistarts must be nonnegative")
+        for name in ("multistarts", "seed"):     # a bool is no integer, as in the schemas
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InputError("%s must be an integer" % name)
+            if value < 0:
+                raise InputError("%s must be nonnegative" % name)
         if not 0 < self.tol < math.inf:          # also rejects nan
             raise InputError("tol must be positive and finite")
-        if self.seed < 0:
-            raise InputError("seed must be nonnegative")
         return self
 
 

@@ -38,10 +38,16 @@ def run_selftest() -> int:
     check("octonion table anchor e1 x e2 = e3",
           np.allclose(sr.cross7(e[0], e[1]), e[2]))
     pt = sp.sample_points(1, 0)[0]
-    R = sp.riemann(sp.MetricField(family="round"), pt, sp.FDConfig())
+    round_metric = sp.MetricField(family="round")
+    R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="central_2nd"))
     check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-4)
-    R = sp.riemann(sp.MetricField(family="round"), pt, sp.FDConfig(scheme="exact"))
+    R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="exact"))
     check("exact round-sphere curvature anchor",
           float(np.max(np.abs(R - G))) <= 1e-12)
+    nd = sr.nabla_J(round_metric, sr.ACSField(), pt)
+    # nearly Kaehler, (nabla_X J) X = 0, and nabla_X J anticommutes with J
+    worst = max(np.max(np.abs(nd.nabla + nd.nabla.transpose(2, 1, 0))),
+                np.max(np.abs(nd.nabla @ nd.J + nd.J @ nd.nabla)))
+    check("exact nabla J of the octonionic anchor", worst <= 1e-12)
     print("selftest result: %s" % ("PASS" if ok else "FAIL"))
     return EXIT_OK if ok else 1

@@ -1,7 +1,8 @@
 """Concrete metrics on the 6-sphere in stereographic charts.
 
-Riemann curvature from closed-form 2-jets of the metric or from finite
-differences of it, and point sampling.  All curvature leaving this
+Riemann curvature from closed-form 2-jets of the metric or, when the
+caller names a finite-difference scheme, from finite differences of it
+(the package's only ones), and point sampling.  All curvature leaving this
 module is re-expressed in a g-orthonormal frame and projected onto the
 algebraic curvature tensors, so the algebra layers always see g = Id and
 exact curvature identities.  The octonionic almost complex structure
@@ -44,7 +45,7 @@ class CheckedRecord:
 
 
 class ChartPoint(CheckedRecord, namedtuple("ChartPoint", "chart_id x")):
-    """chart_id 'north' or 'south' and x, 6 chart coordinates, |x| <= 1.5."""
+    """chart_id 'north' or 'south' and x, 6 finite chart coordinates, |x| <= 1.5."""
 
     __slots__ = ()
 
@@ -52,7 +53,10 @@ class ChartPoint(CheckedRecord, namedtuple("ChartPoint", "chart_id x")):
         self = super().__new__(cls, *args, **kwargs)
         if self.chart_id not in ("north", "south"):
             raise InputError("chart_id must be 'north' or 'south'")
-        if np.linalg.norm(self.x) > CHART_RADIUS + 1e-12:
+        x = np.asarray(self.x, dtype=float)
+        if x.shape != (6,) or not np.isfinite(x).all():
+            raise InputError("chart coordinates must be 6 finite numbers")
+        if np.linalg.norm(x) > CHART_RADIUS + 1e-12:
             raise InputError("chart coordinates exceed the chart radius")
         return self
 
@@ -92,8 +96,8 @@ def chart_to_ambient(point: ChartPoint) -> np.ndarray:
 def ambient_to_chart(p: np.ndarray) -> ChartPoint:
     """Chart point of a unit 7-vector, assigned to the chart where |x| <= 1."""
     p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
-        raise InputError("ambient point must lie on the unit sphere")
+    if p.shape != (7,) or not abs(np.linalg.norm(p) - 1.0) <= 1e-9:   # also rejects nan
+        raise InputError("ambient point must be a unit 7-vector")
     if p[6] <= 0:
         x = p[:6] / (1.0 - p[6])
         return ChartPoint("north", x)
@@ -156,14 +160,14 @@ def _stereographic_jets(chart_id: str, x: np.ndarray):
 
 
 class FDConfig(CheckedRecord,
-               namedtuple("FDConfig", "h scheme", defaults=(1e-3, "central_2nd"))):
-    """How curvature is differentiated: the scheme and the step h.
+               namedtuple("FDConfig", "h scheme", defaults=(1e-3, "exact"))):
+    """How :func:`riemann` differentiates the metric: the scheme and the step h.
 
-    'central_2nd' and 'richardson_4th' take finite differences of the
-    metric on a stencil of step h.  'exact' takes the closed-form 2-jets
-    of :meth:`MetricField.jets`; h then only sets the 100 h^2 identity
-    gate of :func:`riemann`.  The default is central differences; the CLI
-    selects 'exact' when neither --fd-step nor --richardson is given.
+    'exact', the default here and in the CLI, takes the closed-form
+    2-jets of :meth:`MetricField.jets`; h then only sets the 100 h^2
+    identity gate of :func:`riemann`.  'central_2nd' and
+    'richardson_4th' take finite differences of the metric on a stencil
+    of step h; the CLI selects them with --fd-step and --richardson.
     """
 
     __slots__ = ()
@@ -171,7 +175,7 @@ class FDConfig(CheckedRecord,
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if not (1e-6 <= self.h <= 1e-1):
-            raise InputError("step size must lie in [1e-6, 1e-1]")
+            raise InputError("finite-difference step h must lie in [1e-6, 1e-1]")
         if self.scheme not in ("central_2nd", "richardson_4th", "exact"):
             raise InputError("unknown curvature scheme %r" % self.scheme)
         return self
@@ -480,20 +484,6 @@ def _christoffel(g: np.ndarray, dg: np.ndarray, bases: np.ndarray):
     return (0.5 * (g_inv @ sym)).reshape(B, 6, 6, 6), g_inv
 
 
-def _levi_civita(field: MetricField, chart_id: str, bases: np.ndarray,
-                 fd: FDConfig):
-    """Christoffel symbols gamma[b, k, i, j], metric g[b], its inverse
-    g_inv[b] and metric derivative dg[b, i, a, c] = d_i g_ac at each row
-    of bases, from one metric evaluation over every base's stencil."""
-    samples = _stencil(bases, fd.h, fd.scheme)
-    B, S = samples.shape[:2]
-    g_all = field.matrices(chart_id, samples.reshape(-1, 6)).reshape(B, S, 6, 6)
-    g = g_all[:, 0]
-    dg = _fd_derivative(g_all[:, 1:], fd.h, fd.scheme, axis=1)
-    gamma, g_inv = _christoffel(g, dg, bases)
-    return gamma, g, g_inv, dg
-
-
 def _exact_levi_civita(field: MetricField, point: ChartPoint):
     """The derivative dgamma[m, k, i, j] = d_m Gamma^k_ij of the
     Christoffel symbols, the symbols gamma[k, i, j], the metric g and its
@@ -521,9 +511,15 @@ def _coordinate_riemann(field: MetricField, point: ChartPoint,
     if fd.scheme == "exact":
         dgamma, gamma, g, _ = _exact_levi_civita(field, point)
     else:
+        # Christoffel symbols at the point and at its stencil, from one
+        # metric evaluation over the stencil of every one of these bases
         bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h, fd.scheme)[0]
-        gamma_all, g_all, _, _ = _levi_civita(field, point.chart_id, bases, fd)
-        gamma, g = gamma_all[0], g_all[0]
+        samples = _stencil(bases, fd.h, fd.scheme)
+        B, S = samples.shape[:2]
+        g_all = field.matrices(point.chart_id, samples.reshape(-1, 6)).reshape(B, S, 6, 6)
+        dg = _fd_derivative(g_all[:, 1:], fd.h, fd.scheme, axis=1)
+        gamma_all, _ = _christoffel(g_all[:, 0], dg, bases)
+        gamma, g = gamma_all[0], g_all[0, 0]
         dgamma = _fd_derivative(gamma_all[1:], fd.h, fd.scheme)
     # dgamma[i, l, j, k] = d_i Gamma^l_jk.  Bracket-convention curvature,
     # then a global sign for the round anchor.
@@ -540,9 +536,9 @@ def riemann(field: MetricField, point: ChartPoint,
 
     The sign is fixed so that the unit round sphere yields the
     Kulkarni-Nomizu square of the metric (operator = identity).  The
-    scheme of ``fd`` (default central differences) chooses how the
-    metric is differentiated: 'exact' uses its closed-form 2-jets, the
-    others finite differences of step h.
+    scheme of ``fd`` chooses how the metric is differentiated: 'exact',
+    the default, uses its closed-form 2-jets, the others finite
+    differences of step h.
     Raises FDQualityError when the tensor violates the algebraic
     identities beyond 100 h^2 (or is not finite), whatever the scheme;
     otherwise returns its orthogonal projection onto the curvature

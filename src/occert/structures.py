@@ -2,7 +2,7 @@
 complex structures from frames, hat/sharp, the canonical-line projection
 scalar with a coframe oracle, (1,0)-forms, psi / phi / Chern-type forms,
 star-Ricci frame matrices, and the octonionic structure on S^6 with its
-covariant derivative (finite differences) and canonical-connection residuals.
+covariant derivative and canonical-connection residuals, all in closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from .errors import (CompatibilityError, ConfigError, ConventionMismatchError,
 from .hermitian import (TOL_CLASSIFY, ComplexStructure, _as_metric, fundamental_two_form,
                         lambda2_inner, standard_complex_structure)
 from .rng import haar_orthogonal, make_rng
-from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _exact_levi_civita,
-                     _fd_derivative, _jacobian_stack, _levi_civita, _stencil,
+from .sphere import (ChartPoint, CheckedRecord, MetricField, _christoffel, _stereographic_jets,
                      chart_to_ambient, orthonormal_frame)
 
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
@@ -413,12 +412,6 @@ def g2_structure(p: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,i->kj", OCTONION_EPS, p)
 
 
-def chart_jacobian(point: ChartPoint) -> np.ndarray:
-    """d(ambient)/d(chart): 7 x 6 Jacobian of :func:`chart_to_ambient`."""
-    return _jacobian_stack(point.chart_id,
-                           np.asarray(point.x, dtype=float)[None])[0]
-
-
 class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", None))):
     """Almost-complex-structure field.
 
@@ -429,18 +422,29 @@ class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", 
 
     __slots__ = ()
 
-    def chart_operator(self, point: ChartPoint) -> np.ndarray:
-        """J in chart coordinates: pseudo-inverse conjugation by the
-        chart Jacobian (the image of the cross product is tangent)."""
+    def chart_jet(self, point: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
+        """J in chart coordinates and its chart derivative dJ[l] = d_l J.
+
+        The octonionic J is M^-1 P^T Jp P, with P the chart Jacobian,
+        M = P^T P and Jp = p x . (the image of the cross product is
+        tangent).  Jp is linear in p, so d_l Jp = (d_l p) x . and the
+        product rule on M J = P^T Jp P gives dJ in closed form."""
         if self.kind == "chart_constant":
             if self.matrix is None:
                 raise ConfigError("chart_constant ACS field needs a matrix")
-            return np.asarray(self.matrix, dtype=float)
+            return np.asarray(self.matrix, dtype=float), np.zeros((6, 6, 6))
         if self.kind != "g2_octonionic":
             raise ConfigError("unknown ACS field kind %r" % self.kind)
-        P = chart_jacobian(point)
+        P, D2p, _ = _stereographic_jets(point.chart_id, np.asarray(point.x, dtype=float))
         Jp = g2_structure(chart_to_ambient(point))
-        return np.linalg.solve(P.T @ P, P.T @ (Jp @ P))
+        M = P.T @ P
+        J = np.linalg.solve(M, P.T @ (Jp @ P))
+        dP = D2p.transpose(2, 0, 1)                     # dP[l] = d_l P
+        dPt = dP.transpose(0, 2, 1)
+        dJp = np.einsum("ijk,il->lkj", OCTONION_EPS, P)  # dJp[l] = P[:, l] x .
+        # M d_l J = d_l (P^T Jp P) - (d_l M) J
+        rhs = dPt @ Jp @ P + P.T @ dJp @ P + P.T @ Jp @ dP - (dPt @ P + P.T @ dP) @ J
+        return J, np.linalg.solve(M, rhs)
 
 
 # Christoffel symbols gamma[k, i, j] = Gamma^k_ij, the metric and its
@@ -448,17 +452,17 @@ class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", 
 ConnectionCoefficients = namedtuple("ConnectionCoefficients", "gamma g g_inv")
 
 
-def christoffel(field: MetricField, point: ChartPoint,
-                fd: FDConfig | None = None) -> ConnectionCoefficients:
-    """Levi-Civita symbols, from the metric's closed-form jets under the
-    'exact' scheme and by finite differences of the metric otherwise."""
-    fd = fd or FDConfig()
-    if fd.scheme == "exact":
-        _, gamma, g, g_inv = _exact_levi_civita(field, point)
-        return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
-    gamma, g, g_inv, _ = _levi_civita(field, point.chart_id,
-                                      np.asarray(point.x, dtype=float)[None], fd)
-    return ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
+def christoffel(field: MetricField, point: ChartPoint) -> ConnectionCoefficients:
+    """Levi-Civita symbols from the metric's closed-form jets."""
+    return _connection(field, point)[0]
+
+
+def _connection(field: MetricField, point: ChartPoint):
+    """The Levi-Civita symbols and the metric derivative dg[i, a, c]."""
+    x = np.asarray(point.x, dtype=float)
+    g, dg, _ = field.jets(point.chart_id, x)
+    gamma, g_inv = _christoffel(g[None], dg[None], x[None])
+    return ConnectionCoefficients(gamma=gamma[0], g=g, g_inv=g_inv[0]), dg
 
 
 # J (6, 6) and its covariant derivative nabla[i] = nabla_{e_i} J (6, 6, 6)
@@ -466,31 +470,21 @@ def christoffel(field: MetricField, point: ChartPoint,
 NablaJData = namedtuple("NablaJData", "J nabla")
 
 
-def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
-                   fd: FDConfig):
+def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint):
     """Levi-Civita symbols, the metric derivative dg[i, a, c], J, its
     coordinate derivative dJ[i, k, j] and its covariant derivative
-    nab[i, k, j], all in chart coordinates; finite differences only."""
-    if fd.scheme == "exact":
-        raise InputError("the covariant derivative of J needs a "
-                         "finite-difference scheme, not 'exact'")
-    x = np.asarray(point.x, dtype=float)
-    gamma, g, g_inv, dg = _levi_civita(field, point.chart_id, x[None], fd)
-    conn = ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
-    Js = np.stack([acs.chart_operator(ChartPoint(point.chart_id, y))
-                   for y in _stencil(x[None], fd.h, fd.scheme)[0]])
-    J = Js[0]
-    dJ = _fd_derivative(Js[1:], fd.h, fd.scheme)
+    nab[i, k, j], all in chart coordinates and in closed form."""
+    conn, dg = _connection(field, point)
+    J, dJ = acs.chart_jet(point)
     nab = (dJ
            + np.einsum("kim,mj->ikj", conn.gamma, J)
            - np.einsum("mij,km->ikj", conn.gamma, J))
-    return conn, dg[0], J, dJ, nab
+    return conn, dg, J, dJ, nab
 
 
-def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint,
-            fd: FDConfig | None = None) -> NablaJData:
+def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint) -> NablaJData:
     """Covariant derivative of the J field, re-expressed orthonormally."""
-    conn, _, J, _, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
+    conn, _, J, _, nab = _chart_nabla_J(field, acs, point)
     B = orthonormal_frame(conn.g)
     B_inv = np.linalg.inv(B)
     J_onf = B_inv @ J @ B
@@ -505,11 +499,10 @@ CanonicalConnectionReport = namedtuple(
 
 
 def canonical_connection_check(field: MetricField, acs: ACSField,
-                               point: ChartPoint,
-                               fd: FDConfig | None = None) -> CanonicalConnectionReport:
+                               point: ChartPoint) -> CanonicalConnectionReport:
     """Residuals of the metric-and-complex connection built from the
     Levi-Civita symbols and the J-derivative, in chart coordinates."""
-    conn, dg, J, dJ, nab = _chart_nabla_J(field, acs, point, fd or FDConfig())
+    conn, dg, J, dJ, nab = _chart_nabla_J(field, acs, point)
     # Delta = Levi-Civita - (1/2) J (nabla J)
     delta = conn.gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
     # (Delta g)_ijk = d_i g_jk - Delta^m_ij g_mk - Delta^m_ik g_jm

@@ -78,7 +78,7 @@ def test_attributes_are_read_only(record, fields, values):
 
 
 def test_defaults():
-    assert sp.FDConfig() == (1e-3, "central_2nd")
+    assert sp.FDConfig() == (1e-3, "exact")
     assert ct.SearchConfig() == (64, 1e-9, 0)
     assert ct.CertifyOptions() == (("bhl", "p_sufficient"), ct.SearchConfig())
     assert ct.PMembership("unknown", 0.0, 1.0, 1.0 / 6.0).witness is None
@@ -105,7 +105,18 @@ def test_pickle_round_trip(record, fields, values):
      "chart_id must be 'north' or 'south'"),
     (lambda: sp.ChartPoint("north", np.ones(6)), InputError,
      "chart coordinates exceed the chart radius"),
-    (lambda: sp.FDConfig(h=1.0), InputError, "step size must lie in [1e-6, 1e-1]"),
+    pytest.param(lambda: sp.ChartPoint("north", np.zeros(5)), InputError,
+                 "chart coordinates must be 6 finite numbers", id="chart-point-5-vector"),
+    pytest.param(lambda: sp.ChartPoint("north", np.full(6, np.nan)), InputError,
+                 "chart coordinates must be 6 finite numbers", id="chart-point-nan"),
+    pytest.param(lambda: sp.ChartPoint("south", [0.1, np.inf, 0, 0, 0, 0]), InputError,
+                 "chart coordinates must be 6 finite numbers", id="chart-point-inf"),
+    pytest.param(lambda: sp.ambient_to_chart(np.eye(6)[0]), InputError,
+                 "ambient point must be a unit 7-vector", id="ambient-6-vector"),
+    pytest.param(lambda: sp.ambient_to_chart(np.full(7, np.nan)), InputError,
+                 "ambient point must be a unit 7-vector", id="ambient-nan"),
+    (lambda: sp.FDConfig(h=1.0), InputError,
+     "finite-difference step h must lie in [1e-6, 1e-1]"),
     (lambda: sp.FDConfig(scheme="forward"), InputError,
      "unknown curvature scheme 'forward'"),
     (lambda: sp.MetricField("nope"), ConfigError,
@@ -115,6 +126,10 @@ def test_pickle_round_trip(record, fields, values):
      "invalid metric spec at 'scale': nan is not a finite number"),
     (lambda: bd.PerturbationBudget(0.0, -1e-3), InputError,
      "perturbation budget entries must be nonnegative"),
+    pytest.param(lambda: bd.PerturbationBudget(float("nan"), 0.0), InputError,
+                 "perturbation budget entries must be nonnegative", id="budget-nan"),
+    pytest.param(lambda: bd.estimate_perturbation(sp.MetricField("round"), []), InputError,
+                 "need at least one point to estimate a perturbation", id="estimate-no-points"),
     (lambda: sr.EuclideanSpace(dim=5), InputError, "dimension must be even"),
     (lambda: sr.EuclideanSpace(orientation=0), InputError,
      "orientation must be +1 or -1"),
@@ -123,6 +138,14 @@ def test_pickle_round_trip(record, fields, values):
     (lambda: ct.SearchConfig(tol=float("nan")), InputError, "tol must be positive and finite"),
     (lambda: ct.SearchConfig(multistarts=-1), InputError, "multistarts must be nonnegative"),
     (lambda: ct.SearchConfig(seed=-3), InputError, "seed must be nonnegative"),
+    pytest.param(lambda: ct.SearchConfig(multistarts=2.5), InputError,
+                 "multistarts must be an integer", id="multistarts-float"),
+    pytest.param(lambda: ct.SearchConfig(multistarts=True), InputError,
+                 "multistarts must be an integer", id="multistarts-bool"),
+    pytest.param(lambda: ct.SearchConfig(seed=1.5), InputError,
+                 "seed must be an integer", id="seed-float"),
+    pytest.param(lambda: ct.SearchConfig(seed=False), InputError,
+                 "seed must be an integer", id="seed-bool"),
     (lambda: ct.CertifyOptions(checks=()), InputError, "checks must name at least one check"),
     (lambda: ct.CertifyOptions(checks=("bhl", "nope")), InputError, "unknown checks: nope"),
     (lambda: ct.CertifyOptions(checks=("lemma_ll_demo",)), InputError,
@@ -262,3 +285,7 @@ def test_metric_checks_its_spec_once(monkeypatch):
     metric = sp.MetricField("round")
     assert calls == [{"family": "round", "scale": 1.0}]
     assert metric.params == {} and metric.params is not sp.MetricField("round").params
+
+
+def test_search_counts_accept_numpy_integers():
+    assert ct.SearchConfig(multistarts=np.int64(4), seed=np.uint8(3)) == (4, 1e-9, 3)

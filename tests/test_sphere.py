@@ -91,8 +91,7 @@ class TestCharts:
     def test_jacobian_matches_numeric(self):
         for chart in ("north", "south"):
             x = np.array([0.3, -0.2, 0.1, 0.4, -0.5, 0.2])
-            pt = sp.ChartPoint(chart, x)
-            jac = sr.chart_jacobian(pt)
+            jac = sp._jacobian_stack(chart, x[None])[0]
             h = 1e-6
             for i in range(6):
                 xp, xm = x.copy(), x.copy()
@@ -144,7 +143,7 @@ class TestMetricFamilies:
             x = chart_coords(rng)
             for chart in ("north", "south"):
                 pt = sp.ChartPoint(chart, x)
-                P = sr.chart_jacobian(pt)
+                P = sp._jacobian_stack(chart, x[None])[0]
                 assert np.max(np.abs(P.T @ P - f.matrix(pt))) < 1e-12
 
     def test_trivial_conformal_equals_round(self):
@@ -365,10 +364,10 @@ class TestChristoffel:
         assert np.max(np.abs(conn.gamma - conn.gamma.transpose(0, 2, 1))) == 0.0
 
     def test_metricity_residual(self):
-        fd = sp.FDConfig(h=1e-3)
+        fd = sp.FDConfig(h=1e-3, scheme="central_2nd")
         field = sp.MetricField("round")
         for pt in sp.sample_points(20, 31):
-            conn = sr.christoffel(field, pt, fd)
+            conn = sr.christoffel(field, pt)
             stencil = sp._stencil(pt.x[None], fd.h, fd.scheme)[0, 1:]
             dg = sp._fd_derivative(field.matrices(pt.chart_id, stencil),
                                    fd.h, fd.scheme)
@@ -379,7 +378,7 @@ class TestChristoffel:
 
 class TestRiemann:
     def test_round_anchor_second_order(self, G):
-        fd = sp.FDConfig(h=1e-3)
+        fd = sp.FDConfig(h=1e-3, scheme="central_2nd")
         field = sp.MetricField("round")
         for pt in sp.sample_points(5, 42):
             R = sp.riemann(field, pt, fd)
@@ -398,7 +397,7 @@ class TestRiemann:
         assert np.max(np.abs(R)) < 1e-8
 
     def test_symmetry_violations_bounded(self):
-        fd = sp.FDConfig(h=1e-3)
+        fd = sp.FDConfig(h=1e-3, scheme="central_2nd")
         conf = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                   "coeffs": [0.1, 0, 0.2, 0, 0, 0, 0]}})
         for pt in sp.sample_points(5, 44):
@@ -424,7 +423,7 @@ class TestRiemann:
         pt = sp.sample_points(1, 45)[0]
         err = {}
         for h in (2e-3, 1e-3):
-            R = sp.riemann(field, pt, sp.FDConfig(h=h))
+            R = sp.riemann(field, pt, sp.FDConfig(h=h, scheme="central_2nd"))
             err[h] = np.max(np.abs(R - G))
         assert err[2e-3] / err[1e-3] >= 3.5
 
@@ -447,7 +446,7 @@ class TestRiemann:
         assert np.max(np.abs(spectra[0] - spectra[1])) < 1e-6
 
     def test_small_conformal_spectrum_near_ones(self):
-        fd = sp.FDConfig(h=1e-3)
+        fd = sp.FDConfig(h=1e-3, scheme="central_2nd")
         conf = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                   "coeffs": [0.01, 0, 0, 0, 0, 0, 0]}})
         for pt in sp.sample_points(5, 46):
@@ -459,14 +458,14 @@ class TestRiemann:
         pt = sp.ChartPoint("north", np.array([0.9, 0, -1.2, 0, 0, 0]))
         assert np.linalg.norm(pt.x) == 1.5
         with pytest.raises(InputError):
-            sp.riemann(sp.MetricField("round"), pt)
+            sp.riemann(sp.MetricField("round"), pt, sp.FDConfig(scheme="central_2nd"))
 
     def test_non_spd_inside_stencil_names_first_point(self):
         # SPD at every point of the stencil of x (x_5 + h < 0.1), but not
         # at x + 2h e_5, the first point whose x_5 reaches 0.1: the + h e_5
         # sample around the base x + h e_5.
         field = _g00_drops_along(5)
-        fd = sp.FDConfig(h=1e-3)
+        fd = sp.FDConfig(h=1e-3, scheme="central_2nd")
         x = np.array([0.1, -0.2, 0.0, 0.3, 0.1, 0.0985])
         e5 = np.eye(6)[5]
         first = (x + fd.h * e5) + fd.h * e5
@@ -487,21 +486,23 @@ class TestRiemann:
         field = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                    "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}})
         pt = sp.sample_points(1, 55)[0]
-        sp.riemann(field, pt, sp.FDConfig(h=1e-3))
+        sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme="central_2nd"))
         assert calls == [13 * 13]
         sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme="richardson_4th"))
         assert calls == [13 * 13, 25 * 25]
 
     def test_single_base_matches_batched_stack(self, monkeypatch):
+        # the symbols at the point, from the stack over the point and its
+        # stencil, equal those of a one-base evaluation, bit for bit
         stacks = []
-        levi_civita = sp._levi_civita
+        christoffel = sp._christoffel
 
-        def recorded(*args):
-            out = levi_civita(*args)
-            stacks.append(out)
+        def recorded(g, dg, bases):
+            out = christoffel(g, dg, bases)
+            stacks.append((out[0], g, out[1]))
             return out
 
-        monkeypatch.setattr(sp, "_levi_civita", recorded)
+        monkeypatch.setattr(sp, "_christoffel", recorded)
         fields = [
             sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                "coeffs": [0.3, 0, 0.1, 0, 0, 0, 0]}}),
@@ -514,8 +515,8 @@ class TestRiemann:
                     stacks.clear()
                     R = sp._coordinate_riemann(field, pt, fd)[0]
                     assert np.array_equal(sp._coordinate_riemann(field, pt, fd)[0], R)
-                    gamma, g, g_inv, _ = stacks[0]
-                    conn = sr.christoffel(field, pt, fd)
+                    gamma, g, g_inv = stacks[0]
+                    conn = _fd_christoffel(field, pt, fd)
                     assert np.array_equal(conn.gamma, gamma[0])
                     assert np.array_equal(conn.g, g[0])
                     assert np.array_equal(conn.g_inv, g_inv[0])
@@ -525,7 +526,18 @@ class TestRiemann:
         pt = sp.ChartPoint("north",
                            np.array([0.31, -0.12, 0.22, 0.05, -0.4, 0.17]))
         with pytest.raises(FDQualityError):
-            sp.riemann(sp.MetricField("round"), pt, sp.FDConfig(h=1e-6))
+            sp.riemann(sp.MetricField("round"), pt,
+                       sp.FDConfig(h=1e-6, scheme="central_2nd"))
+
+
+def _fd_christoffel(field, pt, fd):
+    """Levi-Civita symbols by finite differences of the metric, from the
+    stencil, difference and symbol routines of riemann's FD schemes."""
+    x = np.asarray(pt.x, dtype=float)[None]
+    g = field.matrices(pt.chart_id, sp._stencil(x, fd.h, fd.scheme)[0])
+    dg = sp._fd_derivative(g[1:], fd.h, fd.scheme)
+    gamma, g_inv = sp._christoffel(g[:1], dg[None], x)
+    return sr.ConnectionCoefficients(gamma=gamma[0], g=g[0], g_inv=g_inv[0])
 
 
 def _jet_fields():
@@ -644,19 +656,22 @@ class TestExactJets:
         fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
         for field in _jet_fields():
             for pt in _jet_points():
-                exact = sr.christoffel(field, pt, EXACT)
-                ref = sr.christoffel(field, pt, fd)
+                exact = sr.christoffel(field, pt)
+                ref = _fd_christoffel(field, pt, fd)
                 assert np.array_equal(exact.g, ref.g)
                 assert np.max(np.abs(exact.gamma - ref.gamma)) <= 10 * fd.h ** 2 * max(
                     1.0, np.max(np.abs(exact.gamma)))
 
-    def test_nabla_j_needs_finite_differences(self):
-        pt = sp.sample_points(1, 62)[0]
-        with pytest.raises(InputError, match="finite-difference"):
-            sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt, EXACT)
-        with pytest.raises(InputError, match="finite-difference"):
-            sr.canonical_connection_check(sp.MetricField("round"), sr.ACSField(),
-                                          pt, EXACT)
+    def test_j_jet_matches_central_differences(self):
+        h = 1e-4
+        acs = sr.ACSField()
+        for pt in _jet_points():
+            J, dJ = acs.chart_jet(pt)
+            ref = np.stack([(acs.chart_jet(sp.ChartPoint(pt.chart_id, pt.x + h * e))[0]
+                             - acs.chart_jet(sp.ChartPoint(pt.chart_id, pt.x - h * e))[0])
+                            / (2.0 * h) for e in np.eye(6)])
+            assert np.max(np.abs(J @ J + np.eye(6))) <= 1e-12
+            assert np.max(np.abs(dJ - ref)) <= 1e-6 * np.max(np.abs(dJ))
 
     def test_identity_gate_applies(self, monkeypatch):
         # the exact scheme keeps the 100 h^2 gate: NaN curvature fails
@@ -673,59 +688,58 @@ class TestExactJets:
             sp.riemann(field, pt, EXACT)
 
 
+def _round_points():
+    """Sampled points of both charts on the round sphere."""
+    pts = sp.sample_points(20, 48)
+    assert {pt.chart_id for pt in pts} == {"north", "south"}
+    return pts
+
+
 class TestNablaJ:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            sr.ACSField(kind="custom").chart_operator(
+            sr.ACSField(kind="custom").chart_jet(
                 sp.ChartPoint("north", np.zeros(6)))
 
     def test_nearly_kahler_skewness(self):
-        fd = sp.FDConfig(h=1e-3)
-        field = sp.MetricField("round")
-        acs = sr.ACSField()
-        rng = make_rng(47)
-        for pt in sp.sample_points(3, 48):
-            nd = sr.nabla_J(field, acs, pt, fd)
-            for _ in range(100):
-                x = rng.normal(size=6)
-                nx = np.einsum("i,iab->ab", x, nd.nabla)
-                assert np.max(np.abs(nx @ x)) < 1e-3 * (x @ x)
+        # (nabla_X J) X = 0 for every X: each slice nabla[i, a, b] is
+        # skew in the direction i and the argument b
+        for pt in _round_points():
+            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
+            assert np.max(np.abs(nd.nabla + nd.nabla.transpose(2, 1, 0))) <= 1e-12
 
-    def test_skewness_residual_decays_quadratically(self):
-        field = sp.MetricField("round")
-        acs = sr.ACSField()
-        pt = sp.sample_points(1, 49)[0]
+    def test_constant_type_one(self):
+        # the unit round sphere is nearly Kaehler of constant type 1:
+        # |(nabla_X J) Y|^2 = |X|^2 |Y|^2 - <X, Y>^2 - <JX, Y>^2
         rng = make_rng(50)
-        x = rng.normal(size=6)
-        res = {}
-        for h in (2e-3, 1e-3):
-            nd = sr.nabla_J(field, acs, pt, sp.FDConfig(h=h))
-            nx = np.einsum("i,iab->ab", x, nd.nabla)
-            res[h] = np.max(np.abs(nx @ x))
-        assert res[2e-3] / res[1e-3] >= 3.5
+        for pt in _round_points():
+            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
+            for _ in range(10):
+                x, y = rng.normal(size=(2, 6))
+                lhs = np.sum(np.einsum("i,iab,b->a", x, nd.nabla, y) ** 2)
+                rhs = (x @ x) * (y @ y) - (x @ y) ** 2 - (x @ nd.J @ y) ** 2
+                assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_constant_j_flat_metric(self):
         J6 = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
         acs = sr.ACSField(kind="chart_constant", matrix=J6)
         nd = sr.nabla_J(sp.MetricField.flat_toy(), acs,
                         sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])))
-        assert np.max(np.abs(nd.nabla)) < 1e-12
+        assert not nd.nabla.any()
         assert np.max(np.abs(nd.J - J6)) < 1e-12
 
     def test_anticommutation(self):
-        fd = sp.FDConfig(h=1e-3)
-        nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(),
-                        sp.sample_points(1, 51)[0], fd)
-        anti = (np.einsum("iab,bc->iac", nd.nabla, nd.J)
-                + np.einsum("ab,ibc->iac", nd.J, nd.nabla))
-        assert np.max(np.abs(anti)) < 1e-6
+        for pt in _round_points():
+            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
+            anti = (np.einsum("iab,bc->iac", nd.nabla, nd.J)
+                    + np.einsum("ab,ibc->iac", nd.J, nd.nabla))
+            assert np.max(np.abs(anti)) <= 1e-12
 
     def test_g2_phi_positive_on_round_sphere(self):
-        fd = sp.FDConfig(h=1e-3)
         rng = make_rng(52)
         for pt in sp.sample_points(5, 53):
-            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt, fd)
-            phi = sr.phi(nd.J, nd.nabla, tol=1e-4)
+            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
+            phi = sr.phi(nd.J, nd.nabla)
             for _ in range(50):
                 x = rng.normal(size=6)
                 x /= np.linalg.norm(x)
@@ -744,14 +758,13 @@ class TestCanonicalConnection:
         assert rep.torsion_norm < 1e-10
 
     def test_round_g2_torsion(self):
-        fd = sp.FDConfig(h=1e-3)
-        rep = sr.canonical_connection_check(sp.MetricField("round"),
-                                            sr.ACSField(),
-                                            sp.sample_points(1, 54)[0], fd)
-        assert rep.metricity < 1e-3
-        assert rep.complex_compat < 1e-3
-        assert rep.torsion_formula < 1e-6
-        assert rep.torsion_norm > 0.1     # the derivative of J forces torsion
+        for pt in _round_points():
+            rep = sr.canonical_connection_check(sp.MetricField("round"),
+                                                sr.ACSField(), pt)
+            assert rep.metricity <= 1e-12
+            assert rep.complex_compat <= 1e-12
+            assert rep.torsion_formula <= 1e-12
+            assert rep.torsion_norm > 0.1     # the derivative of J forces torsion
 
 
 class TestSampling:
