@@ -25,7 +25,7 @@ _HOMES = {
                  " random_orthogonal_complex_structure",
     "kernels": "BACKEND",
     "sphere": "ChartPoint FDConfig MetricField riemann sample_points",
-    "structures": "ACSField EuclideanSpace canonical_projection_scalar christoffel g2_structure"
+    "structures": "ACSField canonical_projection_scalar christoffel g2_structure"
                   " hat make_complex_structure nabla_J sharp",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}

@@ -26,6 +26,7 @@ from .curvature import (
 )
 from .errors import InputError
 from .hermitian import (
+    TOL_CLASSIFY,
     fundamental_two_form,
     is_positive_form,
     norm_lambda2,
@@ -220,8 +221,7 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     return RefutationResult(witness=witness, best_value=float(best_val))
 
 
-def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,
-                   g: np.ndarray | None = None, tol: float = 1e-9) -> LemmaLLResult:
+def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray) -> LemmaLLResult:
     """Nondegeneracy of a (1,1)-form within 1/(2 sqrt(n)) of a form >= omega.
 
     ``hypotheses_met`` requires: both forms of type (1,1), zeta0 - omega
@@ -231,14 +231,14 @@ def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray,
     zeta0 = np.asarray(zeta0, dtype=float)
     zeta = np.asarray(zeta, dtype=float)
     J = np.asarray(J, dtype=float)
-    omega = fundamental_two_form(g, J)
+    omega = fundamental_two_form(J)
     dev = norm_lambda2(zeta - zeta0)
-    typed = (is_positive_form(zeta0, J, tol) != "not_11"
-             and is_positive_form(zeta, J, tol) != "not_11")
-    above = is_positive_form(zeta0 - omega, J, tol) in ("positive", "nonnegative")
+    typed = (is_positive_form(zeta0, J) != "not_11"
+             and is_positive_form(zeta, J) != "not_11")
+    above = is_positive_form(zeta0 - omega, J) in ("positive", "nonnegative")
     hypotheses = typed and above and dev <= LL_RADIUS + TIE_TOL
     det_value = float(np.linalg.det(zeta))
-    nondegenerate = abs(det_value) > tol ** zeta.shape[0]
+    nondegenerate = abs(det_value) > TOL_CLASSIFY ** zeta.shape[0]
     return LemmaLLResult(hypotheses_met=bool(hypotheses),
                          nondegenerate=bool(nondegenerate),
                          det_value=det_value, deviation=float(dev))
@@ -273,7 +273,7 @@ def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
     c * spectrum inside (5/6, 7/6) exists iff the pinching holds),
     project onto (1,1), and check nondegeneracy around zeta0 = omega."""
     J = standard_complex_structure()
-    omega = fundamental_two_form(None, J)
+    omega = fundamental_two_form(J)
     if bhl.passed:
         c = 0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
     else:

@@ -1,11 +1,11 @@
-"""Linear algebra of (R^6, g) with orthogonal complex structures.
+"""Linear algebra of Euclidean R^6 with orthogonal complex structures.
 
 Random and standard complex structures, the fundamental 2-form, 2-form
 coordinates and norms, and the positivity classification the certifier
-uses; the rest is in :mod:`occert.structures`.  Unless a metric is
-passed explicitly, the working basis is assumed g-orthonormal (the
-sphere pipeline re-expresses everything in such a basis before it
-reaches this layer), and the inner product on 2-forms is the one making
+uses; the rest is in :mod:`occert.structures`.  The working basis is
+orthonormal (the sphere pipeline re-expresses everything in such a
+basis before it reaches this layer), so no function here takes a metric
+or a tolerance, and the inner product on 2-forms is the one making
 {e^i ^ e^j}_{i<j} orthonormal.
 """
 
@@ -15,22 +15,11 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import CompatibilityError, InputError
+from .errors import CompatibilityError
 from .kernels import _P, _Q
 from .rng import haar_orthogonal, make_rng
 
 TOL_CLASSIFY = 1e-9     # classification decisions
-
-
-def _as_metric(g: np.ndarray | None, dim: int = 6) -> np.ndarray:
-    if g is None:
-        return np.eye(dim)
-    g = np.asarray(g, dtype=float)
-    if g.shape != (dim, dim) or not np.allclose(g, g.T, atol=1e-12):
-        raise InputError("metric must be a symmetric {0}x{0} matrix".format(dim))
-    if np.linalg.eigvalsh(g)[0] <= 0:
-        raise InputError("metric must be positive definite")
-    return g
 
 
 # orthogonal almost complex structure with its orientation class
@@ -46,14 +35,12 @@ def standard_complex_structure(dim: int = 6) -> np.ndarray:
     return J
 
 
-def fundamental_two_form(g: np.ndarray | None, J: np.ndarray,
-                         tol: float = TOL_CLASSIFY) -> np.ndarray:
-    """omega(X, Y) = g(JX, Y) as an antisymmetric matrix."""
+def fundamental_two_form(J: np.ndarray) -> np.ndarray:
+    """omega(X, Y) = <JX, Y> as an antisymmetric matrix."""
     J = np.asarray(J, dtype=float)
-    g = _as_metric(g, J.shape[0])
-    if np.max(np.abs(J.T @ g @ J - g)) > tol:
-        raise CompatibilityError("J is not g-orthogonal")
-    return J.T @ g
+    if np.max(np.abs(J.T @ J - np.eye(J.shape[0]))) > TOL_CLASSIFY:
+        raise CompatibilityError("J is not orthogonal")
+    return J.T.copy()
 
 
 def lambda2_inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,8 +65,7 @@ def vector_to_two_form(v: np.ndarray) -> np.ndarray:
     return zeta
 
 
-def is_positive_form(zeta: np.ndarray, J: np.ndarray,
-                     tol: float = TOL_CLASSIFY) -> str:
+def is_positive_form(zeta: np.ndarray, J: np.ndarray) -> str:
     """Classify a 2-form: 'positive' | 'nonnegative' | 'indefinite' | 'not_11'.
 
     A form of type (1,1) (J-invariant) is classified by the spectrum of
@@ -88,13 +74,13 @@ def is_positive_form(zeta: np.ndarray, J: np.ndarray,
     zeta = np.asarray(zeta, dtype=float)
     J = np.asarray(J, dtype=float)
     scale = max(1.0, np.max(np.abs(zeta)))
-    if np.max(np.abs(J.T @ zeta @ J - zeta)) > tol * scale:
+    if np.max(np.abs(J.T @ zeta @ J - zeta)) > TOL_CLASSIFY * scale:
         return "not_11"
     b = zeta @ J
     eigs = np.linalg.eigvalsh(0.5 * (b + b.T))
-    if eigs[0] > tol:
+    if eigs[0] > TOL_CLASSIFY:
         return "positive"
-    if eigs[0] >= -tol:
+    if eigs[0] >= -TOL_CLASSIFY:
         return "nonnegative"
     return "indefinite"
 

@@ -14,8 +14,8 @@ import numpy as np
 from .curvature import express_in_frame, ricci, ricci_star
 from .errors import (CompatibilityError, ConfigError, ConventionMismatchError,
                      FormTypeError, FrameError, InputError, StructureError)
-from .hermitian import (TOL_CLASSIFY, ComplexStructure, _as_metric, fundamental_two_form,
-                        lambda2_inner, standard_complex_structure)
+from .hermitian import (TOL_CLASSIFY, ComplexStructure, fundamental_two_form, lambda2_inner,
+                        standard_complex_structure)
 from .rng import haar_orthogonal, make_rng
 from .sphere import (ChartPoint, CheckedRecord, MetricField, _christoffel, _stereographic_jets,
                      chart_to_ambient, orthonormal_frame)
@@ -23,83 +23,57 @@ from .sphere import (ChartPoint, CheckedRecord, MetricField, _christoffel, _ster
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
 
 
-class EuclideanSpace(CheckedRecord, namedtuple("EuclideanSpace", "dim g orientation",
-                                               defaults=(6, None, 1))):
-    """Even-dimensional Euclidean space with a reference orientation."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.dim % 2 != 0:
-            raise InputError("dimension must be even")
-        if self.g is None:                      # the identity of the dimension
-            self = super().__new__(cls, self.dim, np.eye(self.dim), self.orientation)
-        _as_metric(self.g, self.dim)
-        if self.orientation not in (1, -1):
-            raise InputError("orientation must be +1 or -1")
-        return self
-
-
 def sharp_index(i: int) -> int:
     """The pairing involution on 0-based indices: 0<->1, 2<->3, 4<->5."""
     return i + 1 if i % 2 == 0 else i - 1
 
 
-def check_complex_structure(J: np.ndarray, g: np.ndarray | None = None,
-                            tol: float = TOL_CONSTRUCT) -> None:
-    """Raise unless J^2 = -Id and J is g-orthogonal (both within tol)."""
+def check_complex_structure(J: np.ndarray) -> None:
+    """Raise unless J^2 = -Id and J is orthogonal (both within TOL_CONSTRUCT)."""
     J = np.asarray(J, dtype=float)
-    g = _as_metric(g, J.shape[0])
-    if np.max(np.abs(J @ J + np.eye(J.shape[0]))) > tol:
+    eye = np.eye(J.shape[0])
+    if np.max(np.abs(J @ J + eye)) > TOL_CONSTRUCT:
         raise StructureError("J^2 differs from -Id beyond tolerance")
-    if np.max(np.abs(J.T @ g @ J - g)) > tol:
-        raise CompatibilityError("J is not orthogonal for the given metric")
+    if np.max(np.abs(J.T @ J - eye)) > TOL_CONSTRUCT:
+        raise CompatibilityError("J is not orthogonal")
 
 
-def orientation_compatible(J: np.ndarray, g: np.ndarray | None = None) -> bool:
+def orientation_compatible(J: np.ndarray) -> bool:
     """True iff a J-adapted orthonormal frame is positively oriented."""
-    F = adapted_frame(J, g)
-    return bool(np.linalg.det(F) > 0)
+    return bool(np.linalg.det(adapted_frame(J)) > 0)
 
 
-def complex_structure(J: np.ndarray, g: np.ndarray | None = None,
-                      tol: float = TOL_CONSTRUCT) -> ComplexStructure:
+def complex_structure(J: np.ndarray) -> ComplexStructure:
     """Validate J and package it with its orientation class."""
     J = np.asarray(J, dtype=float)
-    check_complex_structure(J, g, tol)
-    return ComplexStructure(J=J, compatible_orientation=orientation_compatible(J, g))
+    check_complex_structure(J)
+    return ComplexStructure(J=J, compatible_orientation=orientation_compatible(J))
 
 
-def make_complex_structure(frame: np.ndarray, g: np.ndarray | None = None,
-                           tol: float = TOL_CLASSIFY) -> ComplexStructure:
+def make_complex_structure(frame: np.ndarray) -> ComplexStructure:
     """Complex structure of an ordered orthonormal frame (columns).
 
     J maps frame vector e_i to (-1)^(i-1) e_{i#} (1-based), i.e. the
     frame pairs (e_1, e_2), (e_3, e_4), (e_5, e_6) become complex lines.
     """
     F = np.asarray(frame, dtype=float)
-    g = _as_metric(g, F.shape[0])
-    gram = F.T @ g @ F
-    if np.max(np.abs(gram - np.eye(F.shape[0]))) > tol:
-        raise FrameError("frame is not orthonormal: Gram defect %.3e"
-                         % np.max(np.abs(gram - np.eye(F.shape[0]))))
-    J0 = standard_complex_structure(F.shape[0])
-    J = F @ J0 @ F.T @ g
-    # F is g-orthonormal, so det F has the sign of the frame orientation.
+    defect = np.max(np.abs(F.T @ F - np.eye(F.shape[0])))
+    if defect > TOL_CLASSIFY:
+        raise FrameError("frame is not orthonormal: Gram defect %.3e" % defect)
+    J = F @ standard_complex_structure(F.shape[0]) @ F.T
+    # F is orthonormal, so det F has the sign of the frame orientation.
     return ComplexStructure(J=J, compatible_orientation=bool(np.linalg.det(F) > 0))
 
 
-def adapted_frame(J: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
-    """Deterministic g-orthonormal frame (f1, Jf1, f2, Jf2, f3, Jf3)."""
+def adapted_frame(J: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal frame (f1, Jf1, f2, Jf2, f3, Jf3)."""
     J = np.asarray(J, dtype=float)
     n = J.shape[0]
-    g = _as_metric(g, n)
     cols = []
 
     def proj_out(v):
         for w in cols:
-            v = v - (w @ g @ v) * w
+            v = v - (w @ v) * w
         return v
 
     seed_idx = 0
@@ -108,7 +82,7 @@ def adapted_frame(J: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         while seed_idx < n:
             cand = proj_out(np.eye(n)[:, seed_idx])
             seed_idx += 1
-            norm = np.sqrt(cand @ g @ cand)
+            norm = np.sqrt(cand @ cand)
             if norm > 1e-8:
                 v = cand / norm
                 break
@@ -117,35 +91,33 @@ def adapted_frame(J: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
         cols.append(v)
         w = J @ v
         w = proj_out(w)
-        nw = np.sqrt(w @ g @ w)
+        nw = np.sqrt(w @ w)
         if nw < 1e-8:
             raise StructureError("J does not map the complement to itself")
         cols.append(w / nw)
     return np.stack(cols, axis=1)
 
 
-def check_two_form(zeta: np.ndarray, tol: float = TOL_CONSTRUCT) -> None:
+def check_two_form(zeta: np.ndarray) -> None:
     zeta = np.asarray(zeta, dtype=float)
-    if np.max(np.abs(zeta + zeta.T)) > tol * max(1.0, np.max(np.abs(zeta))):
+    if np.max(np.abs(zeta + zeta.T)) > TOL_CONSTRUCT * max(1.0, np.max(np.abs(zeta))):
         raise InputError("2-form coefficient matrix is not antisymmetric")
 
 
-def hat(A: np.ndarray, g: np.ndarray | None = None,
-        tol: float = TOL_CONSTRUCT) -> np.ndarray:
-    """Index lowering of a skew endomorphism: hat(A)(v, w) = g(v, A w)."""
-    A = np.asarray(A, dtype=float)
-    g = _as_metric(g, A.shape[0])
-    skew_defect = np.max(np.abs(A.T @ g + g @ A))
-    if skew_defect > tol * max(1.0, np.max(np.abs(A))):
-        raise StructureError("endomorphism is not g-skew: defect %.3e" % skew_defect)
-    return g @ A
+def hat(A: np.ndarray) -> np.ndarray:
+    """Index lowering of a skew endomorphism: hat(A)(v, w) = <v, A w>,
+    so in the orthonormal working basis hat(A) has A's matrix."""
+    A = np.array(A, dtype=float)
+    skew_defect = np.max(np.abs(A.T + A))
+    if skew_defect > TOL_CONSTRUCT * max(1.0, np.max(np.abs(A))):
+        raise StructureError("endomorphism is not skew: defect %.3e" % skew_defect)
+    return A
 
 
-def sharp(zeta: np.ndarray, g: np.ndarray | None = None) -> np.ndarray:
+def sharp(zeta: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hat`."""
     check_two_form(zeta)
-    g = _as_metric(g, np.asarray(zeta).shape[0])
-    return np.linalg.solve(g, np.asarray(zeta, dtype=float))
+    return np.array(zeta, dtype=float)
 
 
 def norm_E(zeta: np.ndarray) -> float:
@@ -161,7 +133,7 @@ def canonical_projection_scalar(A: np.ndarray, J: np.ndarray) -> complex:
     """
     A = np.asarray(A, dtype=float)
     check_complex_structure(J)
-    omega = fundamental_two_form(None, J)
+    omega = fundamental_two_form(J)
     return -1j * lambda2_inner(hat(A), omega)
 
 
@@ -202,31 +174,35 @@ def project_one_zero(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
     return 0.5 * (psi - 1j * psi_J)
 
 
-def check_one_zero(phi: np.ndarray, J: np.ndarray, tol: float = TOL_CLASSIFY) -> None:
+def check_one_zero(phi: np.ndarray, J: np.ndarray) -> None:
     phi = np.asarray(phi, dtype=complex)
     phi_J = np.einsum("iab,ij->jab", phi, J)
     scale = max(1.0, float(np.max(np.abs(phi))))
-    if np.max(np.abs(phi_J - 1j * phi)) > tol * scale:
+    if np.max(np.abs(phi_J - 1j * phi)) > TOL_CLASSIFY * scale:
         raise FormTypeError("1-form is not of type (1,0): defect %.3e"
                             % float(np.max(np.abs(phi_J - 1j * phi))))
 
 
-def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None,
-                   tol: float = TOL_CLASSIFY) -> np.ndarray:
-    """Scalar 2-form <(-i Phi* ^ Phi) w, w> for a unit source vector w.
+def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
+    """Scalar 2-form <(-i Phi* ^ Phi) w, w> for the source vector w
+    (nonzero, finite, of length n0; the first basis vector by default),
+    scaled to unit length.
 
     Phi has shape (6, n1, n0) over the complexified source/target spaces;
     the wedge uses (a ^ b)(X, Y) = a(X) b(Y) - a(Y) b(X).  Type (1,0) is
     a hypothesis and is enforced.
     """
     phi = np.asarray(phi, dtype=complex)
-    check_one_zero(phi, J, tol)
+    check_one_zero(phi, J)
     n0 = phi.shape[2]
     if w is None:
         w = np.zeros(n0, dtype=complex)
         w[0] = 1.0
     w = np.asarray(w, dtype=complex)
-    w = w / np.linalg.norm(w)
+    norm = np.linalg.norm(w)
+    if w.shape != (n0,) or not 0.0 < norm < np.inf:     # also rejects nan
+        raise InputError("w must be a nonzero finite vector of length %d" % n0)
+    w = w / norm
     # M_ij = -i (Phi_i^H Phi_j - Phi_j^H Phi_i); zeta_ij = w^H M_ij w.
     H = np.einsum("ica,jcb->ijab", np.conj(phi), phi)  # Phi_i^H Phi_j
     M = -1j * (H - np.transpose(H, (1, 0, 2, 3)))
@@ -282,21 +258,22 @@ def psi(R: np.ndarray, J: np.ndarray) -> np.ndarray:
     return direct
 
 
-def check_nabla_j(nabla_j: np.ndarray, J: np.ndarray, tol: float = 1e-6) -> None:
-    """Anticommutation with J and skewness of each directional slice."""
+def check_nabla_j(nabla_j: np.ndarray, J: np.ndarray) -> None:
+    """Anticommutation with J and skewness of each directional slice,
+    within TOL_CONSTRUCT relative to max(1, max |nabla J|)."""
     N = np.asarray(nabla_j, dtype=float)
     J = np.asarray(J, dtype=float)
     scale = max(1.0, float(np.max(np.abs(N))))
     anti = np.max(np.abs(np.einsum("iab,bc->iac", N, J)
                          + np.einsum("ab,ibc->iac", J, N)))
     skew = np.max(np.abs(N + N.transpose(0, 2, 1)))
-    if anti > tol * scale or skew > tol * scale:
+    if anti > TOL_CONSTRUCT * scale or skew > TOL_CONSTRUCT * scale:
         raise StructureError(
             "nabla J incompatible with J: anticommutation %.3e, skewness %.3e"
             % (anti, skew))
 
 
-def phi(J: np.ndarray, nabla_j: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def phi(J: np.ndarray, nabla_j: np.ndarray) -> np.ndarray:
     """phi(X, Y) = trace((nabla_X J)(nabla_{JY} J)).
 
     The sign is pinned by the identity phi(X, JX) = |nabla_X J|^2
@@ -305,22 +282,20 @@ def phi(J: np.ndarray, nabla_j: np.ndarray, tol: float = 1e-6) -> np.ndarray:
     """
     N = np.asarray(nabla_j, dtype=float)
     J = np.asarray(J, dtype=float)
-    check_nabla_j(N, J, tol)
+    check_nabla_j(N, J)
     NJ = np.einsum("kj,kab->jab", J, N)        # slice in direction J e_j
     return np.einsum("iab,jba->ij", N, NJ)
 
 
-def star_ricci_data(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray,
-                    nabla_tol: float = 1e-6) -> StarRicciData:
+def star_ricci_data(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray) -> StarRicciData:
     """Bundle the four contractions of one pointwise dataset."""
     return StarRicciData(ric=ricci(R), ric_star=ricci_star(R, J),
-                         psi=psi(R, J), phi=phi(J, nabla_j, nabla_tol))
+                         psi=psi(R, J), phi=phi(J, nabla_j))
 
 
-def chern_form(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray,
-               nabla_tol: float = 1e-6) -> np.ndarray:
+def chern_form(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray) -> np.ndarray:
     """First-Chern-type 2-form (2 psi + phi) / (8 pi), pointwise."""
-    return (2.0 * psi(R, J) + phi(J, nabla_j, nabla_tol)) / (8.0 * np.pi)
+    return (2.0 * psi(R, J) + phi(J, nabla_j)) / (8.0 * np.pi)
 
 
 def star_matrix(R: np.ndarray, frame: np.ndarray) -> FrameMatrix:
@@ -412,15 +387,26 @@ def g2_structure(p: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,i->kj", OCTONION_EPS, p)
 
 
-class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", None))):
+class ACSField(CheckedRecord, namedtuple("ACSField", "kind matrix",
+                                         defaults=("g2_octonionic", None))):
     """Almost-complex-structure field.
 
     'g2_octonionic' is the octonionic cross product at sphere points;
-    'chart_constant' holds a fixed chart-coordinate matrix (the flat
-    Kaehler toy for tests).
+    'chart_constant' holds a fixed chart-coordinate matrix, finite and
+    6x6 (the flat Kaehler toy for tests).
     """
 
     __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if self.kind not in ("g2_octonionic", "chart_constant"):
+            raise ConfigError("unknown ACS field kind %r" % (self.kind,))
+        if self.kind == "chart_constant":
+            matrix = np.asarray(self.matrix, dtype=float)   # None reads as nan
+            if matrix.shape != (6, 6) or not np.isfinite(matrix).all():
+                raise ConfigError("chart_constant ACS field needs a matrix")
+        return self
 
     def chart_jet(self, point: ChartPoint) -> tuple[np.ndarray, np.ndarray]:
         """J in chart coordinates and its chart derivative dJ[l] = d_l J.
@@ -430,11 +416,7 @@ class ACSField(namedtuple("ACSField", "kind matrix", defaults=("g2_octonionic", 
         tangent).  Jp is linear in p, so d_l Jp = (d_l p) x . and the
         product rule on M J = P^T Jp P gives dJ in closed form."""
         if self.kind == "chart_constant":
-            if self.matrix is None:
-                raise ConfigError("chart_constant ACS field needs a matrix")
             return np.asarray(self.matrix, dtype=float), np.zeros((6, 6, 6))
-        if self.kind != "g2_octonionic":
-            raise ConfigError("unknown ACS field kind %r" % self.kind)
         P, D2p, _ = _stereographic_jets(point.chart_id, np.asarray(point.x, dtype=float))
         Jp = g2_structure(chart_to_ambient(point))
         M = P.T @ P

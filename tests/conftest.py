@@ -23,7 +23,7 @@ def J0():
 
 @pytest.fixture(scope="session")
 def omega0(J0):
-    return hm.fundamental_two_form(None, J0)
+    return hm.fundamental_two_form(J0)
 
 
 def random_skew(rng, dim=6):

@@ -91,7 +91,7 @@ class TestRefutation:
         assert res.witness.value == pytest.approx(-1.0, abs=1e-6)
         assert abs(np.linalg.norm(res.witness.X) - 1.0) < 1e-12
         # witness J invariants
-        sr.check_complex_structure(res.witness.J, tol=1e-10)
+        sr.check_complex_structure(res.witness.J)
 
     def test_round_finds_nothing(self, G):
         res = ct.refute_P(G, ct.SearchConfig(multistarts=8, seed=1))

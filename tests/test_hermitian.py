@@ -11,7 +11,8 @@ from hypothesis.extra.numpy import arrays
 from conftest import random_skew
 from occert import hermitian as hm
 from occert import structures as sr
-from occert.errors import CompatibilityError, FormTypeError, FrameError, StructureError
+from occert.errors import (CompatibilityError, FormTypeError, FrameError, InputError,
+                           StructureError)
 from occert.kernels import PAIRS
 from occert.rng import make_rng
 
@@ -80,9 +81,12 @@ class TestFundamentalForm:
         assert np.max(np.abs(J0.T @ omega0 @ J0 - omega0)) < 1e-14
 
     def test_incompatible_j_rejected(self, J0):
-        g = np.diag([2.0, 1, 1, 1, 1, 1])
+        # S J0 S^-1 squares to -Id but is not orthogonal
+        S = np.diag([2.0, 1, 1, 1, 1, 1])
+        J = S @ J0 @ np.linalg.inv(S)
+        assert np.array_equal(J @ J, -np.eye(6))
         with pytest.raises(CompatibilityError):
-            hm.fundamental_two_form(g, J0)
+            hm.fundamental_two_form(J)
 
 
 class TestHatSharp:
@@ -189,6 +193,16 @@ class TestPhiWedge:
         with pytest.raises(FormTypeError):
             sr.phi_wedge_form(phi, J0)
 
+    @pytest.mark.parametrize("w", [np.zeros(2), np.array([np.nan, 1.0]),
+                                   np.array([np.inf, 1.0]), np.ones(3)],
+                             ids=["zero", "nan", "inf", "wrong-length"])
+    def test_bad_source_vector_rejected(self, J0, w):
+        phi = np.zeros((6, 1, 2), dtype=complex)
+        phi[0, 0, 0] = 1.0
+        phi[1, 0, 0] = 1.0j
+        with pytest.raises(InputError, match="^w must be a nonzero finite vector of length 2$"):
+            sr.phi_wedge_form(phi, J0, w)
+
     def test_fuzz_never_indefinite(self):
         rng = make_rng(29)
         for _ in range(1000):
@@ -228,38 +242,6 @@ class TestNorms:
 
 
 class TestGeneralMetric:
-    def test_space_invariants(self):
-        space = sr.EuclideanSpace()
-        assert space.dim == 6
-        with pytest.raises(Exception):
-            sr.EuclideanSpace(dim=5)
-        with pytest.raises(Exception):
-            sr.EuclideanSpace(g=-np.eye(6))
-
-    def test_space_default_metric_has_its_dimension(self):
-        space = sr.EuclideanSpace(dim=4)
-        assert (space.dim, space.orientation) == (4, 1)
-        assert np.array_equal(space.g, np.eye(4))
-        assert sr.EuclideanSpace(dim=4).g is not space.g     # each has its own
-
-    def test_structure_from_g_orthonormal_frame(self):
-        g = np.diag([4.0, 1.0, 2.0, 1.0, 1.0, 9.0])
-        F = np.diag(1.0 / np.sqrt(np.diag(g)))
-        cs = sr.make_complex_structure(F, g)
-        assert np.max(np.abs(cs.J @ cs.J + np.eye(6))) < 1e-12
-        assert np.max(np.abs(cs.J.T @ g @ cs.J - g)) < 1e-12
-        omega = hm.fundamental_two_form(g, cs.J)
-        assert np.max(np.abs(omega + omega.T)) < 1e-12
-
-    def test_hat_sharp_with_general_metric(self):
-        g = np.diag([4.0, 1.0, 2.0, 1.0, 1.0, 9.0])
-        rng = make_rng(37)
-        raw = rng.normal(size=(6, 6))
-        A = np.linalg.solve(g, raw - raw.T)   # g-skew by construction
-        zeta = sr.hat(A, g)
-        assert np.max(np.abs(zeta + zeta.T)) < 1e-12
-        assert np.max(np.abs(sr.sharp(zeta, g) - A)) < 1e-12
-
     def test_factory_validates(self, J0):
         cs = sr.complex_structure(J0)
         assert cs.compatible_orientation

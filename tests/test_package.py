@@ -65,10 +65,10 @@ def test_benchmark_names_resolve():
     assert checked > wrapped + 1          # checks.py's imports were found
 
 
-# the package's export list, as it has always been
+# the package's export list
 EXPORTS = [
     "ACSField", "BACKEND", "BhlResult", "Certificate", "CertifyOptions", "ChartPoint",
-    "ComplexStructure", "CurvatureOperator", "EuclideanSpace", "FDConfig", "MetricField",
+    "ComplexStructure", "CurvatureOperator", "FDConfig", "MetricField",
     "PerturbationBudget", "SearchConfig", "Witness", "__version__",
     "canonical_projection_scalar", "certify_P_sufficient", "certify_point", "check_bhl",
     "check_lemma_LL", "christoffel", "curvature_operator", "fundamental_two_form",

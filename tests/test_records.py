@@ -38,8 +38,7 @@ RECORDS = [
     (bd.BudgetCheck, "quadratic_ok linear_ok implied_bound", None),
     (sr.FrameMatrix, "alpha a alpha_plain M frame gap", None),
     (sr.StarRicciData, "ric ric_star psi phi", None),
-    (sr.EuclideanSpace, "dim g orientation", (4, 2.0 * np.eye(4), -1)),
-    (sr.ACSField, "kind matrix", None),
+    (sr.ACSField, "kind matrix", ("chart_constant", hm.standard_complex_structure())),
     (sr.ConnectionCoefficients, "gamma g g_inv", None),
     (sr.NablaJData, "J nabla", None),
     (sr.CanonicalConnectionReport,
@@ -83,9 +82,6 @@ def test_defaults():
     assert ct.CertifyOptions() == (("bhl", "p_sufficient"), ct.SearchConfig())
     assert ct.PMembership("unknown", 0.0, 1.0, 1.0 / 6.0).witness is None
     assert sr.ACSField() == ("g2_octonionic", None)
-    space = sr.EuclideanSpace()
-    assert (space.dim, space.orientation) == (6, 1)
-    assert np.array_equal(space.g, np.eye(6))
     field = sp.MetricField("round")
     assert field.params == {} and field.scale == 1.0
     field.params["f"] = {"type": "constant"}         # each metric has its own
@@ -130,11 +126,14 @@ def test_pickle_round_trip(record, fields, values):
                  "perturbation budget entries must be nonnegative", id="budget-nan"),
     pytest.param(lambda: bd.estimate_perturbation(sp.MetricField("round"), []), InputError,
                  "need at least one point to estimate a perturbation", id="estimate-no-points"),
-    (lambda: sr.EuclideanSpace(dim=5), InputError, "dimension must be even"),
-    (lambda: sr.EuclideanSpace(orientation=0), InputError,
-     "orientation must be +1 or -1"),
-    (lambda: sr.EuclideanSpace(g=-np.eye(6)), InputError,
-     "metric must be positive definite"),
+    pytest.param(lambda: sr.ACSField(kind="custom"), ConfigError,
+                 "unknown ACS field kind 'custom'", id="acs-unknown-kind"),
+    pytest.param(lambda: sr.ACSField("chart_constant"), ConfigError,
+                 "chart_constant ACS field needs a matrix", id="acs-no-matrix"),
+    pytest.param(lambda: sr.ACSField("chart_constant", np.eye(5)), ConfigError,
+                 "chart_constant ACS field needs a matrix", id="acs-matrix-5x5"),
+    pytest.param(lambda: sr.ACSField("chart_constant", np.full((6, 6), np.nan)), ConfigError,
+                 "chart_constant ACS field needs a matrix", id="acs-matrix-nan"),
     (lambda: ct.SearchConfig(tol=float("nan")), InputError, "tol must be positive and finite"),
     (lambda: ct.SearchConfig(multistarts=-1), InputError, "multistarts must be nonnegative"),
     (lambda: ct.SearchConfig(seed=-3), InputError, "seed must be nonnegative"),
@@ -246,7 +245,7 @@ CHECKED = [
     (sp.ChartPoint, ("north", np.zeros(6)), {"chart_id": "east"}),
     (sp.FDConfig, (), {"h": 1.0}),
     (sp.MetricField, ("round",), {"scale": float("nan")}),
-    (sr.EuclideanSpace, (), {"orientation": 2}),
+    (sr.ACSField, (), {"kind": "custom"}),
     (bd.PerturbationBudget, (0.0, 0.0), {"eps1": -1.0}),
     (ct.SearchConfig, (), {"tol": float("nan")}),
     (ct.CertifyOptions, (), {"checks": ("lemma_ll_demo",)}),

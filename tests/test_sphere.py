@@ -11,7 +11,7 @@ from occert import cli
 from occert import curvature as cv
 from occert import sphere as sp
 from occert import structures as sr
-from occert.errors import ConfigError, FDQualityError, InputError, MetricError
+from occert.errors import ConfigError, FDQualityError, InputError, MetricError, StructureError
 from occert.rng import make_rng
 
 
@@ -697,9 +697,8 @@ def _round_points():
 
 class TestNablaJ:
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError):
-            sr.ACSField(kind="custom").chart_jet(
-                sp.ChartPoint("north", np.zeros(6)))
+        with pytest.raises(ConfigError, match="^unknown ACS field kind 'custom'$"):
+            sr.ACSField(kind="custom")
 
     def test_nearly_kahler_skewness(self):
         # (nabla_X J) X = 0 for every X: each slice nabla[i, a, b] is
@@ -734,6 +733,30 @@ class TestNablaJ:
             anti = (np.einsum("iab,bc->iac", nd.nabla, nd.J)
                     + np.einsum("ab,ibc->iac", nd.J, nd.nabla))
             assert np.max(np.abs(anti)) <= 1e-12
+
+    @pytest.mark.parametrize("field", [
+        sp.MetricField("round"),
+        sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                           "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}),
+    ], ids=["round", "conformal"])
+    def test_invariants_checked_to_roundoff(self, field):
+        # the octonionic J is orthogonal for every metric conformal to the
+        # round one; its exact nabla J passes the check, a 1e-9 defect fails it
+        for pt in _round_points():
+            nd = sr.nabla_J(field, sr.ACSField(), pt)
+            sr.check_nabla_j(nd.nabla, nd.J)
+            bad = nd.nabla.copy()
+            bad[0, 0, 1] += 1e-9
+            with pytest.raises(StructureError):
+                sr.check_nabla_j(bad, nd.J)
+
+    def test_ellipsoid_octonionic_rejected(self):
+        # not orthogonal for the ellipsoid metric: the invariants fail by O(1)
+        field = sp.MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]})
+        for pt in _round_points():
+            nd = sr.nabla_J(field, sr.ACSField(), pt)
+            with pytest.raises(StructureError):
+                sr.phi(nd.J, nd.nabla)
 
     def test_g2_phi_positive_on_round_sphere(self):
         rng = make_rng(52)
