@@ -45,6 +45,11 @@ MAX_ITER = 80                    # gradient steps per start
 GRAD_TOL = 1e-10                 # a start stops once the gradient norm is below this
 STEP0 = 0.2                      # first line-search step of a start
 
+# the round tensor g (.) g that the sufficient bound measures from, built
+# once; read-only, since every call shares it
+_ROUND = kulkarni_nomizu_square()
+_ROUND.flags.writeable = False
+
 
 # Records are namedtuples: immutable, and cheap to create at import.
 # margin = 7 lambda_min - 5 lambda_max; boundary: a tie within TIE_TOL
@@ -78,7 +83,11 @@ class SearchConfig(CheckedRecord,
                 raise InputError("%s must be an integer" % name)
             if value < 0:
                 raise InputError("%s must be nonnegative" % name)
-        if not 0 < self.tol < math.inf:          # also rejects nan
+        try:
+            finite = 0 < self.tol < math.inf     # false for nan
+        except TypeError:                        # tol is not a number
+            finite = False
+        if not finite:
             raise InputError("tol must be positive and finite")
         return self
 
@@ -108,7 +117,7 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
     The upper bound is the Frobenius norm of the deviation (rigorous for
     the sup norm); the lower bound is its largest component.
     """
-    dev = np.asarray(R, dtype=float) - kulkarni_nomizu_square()
+    dev = np.asarray(R, dtype=float) - _ROUND
     upper = frobenius_norm(dev)
     lower = float(np.max(np.abs(dev)))
     status = "certified" if upper <= P_THRESHOLD else "unknown"
@@ -257,6 +266,8 @@ class CertifyOptions(CheckedRecord,
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if isinstance(self.checks, str):         # would be read one letter at a time
+            raise InputError("checks must be a sequence of check names")
         if not self.checks:
             raise InputError("checks must name at least one check")
         unknown = set(self.checks) - set(VALID_CHECKS)

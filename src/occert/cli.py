@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .certify import CertifyOptions, SearchConfig, certify_point
-from .curvature import curvature_operator
 from .errors import ConfigError, OccertError
 from .kernels import BACKEND
 from .sphere import (FDConfig, MetricField, chart_to_ambient, check_spec, riemann,
@@ -110,9 +109,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
                      options=options, out=args.out)
 
 
-def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
-    """One record per sampled point (its position, then ``evaluate`` of
-    its curvature tensor, or the error that stopped the point) and the
+def _survey(config: RunConfig) -> tuple[list[dict], dict[str, int]]:
+    """One record per sampled point (its position, then the certificate
+    of its curvature tensor, or the error that stopped the point) and the
     number of points per verdict."""
     records = []
     for index, point in enumerate(sample_points(config.points, config.options.search.seed)):
@@ -124,7 +123,7 @@ def _survey(config: RunConfig, evaluate) -> tuple[list[dict], dict[str, int]]:
         }
         try:
             R = riemann(config.metric, point, config.fd)
-            record.update(evaluate(R, config))
+            record.update(_certify_one(R, config))
         except (OccertError, np.linalg.LinAlgError) as exc:
             # per-point isolation: a bad point must not abort the survey
             record.update({"verdict": "error", "error": str(exc), "notes": ""})
@@ -168,35 +167,9 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
     return record
 
 
-def _spectrum_one(R: np.ndarray, config: RunConfig) -> dict:
-    op = curvature_operator(R)
-    return {"spectrum": op.spectrum.tolist(),
-            "lambda_min": float(op.spectrum[0]),
-            "lambda_max": float(op.spectrum[-1]),
-            "verdict": "ok", "error": None}
-
-
-def _report(command: str, config: RunConfig, records: list[dict],
-            counts: dict[str, int], verdict: str,
-            min_margin: float | None = None) -> dict:
-    """The report document around the point records; every part is built
-    from plain JSON types."""
-    return {
-        "schema": "occert-report-v1",
-        "command": command,
-        "config": config.to_dict(),
-        # points run one after another in this thread
-        "meta": {"version": __version__, "numpy": np.__version__,
-                 "backend": BACKEND, "threads": 1},
-        "points": records,
-        "aggregate": {"verdict": verdict, "min_margin": min_margin,
-                      "counts": counts},
-    }
-
-
 def run_certify(config: RunConfig) -> tuple[dict, int]:
     """Certification survey; the report and the exit code."""
-    records, counts = _survey(config, _certify_one)
+    records, counts = _survey(config)
     margins = [r["bhl"]["margin"] for r in records if r.get("bhl")]
     if counts.get("refuted"):
         verdict = "refuted at %d of %d points" % (counts["refuted"], len(records))
@@ -208,25 +181,33 @@ def run_certify(config: RunConfig) -> tuple[dict, int]:
     else:
         verdict = "hypotheses certified at all sampled points"
         code = EXIT_OK
-    report = _report("certify", config, records, counts, verdict,
-                     min(margins) if margins else None)
+    report = {                      # every part is built from plain JSON types
+        "schema": "occert-report-v1",
+        "command": "certify",
+        "config": config.to_dict(),
+        # points run one after another in this thread
+        "meta": {"version": __version__, "numpy": np.__version__,
+                 "backend": BACKEND, "threads": 1},
+        "points": records,
+        "aggregate": {"verdict": verdict,
+                      "min_margin": min(margins) if margins else None,
+                      "counts": counts},
+    }
     return report, code
 
 
-def run_spectrum(config: RunConfig) -> tuple[dict, int]:
-    records, counts = _survey(config, _spectrum_one)
-    code = EXIT_UNKNOWN if counts.get("error") else EXIT_OK
-    return _report("spectrum", config, records, counts, "spectra computed"), code
-
-
 def emit_report(report: dict, path: str | None) -> None:
-    """Write the JSON document (stable key order, round-trip-exact floats)."""
+    """Write the JSON document on one line, keys in report order, floats
+    in their round-trip-exact ``repr`` (``python -m json.tool`` pretty-prints
+    it).  The whole text is built first because only ``json.dumps``
+    without ``indent`` runs the C encoder; ``json.dump`` to a file streams
+    through the pure-Python one."""
     if path is None:
         return
+    text = json.dumps(report) + "\n"
     try:
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         print("error: cannot write report: %s" % exc, file=sys.stderr)
         raise SystemExit(EXIT_IO)
@@ -274,25 +255,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "points of the 6-sphere.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--metric", help="builtin metric family (round, flat)")
-        p.add_argument("--spec", help="JSON metric spec file")
-        p.add_argument("--points", type=int, default=20)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--fd-step", type=float, default=None, dest="fd_step",
-                       help="central finite differences of this step "
-                            "(default: closed-form curvature)")
-        p.add_argument("--richardson", action="store_true",
-                       help="fourth-order finite differences (step "
-                            "--fd-step or 1e-3)")
-        p.add_argument("--multistarts", type=int, default=64)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--checks", default="bhl,p_sufficient",
-                       help="comma list from bhl,p_sufficient,p_refute,lemma_ll_demo")
-        p.add_argument("--out", help="path for the JSON report")
-
-    common(sub.add_parser("certify", help="run the certification survey"))
-    common(sub.add_parser("spectrum", help="curvature-operator spectra only"))
+    p = sub.add_parser("certify", help="run the certification survey")
+    p.add_argument("--metric", help="builtin metric family (round, flat)")
+    p.add_argument("--spec", help="JSON metric spec file")
+    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--fd-step", type=float, default=None, dest="fd_step",
+                   help="central finite differences of this step "
+                        "(default: closed-form curvature)")
+    p.add_argument("--richardson", action="store_true",
+                   help="fourth-order finite differences (step "
+                        "--fd-step or 1e-3)")
+    p.add_argument("--multistarts", type=int, default=64)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--checks", default="bhl,p_sufficient",
+                   help="comma list from bhl,p_sufficient,p_refute,lemma_ll_demo")
+    p.add_argument("--out", help="path for the JSON report")
     sub.add_parser("selftest", help="run built-in anchor checks")
     return parser
 
@@ -308,8 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
-    runner = run_certify if args.command == "certify" else run_spectrum
-    report, code = runner(config)
+    report, code = run_certify(config)
     emit_report(report, config.out)
     _print_summary(report)
     return code

@@ -1,6 +1,5 @@
 """The ``occert selftest`` command: quick built-in anchor checks, kept
-apart from :mod:`occert.cli` so that certify and spectrum runs do not
-compile them."""
+apart from :mod:`occert.cli` so that certify runs do not compile them."""
 
 from __future__ import annotations
 

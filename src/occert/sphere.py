@@ -53,7 +53,10 @@ class ChartPoint(CheckedRecord, namedtuple("ChartPoint", "chart_id x")):
         self = super().__new__(cls, *args, **kwargs)
         if self.chart_id not in ("north", "south"):
             raise InputError("chart_id must be 'north' or 'south'")
-        x = np.asarray(self.x, dtype=float)
+        try:
+            x = np.asarray(self.x, dtype=float)
+        except (TypeError, ValueError):             # entries that are not numbers
+            raise InputError("chart coordinates must be 6 finite numbers") from None
         if x.shape != (6,) or not np.isfinite(x).all():
             raise InputError("chart coordinates must be 6 finite numbers")
         if np.linalg.norm(x) > CHART_RADIUS + 1e-12:
@@ -174,7 +177,11 @@ class FDConfig(CheckedRecord,
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not (1e-6 <= self.h <= 1e-1):
+        try:
+            in_range = 1e-6 <= self.h <= 1e-1
+        except TypeError:                           # h is not a number
+            in_range = False
+        if not in_range:
             raise InputError("finite-difference step h must lie in [1e-6, 1e-1]")
         if self.scheme not in ("central_2nd", "richardson_4th", "exact"):
             raise InputError("unknown curvature scheme %r" % self.scheme)

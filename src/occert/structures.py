@@ -403,7 +403,10 @@ class ACSField(CheckedRecord, namedtuple("ACSField", "kind matrix",
         if self.kind not in ("g2_octonionic", "chart_constant"):
             raise ConfigError("unknown ACS field kind %r" % (self.kind,))
         if self.kind == "chart_constant":
-            matrix = np.asarray(self.matrix, dtype=float)   # None reads as nan
+            try:
+                matrix = np.asarray(self.matrix, dtype=float)   # None reads as nan
+            except (TypeError, ValueError):                  # entries that are not numbers
+                raise ConfigError("chart_constant ACS field needs a matrix") from None
             if matrix.shape != (6, 6) or not np.isfinite(matrix).all():
                 raise ConfigError("chart_constant ACS field needs a matrix")
         return self

@@ -229,6 +229,13 @@ class TestExitCodes:
                    for r in report["points"])
         assert report["aggregate"]["verdict"] == "refuted at 2 of 2 points"
 
+    def test_retired_spectrum_command_exit_2(self, capsys):
+        # certify --checks bhl reports the same spectra
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["spectrum", "--metric", "round"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "invalid choice: 'spectrum'" in capsys.readouterr().err
+
     def test_io_failure_exit_5(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["certify", "--metric", "round", "--points", "1",
@@ -369,29 +376,46 @@ class TestReports:
         broken = _write_spec(tmp_path, {"family": "custom", "terms": [
             [i, i, [[-1.0, [0] * 6]]] for i in range(6)]}, "broken.json")
         runs = [
-            (cli.run_certify, ["certify", "--spec", saddle, "--points", "2",
-                               "--seed", "7", "--multistarts", "4", "--checks",
-                               "bhl,p_sufficient,p_refute,lemma_ll_demo"]),
-            (cli.run_certify, ["certify", "--metric", "flat", "--points", "2"]),
-            (cli.run_certify, ["certify", "--spec", broken, "--points", "2"]),
-            (cli.run_spectrum, ["spectrum", "--metric", "round", "--points", "2"]),
+            ["certify", "--spec", saddle, "--points", "2", "--seed", "7",
+             "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute,lemma_ll_demo"],
+            ["certify", "--metric", "flat", "--points", "2"],
+            ["certify", "--spec", broken, "--points", "2"],
         ]
         reports = []
-        for runner, argv in runs:
-            report, _ = runner(cli.parse_config(cli.build_parser().parse_args(argv)))
-            walk(report, argv[0])
+        for index, argv in enumerate(runs):
+            report, _ = cli.run_certify(cli.parse_config(cli.build_parser().parse_args(argv)))
+            walk(report, "run%d" % index)
             reports.append(report)
         assert any(r["p_membership"]["witness"] for r in reports[0]["points"])
         assert all(r["verdict"] == "error" for r in reports[2]["points"])
 
-    def test_spectrum_subcommand(self, tmp_path):
-        out = str(tmp_path / "spec.json")
-        code = cli.main(["spectrum", "--metric", "round", "--points", "2",
-                         "--seed", "5", "--out", out])
-        assert code == cli.EXIT_OK
-        report = cli.load_report(out)
-        assert report["command"] == "spectrum"
-        assert len(report["points"][0]["spectrum"]) == 15
+    def test_report_is_one_line_of_json_dumps(self, tmp_path):
+        """The file is ``json.dumps`` of the report and a newline, and it
+        reads back equal to the report, every float bit for bit."""
+        spec = _write_spec(tmp_path, {"family": "custom",
+                                      "terms": saddle_metric().params["terms"]})
+        config = cli.parse_config(cli.build_parser().parse_args(
+            ["certify", "--spec", spec, "--points", "2", "--seed", "7",
+             "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"]))
+        report, _ = cli.run_certify(config)
+        assert any(r["p_membership"]["witness"] for r in report["points"])
+        out = tmp_path / "report.json"
+        cli.emit_report(report, str(out))
+        text = out.read_text()
+        assert text == json.dumps(report) + "\n"
+        assert text.count("\n") == 1
+        loaded = cli.load_report(str(out))
+        assert loaded == report
+
+        def floats(value):
+            if isinstance(value, float):
+                yield value.hex()
+            items = (value.values() if isinstance(value, dict)
+                     else value if isinstance(value, list) else ())
+            for item in items:
+                yield from floats(item)
+
+        assert list(floats(loaded)) == list(floats(report))
 
     def test_packaged_schemas_are_valid(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -581,7 +605,7 @@ def _mutate(doc, data):
 @pytest.fixture(scope="module")
 def real_reports(tmp_path_factory):
     """Reports of small runs that cover every record shape: witnesses,
-    the lemma demo, per-point errors and the spectrum command."""
+    the lemma demo and per-point errors."""
     tmp = tmp_path_factory.mktemp("reports")
     saddle = _write_spec(tmp, {"family": "custom",
                                "terms": saddle_metric().params["terms"]}, "saddle.json")
@@ -594,13 +618,11 @@ def real_reports(tmp_path_factory):
          "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute,lemma_ll_demo"],
         ["certify", "--spec", conformal, "--points", "2", "--seed", "7"],
         ["certify", "--spec", broken, "--points", "1"],
-        ["spectrum", "--metric", "round", "--points", "2"],
     ]
     reports = []
     for argv in runs:
         config = cli.parse_config(cli.build_parser().parse_args(argv))
-        runner = cli.run_certify if argv[0] == "certify" else cli.run_spectrum
-        reports.append(json.loads(json.dumps(runner(config)[0])))
+        reports.append(json.loads(json.dumps(cli.run_certify(config)[0])))
     return reports
 
 

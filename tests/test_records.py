@@ -107,12 +107,16 @@ def test_pickle_round_trip(record, fields, values):
                  "chart coordinates must be 6 finite numbers", id="chart-point-nan"),
     pytest.param(lambda: sp.ChartPoint("south", [0.1, np.inf, 0, 0, 0, 0]), InputError,
                  "chart coordinates must be 6 finite numbers", id="chart-point-inf"),
+    pytest.param(lambda: sp.ChartPoint("north", ["a"] * 6), InputError,
+                 "chart coordinates must be 6 finite numbers", id="chart-point-strings"),
     pytest.param(lambda: sp.ambient_to_chart(np.eye(6)[0]), InputError,
                  "ambient point must be a unit 7-vector", id="ambient-6-vector"),
     pytest.param(lambda: sp.ambient_to_chart(np.full(7, np.nan)), InputError,
                  "ambient point must be a unit 7-vector", id="ambient-nan"),
     (lambda: sp.FDConfig(h=1.0), InputError,
      "finite-difference step h must lie in [1e-6, 1e-1]"),
+    pytest.param(lambda: sp.FDConfig(h="x"), InputError,
+                 "finite-difference step h must lie in [1e-6, 1e-1]", id="fd-h-string"),
     (lambda: sp.FDConfig(scheme="forward"), InputError,
      "unknown curvature scheme 'forward'"),
     (lambda: sp.MetricField("nope"), ConfigError,
@@ -134,7 +138,11 @@ def test_pickle_round_trip(record, fields, values):
                  "chart_constant ACS field needs a matrix", id="acs-matrix-5x5"),
     pytest.param(lambda: sr.ACSField("chart_constant", np.full((6, 6), np.nan)), ConfigError,
                  "chart_constant ACS field needs a matrix", id="acs-matrix-nan"),
+    pytest.param(lambda: sr.ACSField("chart_constant", "abc"), ConfigError,
+                 "chart_constant ACS field needs a matrix", id="acs-matrix-string"),
     (lambda: ct.SearchConfig(tol=float("nan")), InputError, "tol must be positive and finite"),
+    pytest.param(lambda: ct.SearchConfig(tol="x"), InputError,
+                 "tol must be positive and finite", id="tol-string"),
     (lambda: ct.SearchConfig(multistarts=-1), InputError, "multistarts must be nonnegative"),
     (lambda: ct.SearchConfig(seed=-3), InputError, "seed must be nonnegative"),
     pytest.param(lambda: ct.SearchConfig(multistarts=2.5), InputError,
@@ -149,6 +157,8 @@ def test_pickle_round_trip(record, fields, values):
     (lambda: ct.CertifyOptions(checks=("bhl", "nope")), InputError, "unknown checks: nope"),
     (lambda: ct.CertifyOptions(checks=("lemma_ll_demo",)), InputError,
      "checks lemma_ll_demo needs bhl, whose result it reads"),
+    pytest.param(lambda: ct.CertifyOptions(checks="bhl"), InputError,
+                 "checks must be a sequence of check names", id="checks-string"),
 ])
 def test_validation_texts(build, error, text):
     with pytest.raises(error) as err:
