@@ -27,11 +27,6 @@ class CurvatureError(OccertError):
     tolerance."""
 
 
-class ConventionMismatchError(OccertError):
-    """Two formulas that must agree under the fixed sign conventions
-    disagree; surfaced loudly instead of silently picking one."""
-
-
 class MetricError(OccertError):
     """A metric evaluator returned a non-finite, non-symmetric or non-SPD
     matrix."""

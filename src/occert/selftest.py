@@ -1,5 +1,7 @@
-"""The ``occert selftest`` command: quick built-in anchor checks, kept
-apart from :mod:`occert.cli` so that certify runs do not compile them."""
+"""The ``occert selftest`` command: quick built-in value anchors, kept
+apart from :mod:`occert.cli` so that certify runs do not compile them.
+Comparisons with second routes (the coframe oracle of the projection
+scalar, say) run in the test suite, not here."""
 
 from __future__ import annotations
 
@@ -29,10 +31,8 @@ def run_selftest() -> int:
     J0 = hm.standard_complex_structure()
     check("Ric* of constant curvature is the metric",
           np.allclose(cv.ricci_star(G, J0), np.eye(6), atol=1e-12))
-    val = sr.canonical_projection_scalar(J0, J0)
-    orc = sr.canonical_projection_scalar_oracle(J0, J0)
-    check("projection scalar equals coframe oracle", abs(val - orc) < 1e-10
-          and abs(val - 3j) < 1e-12)
+    check("projection scalar of the standard J is 3i",
+          abs(sr.canonical_projection_scalar(J0, J0) - 3j) < 1e-12)
     e = np.eye(7)
     check("octonion table anchor e1 x e2 = e3",
           np.allclose(sr.cross7(e[0], e[1]), e[2]))

@@ -1,8 +1,8 @@
 """Almost complex structures beyond what the certifier runs (library only):
 complex structures from frames, hat/sharp, the canonical-line projection
-scalar with a coframe oracle, (1,0)-forms, psi / phi / Chern-type forms,
-star-Ricci frame matrices, and the octonionic structure on S^6 with its
-covariant derivative and canonical-connection residuals, all in closed form.
+scalar, (1,0)-forms, psi / phi / Chern-type forms, and the octonionic
+structure on S^6 with its covariant derivative and canonical-connection
+residuals, all in closed form.  Every invariant check rejects NaN.
 """
 
 from __future__ import annotations
@@ -11,30 +11,24 @@ from collections import namedtuple
 
 import numpy as np
 
-from .curvature import express_in_frame, ricci, ricci_star
-from .errors import (CompatibilityError, ConfigError, ConventionMismatchError,
-                     FormTypeError, FrameError, InputError, StructureError)
+from .curvature import check_curvature, ricci, ricci_star
+from .errors import (CompatibilityError, ConfigError, FormTypeError, FrameError, InputError,
+                     StructureError)
 from .hermitian import (TOL_CLASSIFY, ComplexStructure, fundamental_two_form, lambda2_inner,
                         standard_complex_structure)
-from .rng import haar_orthogonal, make_rng
 from .sphere import (ChartPoint, CheckedRecord, MetricField, _christoffel, _stereographic_jets,
                      chart_to_ambient, orthonormal_frame)
 
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
 
 
-def sharp_index(i: int) -> int:
-    """The pairing involution on 0-based indices: 0<->1, 2<->3, 4<->5."""
-    return i + 1 if i % 2 == 0 else i - 1
-
-
 def check_complex_structure(J: np.ndarray) -> None:
     """Raise unless J^2 = -Id and J is orthogonal (both within TOL_CONSTRUCT)."""
     J = np.asarray(J, dtype=float)
     eye = np.eye(J.shape[0])
-    if np.max(np.abs(J @ J + eye)) > TOL_CONSTRUCT:
+    if not np.max(np.abs(J @ J + eye)) <= TOL_CONSTRUCT:     # also rejects nan
         raise StructureError("J^2 differs from -Id beyond tolerance")
-    if np.max(np.abs(J.T @ J - eye)) > TOL_CONSTRUCT:
+    if not np.max(np.abs(J.T @ J - eye)) <= TOL_CONSTRUCT:
         raise CompatibilityError("J is not orthogonal")
 
 
@@ -58,7 +52,7 @@ def make_complex_structure(frame: np.ndarray) -> ComplexStructure:
     """
     F = np.asarray(frame, dtype=float)
     defect = np.max(np.abs(F.T @ F - np.eye(F.shape[0])))
-    if defect > TOL_CLASSIFY:
+    if not defect <= TOL_CLASSIFY:
         raise FrameError("frame is not orthonormal: Gram defect %.3e" % defect)
     J = F @ standard_complex_structure(F.shape[0]) @ F.T
     # F is orthonormal, so det F has the sign of the frame orientation.
@@ -100,7 +94,7 @@ def adapted_frame(J: np.ndarray) -> np.ndarray:
 
 def check_two_form(zeta: np.ndarray) -> None:
     zeta = np.asarray(zeta, dtype=float)
-    if np.max(np.abs(zeta + zeta.T)) > TOL_CONSTRUCT * max(1.0, np.max(np.abs(zeta))):
+    if not np.max(np.abs(zeta + zeta.T)) <= TOL_CONSTRUCT * max(1.0, np.max(np.abs(zeta))):
         raise InputError("2-form coefficient matrix is not antisymmetric")
 
 
@@ -109,7 +103,7 @@ def hat(A: np.ndarray) -> np.ndarray:
     so in the orthonormal working basis hat(A) has A's matrix."""
     A = np.array(A, dtype=float)
     skew_defect = np.max(np.abs(A.T + A))
-    if skew_defect > TOL_CONSTRUCT * max(1.0, np.max(np.abs(A))):
+    if not skew_defect <= TOL_CONSTRUCT * max(1.0, np.max(np.abs(A))):
         raise StructureError("endomorphism is not skew: defect %.3e" % skew_defect)
     return A
 
@@ -128,42 +122,12 @@ def norm_E(zeta: np.ndarray) -> float:
 def canonical_projection_scalar(A: np.ndarray, J: np.ndarray) -> complex:
     """Scalar by which A acts on the canonical line: -i (hat(A), omega).
 
-    Works in an orthonormal basis.  The independent route through an
-    explicit (1,0)-coframe is :func:`canonical_projection_scalar_oracle`.
+    Works in an orthonormal basis.
     """
     A = np.asarray(A, dtype=float)
     check_complex_structure(J)
     omega = fundamental_two_form(J)
     return -1j * lambda2_inner(hat(A), omega)
-
-
-def _wedge3(c1: np.ndarray, c2: np.ndarray, c3: np.ndarray) -> np.ndarray:
-    """Dense components of c1 ^ c2 ^ c3 (determinant convention)."""
-    t = np.einsum("i,j,k->ijk", c1, c2, c3)
-    out = (t + np.einsum("ijk->jki", t) + np.einsum("ijk->kij", t)
-           - np.einsum("ijk->jik", t) - np.einsum("ijk->ikj", t)
-           - np.einsum("ijk->kji", t))
-    return out
-
-
-def canonical_projection_scalar_oracle(A: np.ndarray, J: np.ndarray) -> complex:
-    """<A* Omega, Omega> for the unit holomorphic volume form Omega.
-
-    Builds a unitary (1,0)-coframe e^a = (f^a + i (J f_a)^flat)/sqrt(2)
-    over a J-adapted frame, extends the pull-back of A to 3-forms as a
-    derivation, and reads off the induced scalar on Lambda^{3,0}.
-    """
-    A = np.asarray(A, dtype=float)
-    check_complex_structure(J)
-    F = adapted_frame(J)
-    cof = [(F[:, 2 * a] + 1j * F[:, 2 * a + 1]) / np.sqrt(2.0) for a in range(3)]
-    omega3 = _wedge3(*cof)
-    pulled = [c @ A for c in cof]            # (A* alpha)(v) = alpha(A v)
-    deriv = (_wedge3(pulled[0], cof[1], cof[2])
-             + _wedge3(cof[0], pulled[1], cof[2])
-             + _wedge3(cof[0], cof[1], pulled[2]))
-    norm2 = np.sum(omega3 * np.conj(omega3)) / 6.0
-    return complex(np.sum(deriv * np.conj(omega3)) / 6.0 / norm2)
 
 
 def project_one_zero(psi: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -178,9 +142,9 @@ def check_one_zero(phi: np.ndarray, J: np.ndarray) -> None:
     phi = np.asarray(phi, dtype=complex)
     phi_J = np.einsum("iab,ij->jab", phi, J)
     scale = max(1.0, float(np.max(np.abs(phi))))
-    if np.max(np.abs(phi_J - 1j * phi)) > TOL_CLASSIFY * scale:
-        raise FormTypeError("1-form is not of type (1,0): defect %.3e"
-                            % float(np.max(np.abs(phi_J - 1j * phi))))
+    defect = float(np.max(np.abs(phi_J - 1j * phi)))
+    if not defect <= TOL_CLASSIFY * scale:
+        raise FormTypeError("1-form is not of type (1,0): defect %.3e" % defect)
 
 
 def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None) -> np.ndarray:
@@ -207,55 +171,21 @@ def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None) 
     H = np.einsum("ica,jcb->ijab", np.conj(phi), phi)  # Phi_i^H Phi_j
     M = -1j * (H - np.transpose(H, (1, 0, 2, 3)))
     zeta = np.einsum("a,ijab,b->ij", np.conj(w), M, w)
-    if np.max(np.abs(zeta.imag)) > 1e-10 * max(1.0, np.max(np.abs(zeta.real))):
+    if not np.max(np.abs(zeta.imag)) <= 1e-10 * max(1.0, np.max(np.abs(zeta.real))):
         raise FormTypeError("wedge form has a non-real part beyond tolerance")
     return np.real(zeta)
-
-
-class FrameMatrix(namedtuple("FrameMatrix", "alpha a alpha_plain M frame gap")):
-    """Star-Ricci data of (R, frame).
-
-    ``alpha`` includes the signs of J e_i = (-1)^(i-1) e_{i#} and equals
-    the star-Ricci form in frame coordinates; ``alpha_plain`` is the
-    sign-free double sum, kept for reference (it obeys the symmetry
-    alpha_ij = alpha_{j# i#} without the (-1)^(i+j) factor).  ``M`` is
-    the symmetrized star-Ricci reference matrix computed along an
-    independent route; ``gap`` records max |a - M|.
-    """
-
-    __slots__ = ()
 
 
 # the contractions of (R, J, nabla J) feeding the Chern-type form
 StarRicciData = namedtuple("StarRicciData", "ric ric_star psi phi")
 
 
-PSI_CHECK_TOL = 1e-9             # relative gap allowed between psi's two displays
-
-
-def ricci_star_alt(R: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Cross-check route: Ric*(X, Y) = (1/2) sum_i R(X, JY, e_i, J e_i)."""
-    R = np.asarray(R, dtype=float)
-    J = np.asarray(J, dtype=float)
-    return 0.5 * np.einsum("iakm,aj,mk->ij", R, J, J)
-
-
 def psi(R: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """psi(X, Y) = sum_i R(X, Y, e_i, J e_i).
-
-    Also evaluates the equivalent display -2 Ric*(X, JY) and raises
-    ConventionMismatchError if the two disagree beyond PSI_CHECK_TOL
-    relative to max(1, max|psi|).
-    """
+    """psi(X, Y) = sum_i R(X, Y, e_i, J e_i), which equals -2 Ric*(X, JY)
+    for a curvature tensor R; anything else raises CurvatureError."""
     R = np.asarray(R, dtype=float)
-    J = np.asarray(J, dtype=float)
-    direct = np.einsum("xyim,mi->xy", R, J)
-    via_star = -2.0 * (ricci_star(R, J) @ J)
-    gap = float(np.max(np.abs(direct - via_star)))
-    if gap > PSI_CHECK_TOL * max(1.0, float(np.max(np.abs(direct)))):
-        raise ConventionMismatchError(
-            "psi expressions disagree by %.3e; sign conventions broken" % gap)
-    return direct
+    check_curvature(R)
+    return np.einsum("xyim,mi->xy", R, np.asarray(J, dtype=float))
 
 
 def check_nabla_j(nabla_j: np.ndarray, J: np.ndarray) -> None:
@@ -267,7 +197,7 @@ def check_nabla_j(nabla_j: np.ndarray, J: np.ndarray) -> None:
     anti = np.max(np.abs(np.einsum("iab,bc->iac", N, J)
                          + np.einsum("ab,ibc->iac", J, N)))
     skew = np.max(np.abs(N + N.transpose(0, 2, 1)))
-    if anti > TOL_CONSTRUCT * scale or skew > TOL_CONSTRUCT * scale:
+    if not (anti <= TOL_CONSTRUCT * scale and skew <= TOL_CONSTRUCT * scale):
         raise StructureError(
             "nabla J incompatible with J: anticommutation %.3e, skewness %.3e"
             % (anti, skew))
@@ -296,60 +226,6 @@ def star_ricci_data(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray) -> StarRi
 def chern_form(R: np.ndarray, J: np.ndarray, nabla_j: np.ndarray) -> np.ndarray:
     """First-Chern-type 2-form (2 psi + phi) / (8 pi), pointwise."""
     return (2.0 * psi(R, J) + phi(J, nabla_j)) / (8.0 * np.pi)
-
-
-def star_matrix(R: np.ndarray, frame: np.ndarray) -> FrameMatrix:
-    """Frame matrices alpha, a = sym(alpha) and the star-Ricci reference M.
-
-    alpha_ij = sum_k R(e_i, e_k, J e_j, J e_k) in frame coordinates,
-    where J is the complex structure generated by the frame.  M is
-    computed independently by contracting in the working basis and
-    restricting to the frame; a == M up to roundoff is recorded in
-    ``gap``.  The working basis must be orthonormal.
-    """
-    F = np.asarray(frame, dtype=float)
-    cs = make_complex_structure(F)   # raises FrameError when not orthonormal
-    Rf = express_in_frame(R, F)
-    alpha = ricci_star(Rf, standard_complex_structure(F.shape[0]))
-    a = 0.5 * (alpha + alpha.T)
-    # Sign-free double sum from the index display, kept for reference.
-    n = F.shape[0]
-    alpha_plain = np.array(
-        [[sum(Rf[i, k, sharp_index(j), sharp_index(k)] for k in range(n))
-          for j in range(n)] for i in range(n)])
-    ric = ricci_star(np.asarray(R, dtype=float), cs.J)
-    M = F.T @ (0.5 * (ric + ric.T)) @ F
-    gap = float(np.max(np.abs(a - M)))
-    return FrameMatrix(alpha=alpha, a=a, alpha_plain=alpha_plain,
-                       M=M, frame=F, gap=gap)
-
-
-def star_symmetry_defect(alpha: np.ndarray) -> float:
-    """Max violation of alpha_ij = (-1)^(i+j) alpha_{j# i#} (1-based signs)."""
-    alpha = np.asarray(alpha, dtype=float)
-    n = alpha.shape[0]
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            sign = (-1.0) ** ((i + 1) + (j + 1))
-            worst = max(worst, abs(alpha[i, j] - sign * alpha[sharp_index(j), sharp_index(i)]))
-    return worst
-
-
-def random_orthonormal_frame(rng: int | np.random.Generator) -> np.ndarray:
-    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-    return haar_orthogonal(rng)
-
-
-def random_nabla_j(rng: int | np.random.Generator, J: np.ndarray,
-                   scale: float = 1.0) -> np.ndarray:
-    """Random 3-tensor satisfying the nabla-J invariants exactly:
-    each slice skew and anticommuting with J."""
-    rng = rng if isinstance(rng, np.random.Generator) else make_rng(rng)
-    J = np.asarray(J, dtype=float)
-    N = rng.normal(size=(6, 6, 6)) * scale
-    N = 0.5 * (N - N.transpose(0, 2, 1))
-    return 0.5 * (N + np.einsum("ab,ibc,cd->iad", J, N, J))
 
 
 # Octonion structure constants: eps[i,j,k] = +1 on these ordered triples
@@ -382,7 +258,7 @@ def g2_structure(p: np.ndarray) -> np.ndarray:
     Restricts to an orthogonal complex structure on the tangent space.
     """
     p = np.asarray(p, dtype=float)
-    if abs(np.linalg.norm(p) - 1.0) > 1e-9:
+    if p.shape != (7,) or not abs(np.linalg.norm(p) - 1.0) <= 1e-9:
         raise InputError("base point must be a unit 7-vector")
     return np.einsum("ijk,i->kj", OCTONION_EPS, p)
 

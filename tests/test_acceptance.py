@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import random_form_above_omega, random_one_one_form, random_skew
+from oracles import canonical_projection_scalar_oracle, random_nabla_j
 from occert import budget as bd
 from occert import certify as ct
 from occert import cli
@@ -70,7 +71,7 @@ def test_03_projection_lemma_oracle():
         A = random_skew(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
         lemma = sr.canonical_projection_scalar(A, J)
-        oracle = sr.canonical_projection_scalar_oracle(A, J)
+        oracle = canonical_projection_scalar_oracle(A, J)
         worst = max(worst, abs(lemma - oracle))
     _report(3, "projection lemma vs coframe oracle", worst < 1e-10,
             "max gap=%.2e" % worst)
@@ -100,7 +101,7 @@ def test_05_phi_identity():
     worst = 0.0
     for _ in range(1000):
         J = hm.random_orthogonal_complex_structure(rng).J
-        N = sr.random_nabla_j(rng, J)
+        N = random_nabla_j(rng, J)
         phi = sr.phi(J, N)
         x = rng.normal(size=6)
         lhs = x @ phi @ (J @ x)

@@ -5,12 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import random_nabla_j, ricci_star_alt, sharp_index, star_matrix, star_symmetry_defect
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import structures as sr
-from occert.errors import ConventionMismatchError, CurvatureError, FrameError, StructureError
+from occert.errors import CurvatureError, FrameError, StructureError
 from occert.kernels import PAIRS
-from occert.rng import make_rng
+from occert.rng import haar_orthogonal, make_rng
 
 
 class TestKulkarniNomizu:
@@ -130,7 +131,7 @@ class TestRicciContractions:
         for _ in range(200):
             R = cv.random_curvature(rng)
             J = hm.random_orthogonal_complex_structure(rng).J
-            gap = np.max(np.abs(cv.ricci_star(R, J) - sr.ricci_star_alt(R, J)))
+            gap = np.max(np.abs(cv.ricci_star(R, J) - ricci_star_alt(R, J)))
             assert gap < 1e-9
 
     def test_frame_independence(self):
@@ -141,7 +142,7 @@ class TestRicciContractions:
         ric_star = cv.ricci_star(R, J)
         psi = sr.psi(R, J)
         for _ in range(10):
-            F = sr.random_orthonormal_frame(rng)
+            F = haar_orthogonal(rng)
             # oracle: contract over the frame columns explicitly
             ric_o = sum(np.einsum("ijkl,j,l->ik", R, F[:, a], F[:, a])
                         for a in range(6))
@@ -171,16 +172,22 @@ class TestPsi:
     def test_half_psi_of_round_is_positive(self, G, J0):
         assert hm.is_positive_form(sr.psi(G, J0) / 2.0, J0) == "positive"
 
-    def test_display_mismatch_is_loud(self, J0):
-        # a pair-symmetric tensor with a Bianchi component breaks the
-        # equality of the two displays; the check must raise, not pick one
+    def test_non_curvature_tensor_rejected(self, J0):
+        # a pair-symmetric tensor with a Bianchi component is no curvature
+        # tensor, and psi = -2 Ric*(., J .) fails for it
         rng = make_rng(23)
         T = rng.normal(size=(6, 6, 6, 6))
         T = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
                     + T.transpose(1, 0, 3, 2))
         T = 0.5 * (T + T.transpose(2, 3, 0, 1))   # Bianchi part retained
-        with pytest.raises(ConventionMismatchError):
+        with pytest.raises(CurvatureError):
             sr.psi(T, J0)
+
+    def test_nan_tensor_rejected(self, G, J0):
+        R = G.copy()
+        R[0, 1, 0, 1] = np.nan
+        with pytest.raises(CurvatureError):
+            sr.psi(R, J0)
 
 
 class TestPhi:
@@ -191,7 +198,7 @@ class TestPhi:
         rng = make_rng(27)
         for _ in range(100):
             J = hm.random_orthogonal_complex_structure(rng).J
-            N = sr.random_nabla_j(rng, J)
+            N = random_nabla_j(rng, J)
             p = sr.phi(J, N)
             for _ in range(10):
                 x = rng.normal(size=6)
@@ -227,8 +234,8 @@ class TestStarMatrix:
     def test_round_reference_is_identity(self, G):
         rng = make_rng(31)
         for _ in range(20):
-            F = sr.random_orthonormal_frame(rng)
-            fm = sr.star_matrix(G, F)
+            F = haar_orthogonal(rng)
+            fm = star_matrix(G, F)
             assert np.max(np.abs(fm.M - np.eye(6))) < 1e-12
             assert np.linalg.eigvalsh(fm.M)[0] >= -1e-10
 
@@ -236,16 +243,16 @@ class TestStarMatrix:
         rng = make_rng(33)
         for _ in range(10):
             R = cv.random_curvature(rng)
-            F = sr.random_orthonormal_frame(rng)
-            fm = sr.star_matrix(R, F)
+            F = haar_orthogonal(rng)
+            fm = star_matrix(R, F)
             assert np.max(np.abs(fm.a - fm.a.T)) == 0.0
             assert np.max(np.abs(fm.a - 0.5 * (fm.alpha + fm.alpha.T))) < 1e-14
             # index symmetry with the parity signs holds for the signed alpha
-            assert sr.star_symmetry_defect(fm.alpha) < 1e-9
+            assert star_symmetry_defect(fm.alpha) < 1e-9
             # the sign-free double sum obeys it without the parity factor
             n = 6
             plain = max(abs(fm.alpha_plain[i, j]
-                            - fm.alpha_plain[sr.sharp_index(j), sr.sharp_index(i)])
+                            - fm.alpha_plain[sharp_index(j), sharp_index(i)])
                         for i in range(n) for j in range(n))
             assert plain < 1e-12
             # recorded relation: a equals the independently computed M
@@ -253,5 +260,5 @@ class TestStarMatrix:
 
     def test_non_orthonormal_frame_rejected(self, G):
         with pytest.raises(FrameError):
-            sr.star_matrix(G, 2.0 * np.eye(6))
+            star_matrix(G, 2.0 * np.eye(6))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_skew
+from oracles import canonical_projection_scalar_oracle
 from occert import hermitian as hm
 from occert import structures as sr
 from occert.errors import (CompatibilityError, FormTypeError, FrameError, InputError,
@@ -143,7 +144,7 @@ class TestPositiveFormClassification:
 class TestCanonicalProjection:
     def test_standard_value_both_routes(self, J0):
         lemma = sr.canonical_projection_scalar(J0, J0)
-        oracle = sr.canonical_projection_scalar_oracle(J0, J0)
+        oracle = canonical_projection_scalar_oracle(J0, J0)
         assert abs(lemma - 3j) < 1e-12
         assert abs(oracle - 3j) < 1e-10
 
@@ -159,7 +160,7 @@ class TestCanonicalProjection:
             A = random_skew(rng)
             J = hm.random_orthogonal_complex_structure(rng).J
             lemma = sr.canonical_projection_scalar(A, J)
-            oracle = sr.canonical_projection_scalar_oracle(A, J)
+            oracle = canonical_projection_scalar_oracle(A, J)
             assert abs(lemma - oracle) < 1e-10
 
     def test_degenerate_structure_rejected(self):
@@ -271,3 +272,32 @@ class TestRandomStructures:
         var = total_sq / n - mean ** 2
         sem = np.sqrt(np.maximum(var, 0.0) / n)
         assert np.all(np.abs(mean) <= 3.0 * sem + 1e-12)
+
+
+NAN6 = np.full((6, 6), np.nan)
+NAN_CASES = [
+    ("check-complex-structure", lambda J0: sr.check_complex_structure(NAN6),
+     StructureError, "^J\\^2 differs from -Id beyond tolerance$"),
+    ("projection-scalar-j", lambda J0: sr.canonical_projection_scalar(J0, NAN6),
+     StructureError, "^J\\^2 differs from -Id beyond tolerance$"),
+    ("hat", lambda J0: sr.hat(NAN6), StructureError, "^endomorphism is not skew: defect nan$"),
+    ("sharp", lambda J0: sr.sharp(NAN6),
+     InputError, "^2-form coefficient matrix is not antisymmetric$"),
+    ("phi-nabla-j", lambda J0: sr.phi(J0, np.full((6, 6, 6), np.nan)), StructureError,
+     "^nabla J incompatible with J: anticommutation nan, skewness nan$"),
+    ("make-complex-structure", lambda J0: sr.make_complex_structure(NAN6),
+     FrameError, "^frame is not orthonormal: Gram defect nan$"),
+    ("check-one-zero", lambda J0: sr.check_one_zero(np.full((6, 1, 1), np.nan, complex), J0),
+     FormTypeError, "^1-form is not of type \\(1,0\\): defect nan$"),
+    ("g2-nan-point", lambda J0: sr.g2_structure(np.full(7, np.nan)),
+     InputError, "^base point must be a unit 7-vector$"),
+    ("g2-six-vector", lambda J0: sr.g2_structure(np.eye(6)[0]),
+     InputError, "^base point must be a unit 7-vector$"),
+]
+
+
+@pytest.mark.parametrize("call, error, text", [case[1:] for case in NAN_CASES],
+                         ids=[case[0] for case in NAN_CASES])
+def test_invariant_checks_reject_nan(J0, call, error, text):
+    with pytest.raises(error, match=text):
+        call(J0)

@@ -36,7 +36,6 @@ RECORDS = [
     (cli.RunConfig, "metric points fd options out", None),
     (bd.PerturbationBudget, "eps1 eps2", (0.01, 0.02)),
     (bd.BudgetCheck, "quadratic_ok linear_ok implied_bound", None),
-    (sr.FrameMatrix, "alpha a alpha_plain M frame gap", None),
     (sr.StarRicciData, "ric ric_star psi phi", None),
     (sr.ACSField, "kind matrix", ("chart_constant", hm.standard_complex_structure())),
     (sr.ConnectionCoefficients, "gamma g g_inv", None),
