@@ -1,8 +1,8 @@
 """Pointwise certification of curvature-positivity conditions on S^6.
 
 Samples points of the 6-sphere with a chosen metric, computes the
-curvature operator from the metric's closed-form 2-jets (by finite
-differences on request), and checks the spectral pinching and
+curvature operator from the metric's closed-form 2-jets (by Richardson
+finite differences on request), and checks the spectral pinching and
 star-Ricci positivity conditions, certifying, refuting with an explicit
 witness, or reporting unknown.
 Every name in ``__all__`` is exported lazily (PEP 562): it loads its

@@ -88,17 +88,9 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("one of --metric or --spec is required")
     if args.points < 1:
         raise ConfigError("--points must be at least 1")
-    # closed-form curvature unless a finite-difference flag is given
-    if args.richardson:
-        scheme = "richardson_4th"
-    elif args.fd_step is not None:
-        scheme = "central_2nd"
-    else:
-        scheme = "exact"
+    fd = FDConfig(scheme="richardson_4th" if args.richardson else "exact")
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     try:                            # the records state the rules on their fields
-        fd = FDConfig(h=1e-3 if args.fd_step is None else args.fd_step,
-                      scheme=scheme)
         options = CertifyOptions(
             checks=checks,
             search=SearchConfig(multistarts=args.multistarts, tol=args.tol,
@@ -260,12 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", help="JSON metric spec file")
     p.add_argument("--points", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fd-step", type=float, default=None, dest="fd_step",
-                   help="central finite differences of this step "
-                        "(default: closed-form curvature)")
     p.add_argument("--richardson", action="store_true",
-                   help="fourth-order finite differences (step "
-                        "--fd-step or 1e-3)")
+                   help="fourth-order finite differences of step 1e-3 "
+                        "(default: closed-form curvature)")
     p.add_argument("--multistarts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--checks", default="bhl,p_sufficient",

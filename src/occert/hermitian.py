@@ -15,7 +15,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .errors import CompatibilityError
+from .errors import CompatibilityError, InputError
 from .kernels import _P, _Q
 from .rng import haar_orthogonal, make_rng
 
@@ -38,7 +38,7 @@ def standard_complex_structure(dim: int = 6) -> np.ndarray:
 def fundamental_two_form(J: np.ndarray) -> np.ndarray:
     """omega(X, Y) = <JX, Y> as an antisymmetric matrix."""
     J = np.asarray(J, dtype=float)
-    if np.max(np.abs(J.T @ J - np.eye(J.shape[0]))) > TOL_CLASSIFY:
+    if not np.max(np.abs(J.T @ J - np.eye(J.shape[0]))) <= TOL_CLASSIFY:  # also rejects nan
         raise CompatibilityError("J is not orthogonal")
     return J.T.copy()
 
@@ -73,6 +73,8 @@ def is_positive_form(zeta: np.ndarray, J: np.ndarray) -> str:
     """
     zeta = np.asarray(zeta, dtype=float)
     J = np.asarray(J, dtype=float)
+    if not (np.isfinite(zeta).all() and np.isfinite(J).all()):
+        raise InputError("2-form and J must be finite")
     scale = max(1.0, np.max(np.abs(zeta)))
     if np.max(np.abs(J.T @ zeta @ J - zeta)) > TOL_CLASSIFY * scale:
         return "not_11"

@@ -38,8 +38,8 @@ def run_selftest() -> int:
           np.allclose(sr.cross7(e[0], e[1]), e[2]))
     pt = sp.sample_points(1, 0)[0]
     round_metric = sp.MetricField(family="round")
-    R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="central_2nd"))
-    check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-4)
+    R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="richardson_4th"))
+    check("round-sphere curvature anchor", float(np.max(np.abs(R - G))) < 1e-6)
     R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="exact"))
     check("exact round-sphere curvature anchor",
           float(np.max(np.abs(R - G))) <= 1e-12)

@@ -1,7 +1,7 @@
 """Concrete metrics on the 6-sphere in stereographic charts.
 
-Riemann curvature from closed-form 2-jets of the metric or, when the
-caller names a finite-difference scheme, from finite differences of it
+Riemann curvature from closed-form 2-jets of the metric or, under the
+'richardson_4th' scheme, from fourth-order finite differences of it
 (the package's only ones), and point sampling.  All curvature leaving this
 module is re-expressed in a g-orthonormal frame and projected onto the
 algebraic curvature tensors, so the algebra layers always see g = Id and
@@ -168,9 +168,8 @@ class FDConfig(CheckedRecord,
 
     'exact', the default here and in the CLI, takes the closed-form
     2-jets of :meth:`MetricField.jets`; h then only sets the 100 h^2
-    identity gate of :func:`riemann`.  'central_2nd' and
-    'richardson_4th' take finite differences of the metric on a stencil
-    of step h; the CLI selects them with --fd-step and --richardson.
+    identity gate of :func:`riemann`.  'richardson_4th' (the CLI's
+    --richardson) takes fourth-order differences on a stencil of step h.
     """
 
     __slots__ = ()
@@ -183,7 +182,7 @@ class FDConfig(CheckedRecord,
             in_range = False
         if not in_range:
             raise InputError("finite-difference step h must lie in [1e-6, 1e-1]")
-        if self.scheme not in ("central_2nd", "richardson_4th", "exact"):
+        if self.scheme not in ("richardson_4th", "exact"):
             raise InputError("unknown curvature scheme %r" % self.scheme)
         return self
 
@@ -439,30 +438,25 @@ class MetricField(CheckedRecord,
         return MetricField(family="custom", params={"terms": terms})
 
 
-def _stencil(xs: np.ndarray, h: float, scheme: str) -> np.ndarray:
+def _stencil(xs: np.ndarray, h: float) -> np.ndarray:
     """Each row of xs followed by its finite-difference stencil, shape
-    (B, 1 + 12, 6) or (B, 1 + 24, 6): for each direction i, x + h e_i and
-    x - h e_i, then (richardson_4th) x + 2h e_i and x - 2h e_i."""
+    (B, 1 + 24, 6): for each direction i, x + h e_i, x - h e_i,
+    x + 2h e_i and x - 2h e_i."""
     eye = np.eye(6)
     base = xs[:, None, :]
-    offsets = [base + h * eye, base - h * eye]
-    if scheme == "richardson_4th":
-        offsets += [base + 2.0 * h * eye, base - 2.0 * h * eye]
+    offsets = [base + h * eye, base - h * eye,
+               base + 2.0 * h * eye, base - 2.0 * h * eye]
     stencil = np.stack(offsets, axis=2).reshape(len(xs), -1, 6)
     return np.concatenate([base, stencil], axis=1)
 
 
-def _fd_derivative(samples: np.ndarray, h: float, scheme: str,
-                   axis: int = 0) -> np.ndarray:
-    """Partial derivatives from stencil samples (the stencil of
-    :func:`_stencil` without its base, along ``axis``); the direction
+def _fd_derivative(samples: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+    """Fourth-order partial derivatives from stencil samples (the stencil
+    of :func:`_stencil` without its base, along ``axis``); the direction
     index replaces the stencil index."""
     s = np.moveaxis(samples, axis, 0)
     s = s.reshape((6, -1) + s.shape[1:])         # direction, offset, ...
-    if scheme == "central_2nd":
-        d = (s[:, 0] - s[:, 1]) / (2.0 * h)
-    else:
-        d = (8.0 * (s[:, 0] - s[:, 1]) - (s[:, 2] - s[:, 3])) / (12.0 * h)
+    d = (8.0 * (s[:, 0] - s[:, 1]) - (s[:, 2] - s[:, 3])) / (12.0 * h)
     return np.moveaxis(d, 0, axis)
 
 
@@ -520,14 +514,14 @@ def _coordinate_riemann(field: MetricField, point: ChartPoint,
     else:
         # Christoffel symbols at the point and at its stencil, from one
         # metric evaluation over the stencil of every one of these bases
-        bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h, fd.scheme)[0]
-        samples = _stencil(bases, fd.h, fd.scheme)
+        bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h)[0]
+        samples = _stencil(bases, fd.h)
         B, S = samples.shape[:2]
         g_all = field.matrices(point.chart_id, samples.reshape(-1, 6)).reshape(B, S, 6, 6)
-        dg = _fd_derivative(g_all[:, 1:], fd.h, fd.scheme, axis=1)
+        dg = _fd_derivative(g_all[:, 1:], fd.h, axis=1)
         gamma_all, _ = _christoffel(g_all[:, 0], dg, bases)
         gamma, g = gamma_all[0], g_all[0, 0]
-        dgamma = _fd_derivative(gamma_all[1:], fd.h, fd.scheme)
+        dgamma = _fd_derivative(gamma_all[1:], fd.h)
     # dgamma[i, l, j, k] = d_i Gamma^l_jk.  Bracket-convention curvature,
     # then a global sign for the round anchor.
     r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
@@ -544,7 +538,7 @@ def riemann(field: MetricField, point: ChartPoint,
     The sign is fixed so that the unit round sphere yields the
     Kulkarni-Nomizu square of the metric (operator = identity).  The
     scheme of ``fd`` chooses how the metric is differentiated: 'exact',
-    the default, uses its closed-form 2-jets, the others finite
+    the default, uses its closed-form 2-jets, 'richardson_4th' finite
     differences of step h.
     Raises FDQualityError when the tensor violates the algebraic
     identities beyond 100 h^2 (or is not finite), whatever the scheme;

@@ -34,20 +34,16 @@ def test_01_round_metric_anchor(G):
     t0 = time.monotonic()
     field = sp.MetricField("round")
     points = sp.sample_points(20, 42)
-    worst2 = worst4 = 0.0
-    for pt in points:
-        spec2 = cv.curvature_operator(
-            sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme="central_2nd"))).spectrum
-        worst2 = max(worst2, float(np.max(np.abs(spec2 - 1.0))))
+    worst4 = 0.0
     for pt in points:
         spec4 = cv.curvature_operator(
             sp.riemann(field, pt, sp.FDConfig(h=1e-3, scheme="richardson_4th"))
         ).spectrum
         worst4 = max(worst4, float(np.max(np.abs(spec4 - 1.0))))
     elapsed = time.monotonic() - t0
-    ok = worst2 < 1e-4 and worst4 < 1e-6 and elapsed < 10.0
+    ok = worst4 < 1e-6 and elapsed < 10.0
     _report(1, "round-metric operator anchor", ok,
-            "dev2=%.2e dev4=%.2e t=%.1fs" % (worst2, worst4, elapsed))
+            "dev4=%.2e t=%.1fs" % (worst4, elapsed))
 
 
 def test_02_constant_curvature_identities():

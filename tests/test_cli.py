@@ -40,7 +40,6 @@ _REJECTED_OPTIONS = [
     (["--checks", "lemma_ll_demo"], lambda: CertifyOptions(checks=("lemma_ll_demo",))),
     (["--checks", "p_sufficient,p_refute,lemma_ll_demo"],
      lambda: CertifyOptions(checks=("p_sufficient", "p_refute", "lemma_ll_demo"))),
-    (["--fd-step", "1.0"], lambda: FDConfig(h=1.0)),
 ]
 
 
@@ -58,9 +57,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("flags, h, scheme", [
         ([], 1e-3, "exact"),
-        (["--fd-step", "2e-3"], 2e-3, "central_2nd"),
         (["--richardson"], 1e-3, "richardson_4th"),
-        (["--fd-step", "2e-3", "--richardson"], 2e-3, "richardson_4th"),
     ])
     def test_curvature_scheme_selection(self, flags, h, scheme):
         args = cli.build_parser().parse_args(["certify", "--metric", "round"] + flags)
@@ -236,6 +233,13 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_CONFIG
         assert "invalid choice: 'spectrum'" in capsys.readouterr().err
 
+    def test_retired_fd_step_flag_exit_2(self, capsys):
+        # --richardson is the one finite-difference option left
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["certify", "--metric", "round", "--fd-step", "1e-3"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "unrecognized arguments: --fd-step 1e-3" in capsys.readouterr().err
+
     def test_io_failure_exit_5(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["certify", "--metric", "round", "--points", "1",
@@ -308,15 +312,21 @@ class TestReports:
         assert spec0.dtype == np.float64
 
     def test_exact_and_finite_difference_reports_load(self, tmp_path):
-        # exact curvature by default; a central-difference report, as
-        # every report was before the exact scheme, still loads
-        for flags, scheme in (([], "exact"), (["--fd-step", "1e-3"], "central_2nd")):
+        # exact curvature by default, Richardson differences on request
+        for flags, scheme in (([], "exact"), (["--richardson"], "richardson_4th")):
             out = str(tmp_path / ("report-%s.json" % scheme))
             code = cli.main(["certify", "--metric", "round", "--points", "2",
                              "--seed", "3", "--out", out] + flags)
             assert code == cli.EXIT_OK
             report = cli.load_report(out)
             assert report["config"]["fd"] == {"h": 1e-3, "scheme": scheme}
+        # a central-difference report, as every report was before the
+        # exact scheme, still loads though the CLI no longer writes one
+        report = cli.load_report(str(tmp_path / "report-exact.json"))
+        report["config"]["fd"]["scheme"] = "central_2nd"
+        old = tmp_path / "report-central_2nd.json"
+        old.write_text(json.dumps(report) + "\n")
+        assert cli.load_report(str(old)) == report
 
     def test_determinism_byte_identical(self, tmp_path, monkeypatch):
         out0 = str(tmp_path / "a.json")

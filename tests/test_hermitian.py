@@ -12,6 +12,7 @@ from conftest import random_skew
 from oracles import canonical_projection_scalar_oracle
 from occert import hermitian as hm
 from occert import structures as sr
+from occert.certify import check_lemma_LL
 from occert.errors import (CompatibilityError, FormTypeError, FrameError, InputError,
                            StructureError)
 from occert.kernels import PAIRS
@@ -293,6 +294,14 @@ NAN_CASES = [
      InputError, "^base point must be a unit 7-vector$"),
     ("g2-six-vector", lambda J0: sr.g2_structure(np.eye(6)[0]),
      InputError, "^base point must be a unit 7-vector$"),
+    ("two-form-nan-j", lambda J0: hm.fundamental_two_form(NAN6),
+     CompatibilityError, "^J is not orthogonal$"),
+    ("positive-form-nan-zeta", lambda J0: hm.is_positive_form(NAN6, J0),
+     InputError, "^2-form and J must be finite$"),
+    ("positive-form-nan-j", lambda J0: hm.is_positive_form(J0.T, NAN6),
+     InputError, "^2-form and J must be finite$"),
+    ("lemma-ll-nan-zeta", lambda J0: check_lemma_LL(J0.T, NAN6, J0),
+     InputError, "^2-form and J must be finite$"),
 ]
 
 
@@ -301,3 +310,4 @@ NAN_CASES = [
 def test_invariant_checks_reject_nan(J0, call, error, text):
     with pytest.raises(error, match=text):
         call(J0)
+
