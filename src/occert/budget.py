@@ -1,6 +1,7 @@
-"""The perturbation budget around the round metric and a sampled estimate
-of a metric's deviation, from exact curvature; library only, the command
-line never loads it."""
+"""The perturbation budget around the round metric and an estimate of a
+metric's deviation from it at given points, from exact curvature, with
+the curvature part bounded by the curvature operator's spectrum; library
+only, the command line never loads it."""
 
 from __future__ import annotations
 
@@ -10,9 +11,8 @@ from collections import namedtuple
 import numpy as np
 
 from .certify import P_THRESHOLD
-from .curvature import express_in_frame
+from .curvature import curvature_operator, express_in_frame
 from .errors import InputError
-from .rng import make_rng
 from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _coordinate_riemann,
                      orthonormal_frame)
 
@@ -52,35 +52,25 @@ def perturbation_budget_check(budget: PerturbationBudget) -> BudgetCheck:
                        implied_bound=float(implied))
 
 
-def estimate_perturbation(field: MetricField, points: list[ChartPoint],
-                          quad_samples: int = 256, seed: int = 0):
-    """Sampled sup-norm deviations (metric, curvature) from the round
-    metric over the given points, at least one; both curvatures are
-    exact.  Estimates, not certified suprema.
+def estimate_perturbation(field: MetricField, points: list[ChartPoint]):
+    """Sup-norm deviations (metric, curvature) from the round metric at
+    the given points, at least one, from exact curvature in the round
+    orthonormal frame.  eps2 is max |eigenvalue| of the metric difference;
+    eps1 is max |lambda - 1| of the curvature operator, whose round value
+    is Id: D(v1, v2, v3, v4) for D = R - G pairs v1 ^ v2, of norm <= 1
+    for unit vectors, with D's operator on v3 ^ v4, so eps1 bounds sup |D|
+    at each point up to rounding.  Between the points nothing is bounded.
     """
     if not points:
         raise InputError("need at least one point to estimate a perturbation")
     base = MetricField(family="round")
-    eps1 = 0.0
-    eps2 = 0.0
-    rng = make_rng(seed, 13)
-    per_point = max(1, quad_samples // len(points))
+    eps1 = eps2 = 0.0
     for pt in points:
         g0 = base.matrix(pt)
         g1 = field.matrix(pt)
         B0 = orthonormal_frame(g0)
         h = B0.T @ (g1 - g0) @ B0
         eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-        # Deviation sampled in the round orthonormal frame of the point.
-        dev = express_in_frame(_coordinate_riemann(field, pt, FDConfig())[0]
-                               - _coordinate_riemann(base, pt, FDConfig())[0], B0)
-        eps1 = max(eps1, float(np.max(np.abs(dev))))
-        # the same numbers as one (4, 6) draw per sample
-        vs = rng.normal(size=(per_point, 4, 6))
-        vs /= np.linalg.norm(vs, axis=2)[:, :, None]
-        # dev(v1, v2, v3, v4) = (v1 (x) v2) . dev as a 36 x 36 matrix . (v3 (x) v4)
-        v12 = (vs[:, 0, :, None] * vs[:, 1, None, :]).reshape(-1, 36)
-        v34 = (vs[:, 2, :, None] * vs[:, 3, None, :]).reshape(-1, 36)
-        vals = np.sum((v12 @ dev.reshape(36, 36)) * v34, axis=1)
-        eps1 = max(eps1, float(np.max(np.abs(vals))))
+        R1 = express_in_frame(_coordinate_riemann(field, pt, FDConfig())[0], B0)
+        eps1 = max(eps1, float(np.max(np.abs(curvature_operator(R1).spectrum - 1.0))))
     return PerturbationBudget(eps1=eps1, eps2=eps2)

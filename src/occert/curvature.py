@@ -21,7 +21,7 @@ from .hermitian import two_form_to_vector, vector_to_two_form
 from .kernels import _P, _Q
 from .rng import make_rng
 
-CURVATURE_TOL = 1e-6             # identity tolerance for tensors given to this module
+CURVATURE_TOL = 1e-6             # identity tolerance, relative to max(1, max |R|)
 
 
 # Symmetric operator on 2-forms in the pair basis: the (15, 15) matrix and
@@ -69,11 +69,14 @@ def project_curvature(R: np.ndarray) -> np.ndarray:
 
 def check_curvature(R: np.ndarray) -> None:
     """Raise CurvatureError unless R satisfies every curvature identity to
-    CURVATURE_TOL (NaN fails)."""
+    CURVATURE_TOL relative to max(1, max |R|), so that rescaling the
+    metric does not decide it (NaN and inf fail)."""
     report = validate_symmetries(R)
-    if not np.max(list(report.values())) <= CURVATURE_TOL:
-        raise CurvatureError(
-            "curvature identities violated beyond %.1e: %s" % (CURVATURE_TOL, report))
+    # max() may drop a nan of R, but then every report entry is nan
+    bound = CURVATURE_TOL * max(1.0, float(np.abs(R).max()))
+    if not np.max(list(report.values())) <= bound < np.inf:
+        raise CurvatureError("curvature identities violated beyond %.1e max(1, max |R|): %s"
+                             % (CURVATURE_TOL, report))
 
 
 def curvature_operator(R: np.ndarray) -> CurvatureOperator:

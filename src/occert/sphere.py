@@ -169,7 +169,8 @@ class FDConfig(CheckedRecord,
     'exact', the default here and in the CLI, takes the closed-form
     2-jets of :meth:`MetricField.jets`; h then only sets the 100 h^2
     identity gate of :func:`riemann`.  'richardson_4th' (the CLI's
-    --richardson) takes fourth-order differences on a stencil of step h.
+    --richardson) takes fourth-order differences on a stencil of step h,
+    in [1e-4, 1e-1]: below 1e-4 their rounding error escapes the gate.
     """
 
     __slots__ = ()
@@ -177,11 +178,11 @@ class FDConfig(CheckedRecord,
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         try:
-            in_range = 1e-6 <= self.h <= 1e-1
+            in_range = 1e-4 <= self.h <= 1e-1
         except TypeError:                           # h is not a number
             in_range = False
         if not in_range:
-            raise InputError("finite-difference step h must lie in [1e-6, 1e-1]")
+            raise InputError("finite-difference step h must lie in [1e-4, 1e-1]")
         if self.scheme not in ("richardson_4th", "exact"):
             raise InputError("unknown curvature scheme %r" % self.scheme)
         return self
@@ -487,8 +488,9 @@ def _christoffel(g: np.ndarray, dg: np.ndarray, bases: np.ndarray):
 
 def _exact_levi_civita(field: MetricField, point: ChartPoint):
     """The derivative dgamma[m, k, i, j] = d_m Gamma^k_ij of the
-    Christoffel symbols, the symbols gamma[k, i, j], the metric g and its
-    inverse at the point, from the closed-form 2-jet of the metric."""
+    Christoffel symbols, the symbols gamma[k, i, j], the metric g, its
+    inverse and its derivative dg[i, a, c] = d_i g_ac at the point, from
+    the closed-form 2-jet of the metric."""
     x = np.asarray(point.x, dtype=float)
     g, dg, ddg = field.jets(point.chart_id, x)
     gamma, g_inv = _christoffel(g[None], dg[None], x[None])
@@ -497,7 +499,7 @@ def _exact_levi_civita(field: MetricField, point: ChartPoint):
     # Gamma = 1/2 g^-1 S and d g^-1 = -g^-1 (d g) g^-1
     inner = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(6, 6, 36)
              - dg @ gamma.reshape(6, 36))                  # inner[m, l, ij]
-    return (g_inv @ inner).reshape(6, 6, 6, 6), gamma, g, g_inv
+    return (g_inv @ inner).reshape(6, 6, 6, 6), gamma, g, g_inv, dg
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -510,7 +512,7 @@ def _coordinate_riemann(field: MetricField, point: ChartPoint,
                         fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
     """(4,0) curvature in chart coordinates and the metric at the point."""
     if fd.scheme == "exact":
-        dgamma, gamma, g, _ = _exact_levi_civita(field, point)
+        dgamma, gamma, g, _, _ = _exact_levi_civita(field, point)
     else:
         # Christoffel symbols at the point and at its stencil, from one
         # metric evaluation over the stencil of every one of these bases
@@ -541,7 +543,8 @@ def riemann(field: MetricField, point: ChartPoint,
     the default, uses its closed-form 2-jets, 'richardson_4th' finite
     differences of step h.
     Raises FDQualityError when the tensor violates the algebraic
-    identities beyond 100 h^2 (or is not finite), whatever the scheme;
+    identities beyond 100 h^2 max(1, max |R|), relative so that rescaling
+    the metric does not decide it, or is not finite, whatever the scheme;
     otherwise returns its orthogonal projection onto the curvature
     tensors, which is no farther from the true curvature (Frobenius
     norm) than the raw tensor.  An exact tensor violates the identities
@@ -551,10 +554,12 @@ def riemann(field: MetricField, point: ChartPoint,
     R, g = _coordinate_riemann(field, point, fd)
     R_onf = express_in_frame(R, orthonormal_frame(g))
     worst = np.max(list(validate_symmetries(R_onf).values()))
-    if not worst <= 100.0 * fd.h ** 2:           # also rejects nan
+    # max() may drop a nan of R_onf, but then worst is nan
+    gate = 100.0 * fd.h ** 2 * max(1.0, float(np.abs(R_onf).max()))
+    if not worst <= gate < np.inf:               # also rejects nan and inf
         raise FDQualityError(
-            "curvature identities violated at %.3e (> 100 h^2 = %.3e)"
-            % (worst, 100.0 * fd.h ** 2))
+            "curvature identities violated at %.3e (> 100 h^2 max(1, max |R|) = %.3e)"
+            % (worst, gate))
     return project_curvature(R_onf)
 
 

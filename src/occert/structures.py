@@ -2,7 +2,8 @@
 complex structures from frames, hat/sharp, the canonical-line projection
 scalar, (1,0)-forms, psi / phi / Chern-type forms, and the octonionic
 structure on S^6 with its covariant derivative and canonical-connection
-residuals, all in closed form.  Every invariant check rejects NaN.
+residuals, all in closed form, on the Levi-Civita symbols of the exact
+curvature route of :mod:`occert.sphere`.  Every invariant check rejects NaN.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .errors import (CompatibilityError, ConfigError, FormTypeError, FrameError,
                      StructureError)
 from .hermitian import (TOL_CLASSIFY, ComplexStructure, fundamental_two_form, lambda2_inner,
                         standard_complex_structure)
-from .sphere import (ChartPoint, CheckedRecord, MetricField, _christoffel, _stereographic_jets,
-                     chart_to_ambient, orthonormal_frame)
+from .sphere import (ChartPoint, CheckedRecord, MetricField, _exact_levi_civita,
+                     _stereographic_jets, chart_to_ambient, orthonormal_frame)
 
 TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
 
@@ -315,15 +316,8 @@ ConnectionCoefficients = namedtuple("ConnectionCoefficients", "gamma g g_inv")
 
 def christoffel(field: MetricField, point: ChartPoint) -> ConnectionCoefficients:
     """Levi-Civita symbols from the metric's closed-form jets."""
-    return _connection(field, point)[0]
-
-
-def _connection(field: MetricField, point: ChartPoint):
-    """The Levi-Civita symbols and the metric derivative dg[i, a, c]."""
-    x = np.asarray(point.x, dtype=float)
-    g, dg, _ = field.jets(point.chart_id, x)
-    gamma, g_inv = _christoffel(g[None], dg[None], x[None])
-    return ConnectionCoefficients(gamma=gamma[0], g=g, g_inv=g_inv[0]), dg
+    _, gamma, g, g_inv, _ = _exact_levi_civita(field, point)
+    return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
 
 
 # J (6, 6) and its covariant derivative nabla[i] = nabla_{e_i} J (6, 6, 6)
@@ -332,21 +326,21 @@ NablaJData = namedtuple("NablaJData", "J nabla")
 
 
 def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint):
-    """Levi-Civita symbols, the metric derivative dg[i, a, c], J, its
-    coordinate derivative dJ[i, k, j] and its covariant derivative
-    nab[i, k, j], all in chart coordinates and in closed form."""
-    conn, dg = _connection(field, point)
+    """Levi-Civita symbols gamma[k, i, j], the metric g, its derivative
+    dg[i, a, c], J, its coordinate derivative dJ[i, k, j] and its covariant
+    derivative nab[i, k, j], all in chart coordinates and in closed form."""
+    _, gamma, g, _, dg = _exact_levi_civita(field, point)
     J, dJ = acs.chart_jet(point)
     nab = (dJ
-           + np.einsum("kim,mj->ikj", conn.gamma, J)
-           - np.einsum("mij,km->ikj", conn.gamma, J))
-    return conn, dg, J, dJ, nab
+           + np.einsum("kim,mj->ikj", gamma, J)
+           - np.einsum("mij,km->ikj", gamma, J))
+    return gamma, g, dg, J, dJ, nab
 
 
 def nabla_J(field: MetricField, acs: ACSField, point: ChartPoint) -> NablaJData:
     """Covariant derivative of the J field, re-expressed orthonormally."""
-    conn, _, J, _, nab = _chart_nabla_J(field, acs, point)
-    B = orthonormal_frame(conn.g)
+    _, g, _, J, _, nab = _chart_nabla_J(field, acs, point)
+    B = orthonormal_frame(g)
     B_inv = np.linalg.inv(B)
     J_onf = B_inv @ J @ B
     nab_onf = np.einsum("ikj,ia,kc,jb->acb", nab, B, B_inv.T, B)
@@ -363,13 +357,13 @@ def canonical_connection_check(field: MetricField, acs: ACSField,
                                point: ChartPoint) -> CanonicalConnectionReport:
     """Residuals of the metric-and-complex connection built from the
     Levi-Civita symbols and the J-derivative, in chart coordinates."""
-    conn, dg, J, dJ, nab = _chart_nabla_J(field, acs, point)
+    gamma, g, dg, J, dJ, nab = _chart_nabla_J(field, acs, point)
     # Delta = Levi-Civita - (1/2) J (nabla J)
-    delta = conn.gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
+    delta = gamma - 0.5 * np.einsum("km,imj->kij", J, nab)
     # (Delta g)_ijk = d_i g_jk - Delta^m_ij g_mk - Delta^m_ik g_jm
     metricity = (dg
-                 - np.einsum("mij,mk->ijk", delta, conn.g)
-                 - np.einsum("mik,jm->ijk", delta, conn.g))
+                 - np.einsum("mij,mk->ijk", delta, g)
+                 - np.einsum("mik,jm->ijk", delta, g))
     delta_J = (dJ
                + np.einsum("kim,mj->ikj", delta, J)
                - np.einsum("mij,km->ikj", delta, J))

@@ -1,7 +1,9 @@
 """Second routes to quantities that ``occert`` computes once, and the
 random generators the tests feed them: the star-Ricci form by another
-contraction and in frame coordinates, and the canonical-line projection
-scalar through an explicit (1,0)-coframe."""
+contraction and in frame coordinates, the canonical-line projection
+scalar through an explicit (1,0)-coframe, the sup norm of a curvature
+deviation by sampling, and the ellipsoid's principal curvatures with
+the star-Ricci minimum of its Gauss tensor."""
 
 from __future__ import annotations
 
@@ -91,3 +93,59 @@ def random_nabla_j(rng: np.random.Generator, J: np.ndarray) -> np.ndarray:
     N = rng.normal(size=(6, 6, 6))
     N = 0.5 * (N - N.transpose(0, 2, 1))
     return 0.5 * (N + np.einsum("ab,ibc,cd->iad", J, N, J))
+
+
+def sampled_sup_norm(D: np.ndarray, rng: np.random.Generator, samples: int) -> float:
+    """max |D(v1, v2, v3, v4)| over sampled unit vectors: a lower estimate
+    of sup |D| over unit vectors."""
+    vs = rng.normal(size=(samples, 4, 6))
+    vs /= np.linalg.norm(vs, axis=2)[:, :, None]
+    # D(v1, v2, v3, v4) = (v1 (x) v2) . D as a 36 x 36 matrix . (v3 (x) v4)
+    v12 = (vs[:, 0, :, None] * vs[:, 1, None, :]).reshape(-1, 36)
+    v34 = (vs[:, 2, :, None] * vs[:, 3, None, :]).reshape(-1, 36)
+    return float(np.max(np.abs(np.sum((v12 @ D.reshape(36, 36)) * v34, axis=1))))
+
+
+def ellipsoid_principal_curvatures(axes, p: np.ndarray) -> np.ndarray:
+    """Principal curvatures, ascending, of the ellipsoid {A q : |q| = 1},
+    A = diag(axes), at A p for a unit 7-vector p.
+
+    The ellipsoid is the level set |A^-1 y| = 1, whose normal at y = A p
+    is A^-2 y = A^-1 p; its shape operator is the compression of
+    A^-2 / s onto the tangent space (A^-1 p)^perp, with s = |A^-1 p|.
+    """
+    a = np.asarray(axes, dtype=float)
+    normal = p / a
+    s = np.linalg.norm(normal)
+    Q, _ = np.linalg.qr((normal / s)[:, None], mode="complete")
+    T = Q[:, 1:]                                   # a tangent orthonormal basis
+    return np.linalg.eigvalsh(T.T @ (T / (a * a)[:, None]) / s)
+
+
+def gauss_two_angle_minimum(kappa: np.ndarray) -> float:
+    """The minimum over theta, phi in [0, pi] of
+    m1 m2 - m1 d2 cos(phi) - m2 d1 cos(theta) + d1 d2 cos(theta + phi),
+    the star-Ricci minimum of R = h (.) h on the span of the principal
+    directions of k1, k2, k5, k6 (sorted, positive), taken over both
+    pairings: (m1, d1) from (k1, k6) and (m2, d2) from (k2, k5), or k5
+    and k6 swapped; m is the mean and d the half-difference of a pair.
+
+    For fixed theta the phi-terms are A cos(phi) + B sin(phi) with B <= 0,
+    whose minimum -sqrt(A^2 + B^2) is attained in [0, pi].  With
+    c = cos(theta) that leaves
+    g(c) = m1 m2 - m2 d1 c - d2 sqrt(m1^2 + d1^2 - 2 m1 d1 c),
+    convex on [-1, 1], so its minimum is at the clipped root of g'.
+    """
+    k = np.sort(np.asarray(kappa, dtype=float))
+    best = np.inf
+    for (i, j), (l, m) in (((0, 5), (1, 4)), ((0, 4), (1, 5))):
+        m1, d1 = (k[i] + k[j]) / 2, (k[j] - k[i]) / 2
+        m2, d2 = (k[l] + k[m]) / 2, (k[m] - k[l]) / 2
+        cs = [-1.0, 1.0]
+        if d1 > 0:
+            root = (m1 * m1 + d1 * d1 - (d2 * m1 / m2) ** 2) / (2 * m1 * d1)
+            cs.append(min(1.0, max(-1.0, root)))
+        for c in cs:
+            g = m1 * m2 - m2 * d1 * c - d2 * np.sqrt(max(0.0, m1 * m1 + d1 * d1 - 2 * m1 * d1 * c))
+            best = min(best, g)
+    return float(best)

@@ -3,6 +3,7 @@ the nondegeneracy lemma, perturbation budgets, per-point certificates."""
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_form_above_omega, random_one_one_form
+from oracles import ellipsoid_principal_curvatures, gauss_two_angle_minimum
 from occert import budget as bd
 from occert import certify as ct
 from occert import curvature as cv
@@ -18,7 +20,7 @@ from occert import kernels
 from occert import structures as sr
 from occert.errors import InputError
 from occert.rng import make_rng
-from occert.sphere import FDConfig, MetricField, riemann, sample_points
+from occert.sphere import FDConfig, MetricField, chart_to_ambient, riemann, sample_points
 
 
 class TestBhl:
@@ -307,6 +309,30 @@ class TestGeodesic:
         for point in sample_points(2, 7):
             ct._descend(riemann(metric, point, fd), starts)
         assert len(worst) > 2 * ct.MAX_ITER and max(worst) <= 1e-12
+
+
+class TestGaussOracle:
+    """The ellipsoid's curvature is the Gauss tensor h (.) h of its second
+    fundamental form h, so its operator spectrum is {k_i k_j} over the
+    principal curvatures, and its star-Ricci minimum is observed, not
+    proven, to be the two-angle minimum of ``gauss_two_angle_minimum``."""
+
+    axes = [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]
+
+    def test_search_reaches_the_two_angle_minimum(self):
+        # at these 80 points the search ends -3.6e-15 to +1.85e-5 above
+        # the oracle, and the spectrum is within 3.9e-14 of the products
+        metric = MetricField("ellipsoid", {"axes": self.axes})
+        for seed in range(1, 41):
+            for point in sample_points(2, seed):
+                R = riemann(metric, point)
+                kappa = ellipsoid_principal_curvatures(self.axes, chart_to_ambient(point))
+                products = np.sort([kappa[i] * kappa[j]
+                                    for i, j in itertools.combinations(range(6), 2)])
+                assert np.max(np.abs(cv.curvature_operator(R).spectrum - products)) <= 1e-12
+                oracle = gauss_two_angle_minimum(kappa)
+                best = ct.refute_P(R, ct.SearchConfig(multistarts=8, seed=seed)).best_value
+                assert oracle - 1e-12 <= best <= oracle + 1e-4
 
 
 class TestWitnessDirection:

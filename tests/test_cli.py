@@ -268,6 +268,18 @@ class TestExitCodes:
         points = cli.load_report(out)["points"]
         assert all(r["bhl"]["passed"] and not r["bhl"]["boundary"] for r in points)
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-12])
+    def test_shrunk_conformal_metric_certified(self, tmp_path, scale):
+        # curvature ~1/scale: both identity checks are relative to
+        # max(1, max |R|), so, as for pinching, the scale decides nothing
+        spec = {"family": "conformal", "scale": scale,
+                "f": {"type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}
+        out = str(tmp_path / "report.json")
+        code = cli.main(["certify", "--spec", _write_spec(tmp_path, spec), "--checks", "bhl",
+                         "--points", "50", "--seed", "7", "--out", out])
+        assert code == cli.EXIT_OK
+        assert cli.load_report(out)["aggregate"]["counts"] == {"certified": 50}
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e308, 1e-320])
     def test_overflowing_scale_errors_by_name(self, tmp_path, scale):

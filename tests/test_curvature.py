@@ -58,6 +58,14 @@ class TestSymmetryValidation:
         with pytest.raises(CurvatureError):
             cv.curvature_operator(R)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_curvature_rejected(self, G):
+        # the tolerance scales with max |R|, which must not make it inf
+        R = G.copy()
+        R[2, 3, 4, 5] = np.inf
+        with pytest.raises(CurvatureError):
+            cv.curvature_operator(R)
+
 
 class TestProjection:
     def test_idempotent_and_fixes_constant_curvature(self, G):

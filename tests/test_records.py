@@ -113,9 +113,11 @@ def test_pickle_round_trip(record, fields, values):
     pytest.param(lambda: sp.ambient_to_chart(np.full(7, np.nan)), InputError,
                  "ambient point must be a unit 7-vector", id="ambient-nan"),
     (lambda: sp.FDConfig(h=1.0), InputError,
-     "finite-difference step h must lie in [1e-6, 1e-1]"),
+     "finite-difference step h must lie in [1e-4, 1e-1]"),
+    pytest.param(lambda: sp.FDConfig(h=5e-5), InputError,
+                 "finite-difference step h must lie in [1e-4, 1e-1]", id="fd-h-below-1e-4"),
     pytest.param(lambda: sp.FDConfig(h="x"), InputError,
-                 "finite-difference step h must lie in [1e-6, 1e-1]", id="fd-h-string"),
+                 "finite-difference step h must lie in [1e-4, 1e-1]", id="fd-h-string"),
     (lambda: sp.FDConfig(scheme="forward"), InputError,
      "unknown curvature scheme 'forward'"),
     (lambda: sp.MetricField("nope"), ConfigError,

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from conftest import chart_coords, saddle_metric
+from oracles import sampled_sup_norm
 from occert import budget as bd
 from occert import cli
 from occert import curvature as cv
@@ -519,16 +522,40 @@ class TestRiemann:
                 assert np.array_equal(conn.g, g[0])
                 assert np.array_equal(conn.g_inv, g_inv[0])
 
-    def test_fd_quality_error_raised(self):
-        # at the smallest step the roundoff floor exceeds the h^2 bound:
-        # on this ellipsoid the identities fail at 5.2e-9, 52 times the
-        # 1e-10 gate (on the round metric at this point only 1.8 times)
-        ellipsoid = sp.MetricField("ellipsoid",
-                                   {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]})
-        pt = sp.ChartPoint("north",
-                           np.array([0.31, -0.12, 0.22, 0.05, -0.4, 0.17]))
+    def test_fd_quality_error_raised(self, monkeypatch):
+        # a fully antisymmetric part keeps the pair symmetries and breaks
+        # only the Bianchi identity: by 6.2e-3 in the orthonormal frame
+        # here, 62 times the 100 h^2 = 1e-4 gate (max |R| is 1)
+        eps = np.zeros((6, 6, 6, 6))
+        for perm in itertools.permutations(range(4)):
+            eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
+        coordinate_riemann = sp._coordinate_riemann
+
+        def with_bianchi_part(field, point, fd):
+            R, g = coordinate_riemann(field, point, fd)
+            return R + 1e-2 * eps, g
+
+        monkeypatch.setattr(sp, "_coordinate_riemann", with_bianchi_part)
+        pt = sp.ChartPoint("north", np.array([0.31, -0.12, 0.22, 0.05, -0.4, 0.17]))
+        for scheme in ("exact", "richardson_4th"):
+            with pytest.raises(FDQualityError, match="^curvature identities violated at "):
+                sp.riemann(sp.MetricField("round"), pt, sp.FDConfig(scheme=scheme))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tensor_raised(self, monkeypatch, bad):
+        # the gate scales with max |R|, which must not let inf through;
+        # the entry goes into the frame tensor the gate reads
+        express_in_frame = sp.express_in_frame
+
+        def with_bad_entry(R, frame):
+            R_onf = express_in_frame(R, frame)
+            R_onf[0, 1, 2, 3] = bad
+            return R_onf
+
+        monkeypatch.setattr(sp, "express_in_frame", with_bad_entry)
         with pytest.raises(FDQualityError):
-            sp.riemann(ellipsoid, pt, sp.FDConfig(h=1e-6, scheme="richardson_4th"))
+            sp.riemann(sp.MetricField("round"), sp.sample_points(1, 3)[0])
 
 
 def _fd_christoffel(field, pt, fd):
@@ -817,9 +844,7 @@ class TestSampling:
 
 class TestPerturbationEstimate:
     def test_round_is_zero(self):
-        pts = sp.sample_points(2, 11)
-        budget = bd.estimate_perturbation(sp.MetricField("round"), pts,
-                                          quad_samples=20)
+        budget = bd.estimate_perturbation(sp.MetricField("round"), sp.sample_points(2, 11))
         assert budget.eps1 < 1e-8
         assert budget.eps2 < 1e-14
 
@@ -828,13 +853,31 @@ class TestPerturbationEstimate:
 
         conf = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                   "coeffs": [0.002, 0, 0, 0, 0, 0, 0]}})
-        pts = sp.sample_points(3, 12)
-        budget = bd.estimate_perturbation(conf, pts, quad_samples=30)
+        budget = bd.estimate_perturbation(conf, sp.sample_points(3, 12))
         assert budget.eps2 < 0.02
         assert perturbation_budget_check(budget).quadratic_ok
 
     def test_saddle_is_far(self):
-        budget = bd.estimate_perturbation(saddle_metric(),
-                                          sp.sample_points(2, 13),
-                                          quad_samples=20)
+        budget = bd.estimate_perturbation(saddle_metric(), sp.sample_points(2, 13))
         assert budget.eps1 > 0.5
+
+    @pytest.mark.parametrize("field", [
+        sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                           "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}),
+        saddle_metric(),
+        sp.MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}),
+    ], ids=["conformal", "saddle", "ellipsoid"])
+    def test_eps1_bounds_the_sampled_deviation(self, field):
+        # eps1 is the operator norm of D = R - G in the round orthonormal
+        # frame: at least every component and every sampled unit
+        # quadruple, up to rounding, and at most the Frobenius norm.  On
+        # the ellipsoid the largest component attains it to 6e-15.
+        rng = make_rng(14)
+        G = cv.kulkarni_nomizu_square()
+        for pt in sp.sample_points(4, 15):
+            B0 = sp.orthonormal_frame(sp.MetricField("round").matrix(pt))
+            D = cv.express_in_frame(sp._coordinate_riemann(field, pt, sp.FDConfig())[0], B0) - G
+            eps1 = bd.estimate_perturbation(field, [pt]).eps1
+            rounded = eps1 * (1.0 + 1e-12)
+            assert np.max(np.abs(D)) <= rounded and sampled_sup_norm(D, rng, 10_000) <= rounded
+            assert eps1 <= cv.frobenius_norm(D)
