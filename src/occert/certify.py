@@ -18,6 +18,7 @@ import numpy as np
 from . import kernels
 from .curvature import (
     CurvatureOperator,
+    as_curvature_tensor,
     curvature_operator,
     frobenius_norm,
     kulkarni_nomizu_square,
@@ -117,7 +118,7 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
     The upper bound is the Frobenius norm of the deviation (rigorous for
     the sup norm); the lower bound is its largest component.
     """
-    dev = np.asarray(R, dtype=float) - _ROUND
+    dev = as_curvature_tensor(R) - _ROUND
     upper = frobenius_norm(dev)
     lower = float(np.max(np.abs(dev)))
     status = "certified" if upper <= P_THRESHOLD else "unknown"
@@ -138,13 +139,6 @@ def _geodesic(D: np.ndarray, D2: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _EYE6 + a[:, None, None] * D + b[:, None, None] * D2
 
 
-def _polish_complex_structure(Js: np.ndarray) -> np.ndarray:
-    """Nearest orthogonal complex structure (polar factor of the skew part)."""
-    A = 0.5 * (Js - Js.transpose(0, 2, 1))
-    U, _, Vt = np.linalg.svd(A)
-    return U @ Vt
-
-
 def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Descend every start of the (S, 6, 6) stack; final values, their
     unit eigenvectors (S, 6, 1) and Js.
@@ -155,9 +149,9 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     trial moves J to E J E^T along the geodesic E = exp(step D) of the
     unit direction D = -G / |g| (``_geodesic``).  Per start, it is
     accepted when it lowers the value (step x 1.5) and rejected otherwise
-    (step x 0.5).  Every valuation (the starts, each round of trials, the
-    polished result) is one stacked ``kernels.refute_value``, and each
-    gradient takes the eigenpair its start's J was last valued with.
+    (step x 0.5).  Every valuation (the starts, each round of trials) is
+    one stacked ``kernels.refute_value``; each gradient and the result
+    take the eigenpair their start's J was last valued with.
     """
     Rp = kernels._by_pair(R)
     Js = np.array(Js, dtype=float)
@@ -192,8 +186,7 @@ def _descend(R: np.ndarray, Js: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
             moved[pending[accept]] = True
             pending = pending[~accept & (step[starts] > 1e-12)]
         active = active[moved]
-    Js = _polish_complex_structure(Js)
-    return (*kernels.refute_value(Rp, Js), Js)
+    return low_val, low_vec, Js
 
 
 def _witness_direction(J: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -214,7 +207,7 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     a membership proof.  Starts are orientation-compatible.
     """
     cfg = config or SearchConfig()
-    R = np.asarray(R, dtype=float)
+    R = as_curvature_tensor(R)
     starts = [random_orthogonal_complex_structure(make_rng(cfg.seed, 211, start)).J
               for start in range(cfg.multistarts)]
     best_val, witness = np.inf, None

@@ -16,7 +16,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import kernels
-from .errors import CurvatureError
+from .errors import CurvatureError, InputError
 from .hermitian import two_form_to_vector, vector_to_two_form
 from .kernels import _P, _Q
 from .rng import make_rng
@@ -67,10 +67,20 @@ def project_curvature(R: np.ndarray) -> np.ndarray:
     return T - _bianchi_sum(T) / 3.0
 
 
+def as_curvature_tensor(R) -> np.ndarray:
+    """R as a float array; InputError unless its shape is (6, 6, 6, 6)."""
+    R = np.asarray(R, dtype=float)
+    if R.shape != (6, 6, 6, 6):
+        raise InputError("curvature tensor must have shape (6, 6, 6, 6)")
+    return R
+
+
 def check_curvature(R: np.ndarray) -> None:
     """Raise CurvatureError unless R satisfies every curvature identity to
     CURVATURE_TOL relative to max(1, max |R|), so that rescaling the
-    metric does not decide it (NaN and inf fail)."""
+    metric does not decide it (NaN and inf fail); InputError unless R
+    has shape (6, 6, 6, 6)."""
+    R = as_curvature_tensor(R)
     report = validate_symmetries(R)
     # max() may drop a nan of R, but then every report entry is nan
     bound = CURVATURE_TOL * max(1.0, float(np.abs(R).max()))

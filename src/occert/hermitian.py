@@ -87,18 +87,16 @@ def is_positive_form(zeta: np.ndarray, J: np.ndarray) -> str:
     return "indefinite"
 
 
-def random_orthogonal_complex_structure(seed: int | np.random.Generator,
-                                        compatible_orientation: bool = True,
-                                        ) -> ComplexStructure:
-    """Conjugate of J0 by a Haar-uniform orthogonal matrix.
+def random_orthogonal_complex_structure(seed: int | np.random.Generator) -> ComplexStructure:
+    """Conjugate of J0 by a Haar-uniform orthogonal matrix, orientation-compatible.
 
     The orientation class of Q J0 Q^T is that of det Q; a column swap
-    flips it when the draw lands in the wrong component.
+    flips it when the draw lands in the wrong component.  In dimension 6,
+    -J has the other orientation.
     """
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
     Q = haar_orthogonal(rng)
-    want = 1.0 if compatible_orientation else -1.0
-    if np.sign(np.linalg.det(Q)) != want:
+    if np.linalg.det(Q) < 0:
         Q = Q[:, [1, 0, 2, 3, 4, 5]]
     J = Q @ standard_complex_structure() @ Q.T
-    return ComplexStructure(J=J, compatible_orientation=compatible_orientation)
+    return ComplexStructure(J=J, compatible_orientation=True)

@@ -1,8 +1,8 @@
 """Concrete metrics on the 6-sphere in stereographic charts.
 
-Riemann curvature from closed-form 2-jets of the metric or, under the
-'richardson_4th' scheme, from fourth-order finite differences of it
-(the package's only ones), and point sampling.  All curvature leaving this
+Riemann curvature from the metric's 2-jets, in closed form or, under the
+'richardson_4th' scheme, by fourth-order finite differences (the
+package's only ones), and point sampling.  All curvature leaving this
 module is re-expressed in a g-orthonormal frame and projected onto the
 algebraic curvature tensors, so the algebra layers always see g = Id and
 exact curvature identities.  The octonionic almost complex structure
@@ -169,8 +169,8 @@ class FDConfig(CheckedRecord,
     'exact', the default here and in the CLI, takes the closed-form
     2-jets of :meth:`MetricField.jets`; h then only sets the 100 h^2
     identity gate of :func:`riemann`.  'richardson_4th' (the CLI's
-    --richardson) takes fourth-order differences on a stencil of step h,
-    in [1e-4, 1e-1]: below 1e-4 their rounding error escapes the gate.
+    --richardson) takes the 2-jet from fourth-order differences of step h
+    in [1e-4, 1e-1] (:func:`_fd_jets`): below 1e-4 rounding escapes the gate.
     """
 
     __slots__ = ()
@@ -451,55 +451,52 @@ def _stencil(xs: np.ndarray, h: float) -> np.ndarray:
     return np.concatenate([base, stencil], axis=1)
 
 
-def _fd_derivative(samples: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
+def _fd_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order partial derivatives from stencil samples (the stencil
-    of :func:`_stencil` without its base, along ``axis``); the direction
-    index replaces the stencil index."""
-    s = np.moveaxis(samples, axis, 0)
-    s = s.reshape((6, -1) + s.shape[1:])         # direction, offset, ...
-    d = (8.0 * (s[:, 0] - s[:, 1]) - (s[:, 2] - s[:, 3])) / (12.0 * h)
-    return np.moveaxis(d, 0, axis)
+    of :func:`_stencil` without its base, along the first axis); the
+    direction index replaces the stencil index."""
+    s = samples.reshape((6, -1) + samples.shape[1:])     # direction, offset, ...
+    return (8.0 * (s[:, 0] - s[:, 1]) - (s[:, 2] - s[:, 3])) / (12.0 * h)
+
+
+def _fd_jets(field: MetricField, point: ChartPoint, h: float):
+    """g, dg[i, a, c] = d_i g_ac and ddg[m, i, a, c] = d_m d_i g_ac at the
+    point by fourth-order differences of step h: dg at the point and its
+    stencil from one metric evaluation, then ddg by differencing those."""
+    bases = _stencil(np.asarray(point.x, dtype=float)[None], h)[0]   # the point first
+    g = field.matrices(point.chart_id, _stencil(bases, h).reshape(-1, 6)).reshape(25, 25, 6, 6)
+    dg = _fd_derivative(g[:, 1:].swapaxes(0, 1), h)          # dg[i, base, a, c]
+    return g[0, 0], dg[:, 0], _fd_derivative(dg[:, 1:].swapaxes(0, 1), h)
 
 
 def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
-    """d_i g_jl + d_j g_il - d_l g_ij at [b, i, j, l], from
-    dg[b, i, a, c] = d_i g_ac."""
-    return dg + dg.transpose(0, 2, 1, 3) - dg.transpose(0, 2, 3, 1)
+    """d_i g_jl + d_j g_il - d_l g_ij at [..., i, j, l], from
+    dg[..., i, a, c] = d_i g_ac."""
+    return dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
-def _christoffel(g: np.ndarray, dg: np.ndarray, bases: np.ndarray):
-    """Christoffel symbols gamma[b, k, i, j] and g_inv[b] from the metric
-    g[b] and its derivative dg[b] at each row of bases; ConditioningError
-    names the first base whose metric has condition number above 1e8.
-    Each g[b] is SPD (checked by :meth:`MetricField.matrices`), so its
-    condition number is lambda_max / lambda_min."""
+def _christoffel(g: np.ndarray, dg: np.ndarray, x: np.ndarray):
+    """Christoffel symbols gamma[k, i, j] = Gamma^k_ij and g_inv from g and
+    dg[i, a, c] = d_i g_ac at the chart point x; ConditioningError when the
+    condition number lambda_max / lambda_min of g (SPD, checked by
+    :meth:`MetricField.matrices`) is above 1e8."""
     lam = np.linalg.eigvalsh(g)
-    bad = np.flatnonzero(lam[:, -1] > 1e8 * lam[:, 0])
-    if len(bad):
-        k = bad[0]
+    if lam[-1] > 1e8 * lam[0]:
         raise ConditioningError("metric condition number %.3e at %s"
-                                % (lam[k, -1] / lam[k, 0], bases[k]))
+                                % (lam[-1] / lam[0], x))
     g_inv = np.linalg.inv(g)
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
-    B = len(g)
-    sym = _christoffel_sum(dg).reshape(B, 36, 6).transpose(0, 2, 1)
-    return (0.5 * (g_inv @ sym)).reshape(B, 6, 6, 6), g_inv
+    sym = _christoffel_sum(dg).reshape(36, 6).T
+    return (0.5 * (g_inv @ sym)).reshape(6, 6, 6), g_inv
 
 
 def _exact_levi_civita(field: MetricField, point: ChartPoint):
-    """The derivative dgamma[m, k, i, j] = d_m Gamma^k_ij of the
-    Christoffel symbols, the symbols gamma[k, i, j], the metric g, its
-    inverse and its derivative dg[i, a, c] = d_i g_ac at the point, from
-    the closed-form 2-jet of the metric."""
+    """The Christoffel symbols gamma[k, i, j], the inverse metric, the
+    metric g and its derivative dg[i, a, c] = d_i g_ac at the point, from
+    the closed-form jets of the metric."""
     x = np.asarray(point.x, dtype=float)
-    g, dg, ddg = field.jets(point.chart_id, x)
-    gamma, g_inv = _christoffel(g[None], dg[None], x[None])
-    gamma, g_inv = gamma[0], g_inv[0]
-    # d_m Gamma^k_ij = g^kl (1/2 d_m S_ijl - d_m g_ln Gamma^n_ij), where
-    # Gamma = 1/2 g^-1 S and d g^-1 = -g^-1 (d g) g^-1
-    inner = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(6, 6, 36)
-             - dg @ gamma.reshape(6, 36))                  # inner[m, l, ij]
-    return (g_inv @ inner).reshape(6, 6, 6, 6), gamma, g, g_inv, dg
+    g, dg, _ = field.jets(point.chart_id, x)
+    return (*_christoffel(g, dg, x), g, dg)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -510,20 +507,21 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
 
 def _coordinate_riemann(field: MetricField, point: ChartPoint,
                         fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(4,0) curvature in chart coordinates and the metric at the point."""
+    """(4,0) curvature in chart coordinates and the metric at the point,
+    from the metric's 2-jet: closed form (:meth:`MetricField.jets`) under
+    'exact', :func:`_fd_jets` under 'richardson_4th', then one route for
+    both to the Christoffel symbols, their derivative and the curvature."""
+    x = np.asarray(point.x, dtype=float)
     if fd.scheme == "exact":
-        dgamma, gamma, g, _, _ = _exact_levi_civita(field, point)
+        g, dg, ddg = field.jets(point.chart_id, x)
     else:
-        # Christoffel symbols at the point and at its stencil, from one
-        # metric evaluation over the stencil of every one of these bases
-        bases = _stencil(np.asarray(point.x, dtype=float)[None], fd.h)[0]
-        samples = _stencil(bases, fd.h)
-        B, S = samples.shape[:2]
-        g_all = field.matrices(point.chart_id, samples.reshape(-1, 6)).reshape(B, S, 6, 6)
-        dg = _fd_derivative(g_all[:, 1:], fd.h, axis=1)
-        gamma_all, _ = _christoffel(g_all[:, 0], dg, bases)
-        gamma, g = gamma_all[0], g_all[0, 0]
-        dgamma = _fd_derivative(gamma_all[1:], fd.h)
+        g, dg, ddg = _fd_jets(field, point, fd.h)
+    gamma, g_inv = _christoffel(g, dg, x)
+    # d_m Gamma^k_ij = g^kl (1/2 d_m S_ijl - d_m g_ln Gamma^n_ij), where
+    # Gamma = 1/2 g^-1 S and d g^-1 = -g^-1 (d g) g^-1
+    inner = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(6, 6, 36)
+             - dg @ gamma.reshape(6, 36))                  # inner[m, l, ij]
+    dgamma = (g_inv @ inner).reshape(6, 6, 6, 6)
     # dgamma[i, l, j, k] = d_i Gamma^l_jk.  Bracket-convention curvature,
     # then a global sign for the round anchor.
     r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)

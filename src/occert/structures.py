@@ -316,7 +316,7 @@ ConnectionCoefficients = namedtuple("ConnectionCoefficients", "gamma g g_inv")
 
 def christoffel(field: MetricField, point: ChartPoint) -> ConnectionCoefficients:
     """Levi-Civita symbols from the metric's closed-form jets."""
-    _, gamma, g, g_inv, _ = _exact_levi_civita(field, point)
+    gamma, g_inv, g, _ = _exact_levi_civita(field, point)
     return ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
 
 
@@ -329,7 +329,7 @@ def _chart_nabla_J(field: MetricField, acs: ACSField, point: ChartPoint):
     """Levi-Civita symbols gamma[k, i, j], the metric g, its derivative
     dg[i, a, c], J, its coordinate derivative dJ[i, k, j] and its covariant
     derivative nab[i, k, j], all in chart coordinates and in closed form."""
-    _, gamma, g, _, dg = _exact_levi_civita(field, point)
+    gamma, _, g, dg = _exact_levi_civita(field, point)
     J, dJ = acs.chart_jet(point)
     nab = (dJ
            + np.einsum("kim,mj->ikj", gamma, J)

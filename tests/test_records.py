@@ -95,6 +95,9 @@ def test_pickle_round_trip(record, fields, values):
     assert type(back) is record and repr(back) == repr(rec)
 
 
+_SHAPE_TEXT = "curvature tensor must have shape (6, 6, 6, 6)"
+
+
 @pytest.mark.parametrize("build, error, text", [
     (lambda: sp.ChartPoint("east", np.zeros(6)), InputError,
      "chart_id must be 'north' or 'south'"),
@@ -160,6 +163,16 @@ def test_pickle_round_trip(record, fields, values):
      "checks lemma_ll_demo needs bhl, whose result it reads"),
     pytest.param(lambda: ct.CertifyOptions(checks="bhl"), InputError,
                  "checks must be a sequence of check names", id="checks-string"),
+    pytest.param(lambda: cv.curvature_operator(np.zeros((7, 7, 7, 7))), InputError,
+                 _SHAPE_TEXT, id="operator-7x7x7x7"),
+    pytest.param(lambda: cv.curvature_operator(np.zeros((5, 5, 5, 5))), InputError,
+                 _SHAPE_TEXT, id="operator-5x5x5x5"),
+    pytest.param(lambda: ct.certify_P_sufficient(np.zeros((6, 6, 6))), InputError,
+                 _SHAPE_TEXT, id="p-sufficient-6x6x6"),
+    pytest.param(lambda: ct.certify_point(np.zeros((5, 5, 5, 5))), InputError,
+                 _SHAPE_TEXT, id="certify-point-5x5x5x5"),
+    pytest.param(lambda: ct.refute_P(np.zeros((5, 5, 5, 5))), InputError,
+                 _SHAPE_TEXT, id="refute-5x5x5x5"),
 ])
 def test_validation_texts(build, error, text):
     with pytest.raises(error) as err:
