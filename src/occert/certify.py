@@ -1,6 +1,7 @@
 """Decision layer: spectral pinching, positivity-class certification and
-refutation, and the nondegeneracy lemma for perturbed (1,1)-forms.  The
-perturbation budget is in :mod:`occert.budget`.
+refutation, and the nondegeneracy lemma for perturbed (1,1)-forms (a
+library lemma, not a check: pinching already implies its hypotheses).
+The perturbation budget is in :mod:`occert.budget`.
 
 Certification is three-valued.  The sufficient bound proves membership,
 the frame search can only disprove it, and everything else is reported
@@ -17,12 +18,10 @@ import numpy as np
 
 from . import kernels
 from .curvature import (
-    CurvatureOperator,
     as_curvature_tensor,
     curvature_operator,
     frobenius_norm,
     kulkarni_nomizu_square,
-    operator_apply,
     ricci_star,
 )
 from .errors import InputError
@@ -32,7 +31,6 @@ from .hermitian import (
     is_positive_form,
     norm_lambda2,
     random_orthogonal_complex_structure,
-    standard_complex_structure,
 )
 from .rng import make_rng
 from .sphere import CheckedRecord
@@ -65,7 +63,7 @@ PMembership = namedtuple("PMembership", "status sup_lower sup_upper threshold wi
 LemmaLLResult = namedtuple("LemmaLLResult", "hypotheses_met nondegenerate det_value deviation")
 RefutationResult = namedtuple("RefutationResult", "witness best_value")
 # per-point verdict record; a field is None when its check did not run
-Certificate = namedtuple("Certificate", "bhl p_membership lemma_ll spectrum verdict_notes")
+Certificate = namedtuple("Certificate", "bhl p_membership spectrum verdict_notes")
 
 
 class SearchConfig(CheckedRecord,
@@ -213,11 +211,14 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     best_val, witness = np.inf, None
     if starts:
         vals, vecs, Js = _descend(R, starts)
-        # the first strict minimum in start order; a NaN is never picked
+        # the lowest start within TIE_TOL max(1, |best|) of the minimum, so
+        # that last-bit ties do not trade places; a witness candidate must
+        # itself be below -tol, and a NaN is never picked
         vals = np.where(np.isnan(vals), np.inf, vals)
-        s = int(np.argmin(vals))
-        best_val = vals[s]
+        best_val = vals.min()
+        tied = vals <= best_val + TIE_TOL * max(1.0, abs(best_val))
         if best_val < -cfg.tol:
+            s = int(np.argmax(tied & (vals < -cfg.tol)))
             X = _witness_direction(Js[s], vecs[s, :, 0])
             witness = Witness(J=Js[s], X=X, value=float(X @ ricci_star(R, Js[s]) @ X))
     return RefutationResult(witness=witness, best_value=float(best_val))
@@ -246,14 +247,14 @@ def check_lemma_LL(zeta0: np.ndarray, zeta: np.ndarray, J: np.ndarray) -> LemmaL
                          det_value=det_value, deviation=float(dev))
 
 
-VALID_CHECKS = ("bhl", "p_sufficient", "p_refute", "lemma_ll_demo")
+VALID_CHECKS = ("bhl", "p_sufficient", "p_refute")
 
 
 class CertifyOptions(CheckedRecord,
                      namedtuple("CertifyOptions", "checks search",
                                 defaults=(("bhl", "p_sufficient"), SearchConfig()))):
-    """The checks to run, at least one and each in VALID_CHECKS (lemma_ll_demo
-    reads bhl's result, so it needs bhl), and the search p_refute runs."""
+    """The checks to run, at least one and each in VALID_CHECKS, and the
+    search p_refute runs."""
 
     __slots__ = ()
 
@@ -266,25 +267,7 @@ class CertifyOptions(CheckedRecord,
         unknown = set(self.checks) - set(VALID_CHECKS)
         if unknown:
             raise InputError("unknown checks: %s" % ", ".join(sorted(unknown)))
-        if "lemma_ll_demo" in self.checks and "bhl" not in self.checks:
-            raise InputError("checks lemma_ll_demo needs bhl, whose result it reads")
         return self
-
-
-def _lemma_ll_demo(op: CurvatureOperator, bhl: BhlResult) -> LemmaLLResult:
-    """Ties the spectral pinching to the nondegeneracy lemma: rescale the
-    operator image of omega into the pinched window (a scale c with
-    c * spectrum inside (5/6, 7/6) exists iff the pinching holds),
-    project onto (1,1), and check nondegeneracy around zeta0 = omega."""
-    J = standard_complex_structure()
-    omega = fundamental_two_form(J)
-    if bhl.passed:
-        c = 0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
-    else:
-        c = 1.0
-    zeta_raw = c * operator_apply(op, omega)
-    zeta = 0.5 * (zeta_raw + J.T @ zeta_raw @ J)   # (1,1) projection
-    return check_lemma_LL(omega, zeta, J)
 
 
 def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certificate:
@@ -313,11 +296,5 @@ def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certi
         notes.append("P %s (upper %.6e vs %.6e)"
                      % (membership.status, membership.sup_upper, membership.threshold))
 
-    lemma = None
-    if "lemma_ll_demo" in opts.checks:
-        lemma = _lemma_ll_demo(op, bhl)
-        notes.append("lemma_ll demo: hypotheses %s, nondegenerate %s"
-                     % (lemma.hypotheses_met, lemma.nondegenerate))
-
-    return Certificate(bhl=bhl, p_membership=membership, lemma_ll=lemma,
-                       spectrum=op.spectrum, verdict_notes="; ".join(notes))
+    return Certificate(bhl=bhl, p_membership=membership, spectrum=op.spectrum,
+                       verdict_notes="; ".join(notes))

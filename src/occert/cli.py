@@ -145,13 +145,6 @@ def _certify_one(R: np.ndarray, config: RunConfig) -> dict:
                                   "sup_upper": pm.sup_upper,
                                   "threshold": pm.threshold, "witness": wit}
         statuses.append(pm.status)
-    if cert.lemma_ll is not None:
-        record["lemma_ll"] = {
-            "hypotheses_met": cert.lemma_ll.hypotheses_met,
-            "nondegenerate": cert.lemma_ll.nondegenerate,
-            "det_value": cert.lemma_ll.det_value,
-            "deviation": cert.lemma_ll.deviation,
-        }
     record["verdict"] = ("refuted" if "refuted" in statuses
                          else "certified" if set(statuses) == {"certified"} else "unknown")
     record["notes"] = cert.verdict_notes
@@ -258,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--multistarts", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--checks", default="bhl,p_sufficient",
-                   help="comma list from bhl,p_sufficient,p_refute,lemma_ll_demo")
+                   help="comma list from bhl,p_sufficient,p_refute")
     p.add_argument("--out", help="path for the JSON report")
     sub.add_parser("selftest", help="run built-in anchor checks")
     return parser

@@ -17,7 +17,6 @@ import numpy as np
 
 from . import kernels
 from .errors import CurvatureError, InputError
-from .hermitian import two_form_to_vector, vector_to_two_form
 from .kernels import _P, _Q
 from .rng import make_rng
 
@@ -99,11 +98,6 @@ def curvature_operator(R: np.ndarray) -> CurvatureOperator:
     M = R[_P[:, None], _Q[:, None], _P, _Q]      # M[P, Q] = R(pair P, pair Q)
     M = 0.5 * (M + M.T)
     return CurvatureOperator(matrix=M, spectrum=np.linalg.eigvalsh(M))
-
-
-def operator_apply(op: CurvatureOperator, zeta: np.ndarray) -> np.ndarray:
-    """Image of a 2-form under the curvature operator."""
-    return vector_to_two_form(op.matrix @ two_form_to_vector(zeta))
 
 
 def ricci(R: np.ndarray) -> np.ndarray:

@@ -194,6 +194,21 @@ class TestStackedSearch:
         assert np.max(np.abs(res.witness.X - np.eye(6)[2])) < 1e-15
         assert res.witness.value == float(res.witness.X @ cv.ricci_star(G, J) @ res.witness.X)
 
+    @pytest.mark.parametrize("vals, winner", [
+        # one last bit above the minimum still ties, and the lower start wins
+        ([np.nextafter(-0.75, 0.0), -0.75], 0),
+        ([np.nan, -0.75 + 1.1e-12, -0.75 + 0.9e-12, np.nextafter(-0.75, 0.0), -0.75], 2),
+        # tied within 1e-12 |best|, but only the later start is below -tol
+        ([-1e-9 + 1e-13, -1e-9 - 1e-13], 1),
+    ], ids=["last-bit", "tolerance-edge", "above-minus-tol"])
+    def test_winner_is_the_lowest_tied_start(self, G, monkeypatch, vals, winner):
+        monkeypatch.setattr(ct, "_descend", lambda R, Js: (
+            np.array(vals), -np.eye(6)[:len(Js), :, None], np.asarray(Js)))
+        res = ct.refute_P(G, ct.SearchConfig(multistarts=len(vals), seed=1))
+        assert res.best_value == np.nanmin(vals)
+        J = hm.random_orthogonal_complex_structure(make_rng(1, 211, winner)).J
+        assert np.array_equal(res.witness.J, J)
+
     def test_all_nan_finds_nothing(self, G, monkeypatch):
         monkeypatch.setattr(ct, "_descend",
                             lambda R, Js: (np.full(len(Js), np.nan),
@@ -384,6 +399,28 @@ class TestLemmaLL:
             assert r.hypotheses_met
             assert r.nondegenerate
 
+    def test_pinching_implies_the_hypotheses(self, G):
+        """If bhl passes, the scale c = (5/(6 lambda_min) + 7/(6 lambda_max)) / 2
+        puts c spectrum inside (5/6, 7/6), so |c R omega - omega| < |omega| / 6,
+        which is LL_RADIUS, for every orthogonal J; the (1,1) projection
+        fixes omega and cannot move the image further away."""
+        rng = make_rng(41)
+        pinched = 0
+        while pinched < 1000:
+            R = G + 10.0 ** rng.uniform(-3.0, np.log10(3.0)) * cv.random_curvature(rng)
+            op = cv.curvature_operator(R)
+            bhl = ct.check_bhl(op.spectrum)
+            if not bhl.passed:
+                continue
+            pinched += 1
+            J = hm.random_orthogonal_complex_structure(rng).J
+            omega = hm.fundamental_two_form(J)
+            c = 0.5 * (5.0 / (6.0 * bhl.lambda_min) + 7.0 / (6.0 * bhl.lambda_max))
+            image = c * hm.vector_to_two_form(op.matrix @ hm.two_form_to_vector(omega))
+            r = ct.check_lemma_LL(omega, 0.5 * (image + J.T @ image @ J), J)
+            assert r.hypotheses_met and r.nondegenerate
+            assert r.deviation < ct.LL_RADIUS
+
 
 class TestPerturbationBudget:
     def test_boundary_quadratic(self):
@@ -453,20 +490,6 @@ class TestCertifyPoint:
         cert = ct.certify_point(1.3 * G, options=opts)
         assert cert.p_membership.status == "unknown"
 
-    def test_lemma_demo_on_round(self, G):
-        cert = ct.certify_point(G, options=ct.CertifyOptions(
-            checks=("bhl", "lemma_ll_demo")))
-        assert cert.lemma_ll.hypotheses_met
-        assert cert.lemma_ll.nondegenerate
-
     def test_invalid_checks_rejected(self, G):
         with pytest.raises(InputError):
             ct.certify_point(G, options=ct.CertifyOptions(checks=("nope",)))
-
-    def test_lemma_demo_needs_bhl(self):
-        """The demo reads bhl's result, so options without bhl are rejected
-        when they are built, before any point runs."""
-        for checks in (("lemma_ll_demo",), ("p_sufficient", "lemma_ll_demo")):
-            with pytest.raises(InputError) as err:
-                ct.CertifyOptions(checks=checks)
-            assert str(err.value) == "checks lemma_ll_demo needs bhl, whose result it reads"

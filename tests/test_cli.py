@@ -162,15 +162,14 @@ class TestConfigParsing:
                 ["certify", "--metric", "round", "--checks", "bhl,nope"]))
 
     @pytest.mark.parametrize("checks", ["lemma_ll_demo", "p_sufficient,p_refute,lemma_ll_demo"])
-    def test_lemma_demo_without_bhl_exit_2(self, tmp_path, capsys, checks):
-        """The demo reads bhl's result; without bhl no decision check would
-        run and every point would read as certified."""
+    def test_retired_lemma_demo_exit_2(self, tmp_path, capsys, checks):
+        """Pinching implies the lemma's hypotheses for every J, so the demo
+        check is gone; the lemma stays a library function."""
         out = tmp_path / "report.json"
         code = cli.main(["certify", "--metric", "round", "--points", "3",
                          "--checks", checks, "--out", str(out)])
         assert code == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == (
-            "error: checks lemma_ll_demo needs bhl, whose result it reads\n")
+        assert capsys.readouterr().err == "error: unknown checks: lemma_ll_demo\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, build", _REJECTED_OPTIONS,
@@ -333,9 +332,13 @@ class TestReports:
             report = cli.load_report(out)
             assert report["config"]["fd"] == {"h": 1e-3, "scheme": scheme}
         # a central-difference report, as every report was before the
-        # exact scheme, still loads though the CLI no longer writes one
+        # exact scheme, still loads though the CLI no longer writes one;
+        # so does the record of the retired lemma_ll_demo check
         report = cli.load_report(str(tmp_path / "report-exact.json"))
         report["config"]["fd"]["scheme"] = "central_2nd"
+        report["config"]["checks"].append("lemma_ll_demo")
+        report["points"][0]["lemma_ll"] = {"hypotheses_met": True, "nondegenerate": True,
+                                           "det_value": 1.0, "deviation": 0.0}
         old = tmp_path / "report-central_2nd.json"
         old.write_text(json.dumps(report) + "\n")
         assert cli.load_report(str(old)) == report
@@ -399,7 +402,7 @@ class TestReports:
             [i, i, [[-1.0, [0] * 6]]] for i in range(6)]}, "broken.json")
         runs = [
             ["certify", "--spec", saddle, "--points", "2", "--seed", "7",
-             "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute,lemma_ll_demo"],
+             "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"],
             ["certify", "--metric", "flat", "--points", "2"],
             ["certify", "--spec", broken, "--points", "2"],
         ]
@@ -626,8 +629,8 @@ def _mutate(doc, data):
 
 @pytest.fixture(scope="module")
 def real_reports(tmp_path_factory):
-    """Reports of small runs that cover every record shape: witnesses,
-    the lemma demo and per-point errors."""
+    """Reports of small runs that cover every record shape: witnesses
+    and per-point errors."""
     tmp = tmp_path_factory.mktemp("reports")
     saddle = _write_spec(tmp, {"family": "custom",
                                "terms": saddle_metric().params["terms"]}, "saddle.json")
@@ -637,7 +640,7 @@ def real_reports(tmp_path_factory):
         [i, i, [[-1.0, [0] * 6]]] for i in range(6)]}, "broken.json")
     runs = [
         ["certify", "--spec", saddle, "--points", "2", "--seed", "7",
-         "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute,lemma_ll_demo"],
+         "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"],
         ["certify", "--spec", conformal, "--points", "2", "--seed", "7"],
         ["certify", "--spec", broken, "--points", "1"],
     ]

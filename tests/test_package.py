@@ -147,12 +147,12 @@ def test_cli_run_path_import_closure(tmp_path):
         dataclasses = "dataclasses" in sys.modules
         codes = [occert.cli.main(["certify", "--spec", sys.argv[1], "--points", "2",
                                   "--multistarts", "2", "--checks",
-                                  "bhl,p_sufficient,p_refute,lemma_ll_demo",
+                                  "bhl,p_sufficient,p_refute",
                                   "--out", sys.argv[2]])]
         print(json.dumps([imported, dataclasses, sorted(ours() - set(imported)), codes]))
     """, str(spec), str(tmp_path / "report.json"))
     assert not dataclasses
     assert not {"occert.structures", "occert.budget", "occert.selftest"} & set(imported)
-    assert "occert.hermitian" in imported          # refute and the lemma need it
+    assert "occert.hermitian" in imported          # refute needs it
     assert added == []
     assert codes == [3]
