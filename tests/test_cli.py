@@ -116,7 +116,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize("content", [
         b'\xff\xfe{"family": "round"}',
         b'{"family": "round", "scale": 1' + b"0" * 4999 + b"}",
-    ], ids=["not-utf8", "5000-digit-integer"])
+        b"[" * 100_000,                 # json raises RecursionError
+    ], ids=["not-utf8", "5000-digit-integer", "deep-nesting"])
     def test_unparsable_spec_file_exit_2(self, tmp_path, capsys, content):
         path = tmp_path / "spec.json"
         path.write_bytes(content)
@@ -505,6 +506,27 @@ class TestSubprocessEntryPoints:
         code, imported, ran = json.loads(proc.stdout.splitlines()[-1])
         assert code == cli.EXIT_UNKNOWN
         assert imported == ran == ["numpy", "occert"]
+
+    def test_exit_freezes_the_heap_once(self):
+        """Two in-process runs leave one ``gc.freeze`` at exit, and it runs
+        before the probe registered ahead of them (atexit is last in, first
+        out), so the final collections skip every object alive at exit.
+        The calls are counted: ``atexit._ncallbacks()`` also counts the
+        slots ``atexit.unregister`` empties (CPython 3.11)."""
+        script = textwrap.dedent("""
+            import atexit, gc
+            import occert.cli
+            freeze, calls = gc.freeze, []
+            gc.freeze = lambda: calls.append(1) or freeze()
+            atexit.register(lambda: print("freezes", len(calls),
+                                          "frozen", gc.get_freeze_count() > 0))
+            for _ in range(2):
+                occert.cli.main(["certify", "--metric", "round", "--points", "1"])
+        """)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "freezes 1 frozen True"
 
 
 SCHEMAS = ("metric_spec.schema.json", "report.schema.json")
