@@ -32,6 +32,8 @@ EXIT_IO = 5
 
 _BUILTIN_METRICS = ("round", "flat")
 
+POINTS_PER_SLICE = 16               # point records per json.dumps call of emit_report
+
 
 class RunConfig(namedtuple("RunConfig", "metric points fd options out")):
     """A parsed command line: the metric, the point count, the curvature
@@ -187,15 +189,34 @@ def run_certify(config: RunConfig) -> tuple[dict, int]:
 def emit_report(report: dict, path: str | None) -> None:
     """Write the JSON document on one line, keys in report order, floats
     in their round-trip-exact ``repr`` (``python -m json.tool`` pretty-prints
-    it).  The whole text is built first because only ``json.dumps``
-    without ``indent`` runs the C encoder; ``json.dump`` to a file streams
-    through the pure-Python one."""
+    it); the file is byte for byte ``json.dumps(report) + "\n"``.
+
+    The document is written key by key, and ``points`` in slices of
+    ``POINTS_PER_SLICE`` records, so emission holds one slice's text at a
+    time: one ``json.dumps`` of the whole report keeps every fragment
+    alive until its final join, then copies the text to append the
+    newline, and the file encodes it once more, several copies of a text
+    that grows ~1 KB per point.  Each piece is still encoded by
+    ``json.dumps`` without ``indent``, the one call that runs the C
+    encoder; ``json.dump`` and ``iterencode`` stream through the
+    pure-Python one."""
     if path is None:
         return
-    text = json.dumps(report) + "\n"
     try:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write("{")
+            for n, (key, value) in enumerate(report.items()):
+                fh.write("%s%s: " % (", " if n else "", json.dumps(key)))
+                if key != "points":
+                    fh.write(json.dumps(value))
+                    continue
+                fh.write("[")
+                for start in range(0, len(value), POINTS_PER_SLICE):
+                    # each slice's brackets give way to the separator between slices
+                    fh.write(", " if start else "")
+                    fh.write(json.dumps(value[start:start + POINTS_PER_SLICE])[1:-1])
+                fh.write("]")
+            fh.write("}\n")
     except OSError as exc:
         print("error: cannot write report: %s" % exc, file=sys.stderr)
         raise SystemExit(EXIT_IO)

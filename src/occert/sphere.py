@@ -206,19 +206,30 @@ def _factors(g: np.ndarray) -> bool:
     return True
 
 
+_SPEC_ECHO = 200                    # longest spec error message given whole
+
+
 def check_spec(doc) -> None:
     """Check a metric spec document against the packaged schema and for
     NaN, inf and integers beyond the float range (which only Python
-    callers can pass); ConfigError names the field."""
+    callers can pass); ConfigError names the field.  A message that
+    echoes a long value is cut in the middle, with a marker that counts
+    the characters cut, so the error text stays short."""
     try:
         validate(doc, load_schema("metric_spec.schema.json"))
     except SchemaError as exc:
         path, message = exc.absolute_path, exc.message
     else:
         path, message = next(_non_finite(doc, ()), (None, None))
-    if path is not None:                # a document-level error is put at 'family'
-        raise ConfigError("invalid metric spec at '%s': %s"
-                          % ("/".join(map(str, path)) or "family", message))
+    if path is None:
+        return
+    if len(message) > _SPEC_ECHO:
+        keep = _SPEC_ECHO // 2
+        message = "%s...[%d characters cut]...%s" % (
+            message[:keep], len(message) - 2 * keep, message[-keep:])
+    # a document-level error is put at 'family'
+    raise ConfigError("invalid metric spec at '%s': %s"
+                      % ("/".join(map(str, path)) or "family", message))
 
 
 def _non_finite(value, path: tuple):

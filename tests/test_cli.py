@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 import subprocess
 import sys
 import textwrap
@@ -129,6 +130,15 @@ class TestConfigParsing:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_long_spec_value_cut_in_the_error(self, tmp_path, capsys):
+        """The error echoes no more than a fixed length of the value."""
+        spec = _write_spec(tmp_path, {"family": "custom", "terms": [[0] * 100_000]})
+        code = cli.main(["certify", "--spec", spec, "--points", "1"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid metric spec at 'terms/0': ")
+        assert err.count("\n") == 1 and len(err.encode()) < 1024
+
     def test_integral_floats_index_custom_terms(self):
         # the schema's "integer" admits 1.0, so table indices may be floats
         spec = {"family": "custom", "terms": [
@@ -240,11 +250,19 @@ class TestExitCodes:
         assert exc.value.code == cli.EXIT_CONFIG
         assert "unrecognized arguments: --fd-step 1e-3" in capsys.readouterr().err
 
-    def test_io_failure_exit_5(self):
+    @pytest.mark.parametrize("out", [
+        "/nonexistent/dir/report.json",
+        # the open succeeds and the write fails
+        pytest.param("/dev/full", marks=pytest.mark.skipif(
+            not os.path.exists("/dev/full"), reason="no /dev/full")),
+    ])
+    def test_io_failure_exit_5(self, capsys, out):
         with pytest.raises(SystemExit) as err:
             cli.main(["certify", "--metric", "round", "--points", "1",
-                      "--seed", "1", "--out", "/nonexistent/dir/report.json"])
+                      "--seed", "1", "--out", out])
         assert err.value.code == cli.EXIT_IO
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("error: cannot write report: ") and stderr.count("\n") == 1
 
     def test_point_errors_recorded_exit_4(self, tmp_path):
         # a non-SPD chart metric errors at every point but must not crash
@@ -415,16 +433,24 @@ class TestReports:
         assert any(r["p_membership"]["witness"] for r in reports[0]["points"])
         assert all(r["verdict"] == "error" for r in reports[2]["points"])
 
-    def test_report_is_one_line_of_json_dumps(self, tmp_path):
+    @pytest.mark.parametrize("points", [
+        pytest.param(None, id="saddle"), 1, cli.POINTS_PER_SLICE - 1, cli.POINTS_PER_SLICE,
+        cli.POINTS_PER_SLICE + 1, 3 * cli.POINTS_PER_SLICE + 5])
+    def test_report_is_one_line_of_json_dumps(self, tmp_path, points):
         """The file is ``json.dumps`` of the report and a newline, and it
-        reads back equal to the report, every float bit for bit."""
-        spec = _write_spec(tmp_path, {"family": "custom",
-                                      "terms": saddle_metric().params["terms"]})
-        config = cli.parse_config(cli.build_parser().parse_args(
-            ["certify", "--spec", spec, "--points", "2", "--seed", "7",
-             "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"]))
-        report, _ = cli.run_certify(config)
-        assert any(r["p_membership"]["witness"] for r in report["points"])
+        reads back equal to the report, every float bit for bit: for a
+        saddle run with witnesses, and for round runs whose
+        points end at the edges of ``emit_report``'s slices."""
+        if points is None:
+            spec = _write_spec(tmp_path, {"family": "custom",
+                                          "terms": saddle_metric().params["terms"]})
+            argv = ["certify", "--spec", spec, "--points", "2", "--seed", "7",
+                    "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"]
+        else:
+            argv = ["certify", "--metric", "round", "--points", str(points), "--seed", "7"]
+        report, _ = cli.run_certify(cli.parse_config(cli.build_parser().parse_args(argv)))
+        if points is None:
+            assert any(r["p_membership"]["witness"] for r in report["points"])
         out = tmp_path / "report.json"
         cli.emit_report(report, str(out))
         text = out.read_text()
@@ -442,6 +468,23 @@ class TestReports:
                 yield from floats(item)
 
         assert list(floats(loaded)) == list(floats(report))
+
+    def test_report_text_written_in_slices(self, tmp_path, monkeypatch):
+        """No ``json.dumps`` call of the writer returns a quarter of the file."""
+        config = cli.parse_config(cli.build_parser().parse_args(
+            ["certify", "--metric", "round", "--points", "200", "--seed", "7"]))
+        report, _ = cli.run_certify(config)
+        dumps, lengths = json.dumps, []
+
+        def recording(*args, **kwargs):
+            text = dumps(*args, **kwargs)
+            lengths.append(len(text))
+            return text
+
+        monkeypatch.setattr(json, "dumps", recording)
+        out = tmp_path / "report.json"
+        cli.emit_report(report, str(out))
+        assert lengths and 4 * max(lengths) < out.stat().st_size
 
     def test_packaged_schemas_are_valid(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -591,6 +634,13 @@ _SPEC_FAULTS = [
      "invalid metric spec at 'terms/0/2/0/0': '1' is not of type 'number'"),
     ({"family": "custom", "terms": {}},
      "invalid metric spec at 'terms': {} is not of type 'array'"),
+    # a long value: the message keeps its first and last 100 characters
+    ({"family": "custom", "terms": [[0] * 100_000]},
+     "invalid metric spec at 'terms/0': [" + "0, " * 33 + "...[299812 characters cut]..."
+     + ", 0" * 29 + "] is too long"),
+    ({"family": "ellipsoid", "axes": [1.0] * 50_000},
+     "invalid metric spec at 'axes': [" + "1.0, " * 19 + "1.0,...[249812 characters cut]..."
+     + ".0" + ", 1.0" * 17 + "] is too long"),
 ]
 
 _finite = st.floats(-1e3, 1e3) | st.integers(-5, 5)
