@@ -11,7 +11,6 @@ as unknown; a failed search is never upgraded to a certificate.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 
 import numpy as np
@@ -32,7 +31,7 @@ from .hermitian import (
     norm_lambda2,
     random_orthogonal_complex_structure,
 )
-from .rng import make_rng
+from .rng import check_nonnegative_integer, make_rng
 from .sphere import CheckedRecord
 
 P_THRESHOLD = 1.0 / 6.0          # sufficient sup-norm bound for dim 6
@@ -76,12 +75,8 @@ class SearchConfig(CheckedRecord,
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        for name in ("multistarts", "seed"):     # a bool is no integer, as in the schemas
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InputError("%s must be an integer" % name)
-            if value < 0:
-                raise InputError("%s must be nonnegative" % name)
+        check_nonnegative_integer("multistarts", self.multistarts)
+        check_nonnegative_integer("seed", self.seed)
         try:
             finite = 0 < self.tol < math.inf     # false for nan
         except TypeError:                        # tol is not a number
@@ -202,10 +197,13 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     All starts descend together as one stack.  Returns a witness when a
     value below -tol is found: the winner's J and, as X, a unit vector of
     its lambda_min plane (``_witness_direction``).  ``none found`` is NOT
-    a membership proof.  Starts are orientation-compatible.
+    a membership proof.  Starts are orientation-compatible.  InputError
+    unless R is a finite (6, 6, 6, 6) array.
     """
     cfg = config or SearchConfig()
     R = as_curvature_tensor(R)
+    if not np.isfinite(R).all():
+        raise InputError("curvature tensor must be finite")
     starts = [random_orthogonal_complex_structure(make_rng(cfg.seed, 211, start)).J
               for start in range(cfg.multistarts)]
     best_val, witness = np.inf, None
@@ -254,7 +252,7 @@ class CertifyOptions(CheckedRecord,
                      namedtuple("CertifyOptions", "checks search",
                                 defaults=(("bhl", "p_sufficient"), SearchConfig()))):
     """The checks to run, at least one and each in VALID_CHECKS, and the
-    search p_refute runs."""
+    search p_refute runs, a SearchConfig."""
 
     __slots__ = ()
 
@@ -267,6 +265,8 @@ class CertifyOptions(CheckedRecord,
         unknown = set(self.checks) - set(VALID_CHECKS)
         if unknown:
             raise InputError("unknown checks: %s" % ", ".join(sorted(unknown)))
+        if not isinstance(self.search, SearchConfig):
+            raise InputError("search must be a SearchConfig")
         return self
 
 

@@ -8,11 +8,26 @@ order-independent streams regardless of scheduling.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
+
+from .errors import InputError
+
+
+def check_nonnegative_integer(name: str, value) -> None:
+    """InputError unless value is an integer >= 0; a bool is no integer,
+    as in the schemas."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError("%s must be an integer" % name)
+    if value < 0:
+        raise InputError("%s must be nonnegative" % name)
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
-    """Generator for ``(seed, stream...)``; same arguments, same stream."""
+    """Generator for ``(seed, stream...)``; same arguments, same stream.
+    The seed must be a nonnegative integer (InputError otherwise)."""
+    check_nonnegative_integer("seed", seed)
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
     return np.random.Generator(np.random.Philox(ss))
 

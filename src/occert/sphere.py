@@ -8,14 +8,20 @@ algebraic curvature tensors, so the algebra layers always see g = Id and
 exact curvature identities.  The octonionic almost complex structure
 and the covariant derivative of J are in :mod:`occert.structures`.
 
-Charts: inverse stereographic projection from the two poles; the south
-chart flips its last coordinate so both charts induce the same
-orientation.
+Charts: inverse stereographic projection from the north pole, and the
+south chart, which is the north chart followed by the rotation
+T = diag(1, 1, 1, 1, 1, -1, -1) of R^7 (by pi in the plane of the last two
+ambient axes; it takes the north pole to the south pole).  So every chart
+map is written once, for the north chart at the given x, and the south
+chart scales its ambient index by ``_SOUTH``, the diagonal of T.  T has
+determinant +1, so it preserves the orientation of the sphere, and both
+charts induce the same orientation.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from collections import namedtuple
 from collections.abc import Mapping
 
@@ -64,10 +70,8 @@ class ChartPoint(CheckedRecord, namedtuple("ChartPoint", "chart_id x")):
         return self
 
 
-# The south chart flips its last coordinate, and its map to the sphere
-# the last ambient one.
-_SOUTH_FLIP = np.array([1, 1, 1, 1, 1, -1.0])
-_AMBIENT_FLIP = np.array([1, 1, 1, 1, 1, 1, -1.0])
+# The south chart map is the north one times _SOUTH on the ambient index.
+_SOUTH = np.array([1, 1, 1, 1, 1, -1, -1.0])
 _EYE = np.eye(6)
 
 
@@ -79,14 +83,13 @@ def _squared_norms(xs: np.ndarray) -> np.ndarray:
 
 def _ambient_stack(chart_id: str, xs: np.ndarray) -> np.ndarray:
     """Unit 7-vectors of the rows of xs, shape (M, 7)."""
-    x = xs * _SOUTH_FLIP if chart_id == "south" else xs
-    xx = _squared_norms(x)
+    xx = _squared_norms(xs)
     s = 1.0 + xx
     p = np.empty((len(xs), 7))
-    p[:, :6] = 2.0 * x / s[:, None]
+    p[:, :6] = 2.0 * xs / s[:, None]
     p[:, 6] = (xx - 1.0) / s
     if chart_id == "south":
-        p[:, 6] = -p[:, 6]
+        p *= _SOUTH
     return p
 
 
@@ -101,26 +104,21 @@ def ambient_to_chart(p: np.ndarray) -> ChartPoint:
     p = np.asarray(p, dtype=float)
     if p.shape != (7,) or not abs(np.linalg.norm(p) - 1.0) <= 1e-9:   # also rejects nan
         raise InputError("ambient point must be a unit 7-vector")
-    if p[6] <= 0:
-        x = p[:6] / (1.0 - p[6])
-        return ChartPoint("north", x)
-    x = p[:6] / (1.0 + p[6])
-    x = x * _SOUTH_FLIP
-    return ChartPoint("south", x)
+    chart_id = "north" if p[6] <= 0 else "south"
+    if chart_id == "south":                 # T is its own inverse
+        p = p * _SOUTH
+    return ChartPoint(chart_id, p[:6] / (1.0 - p[6]))
 
 
 def _jacobian_stack(chart_id: str, xs: np.ndarray) -> np.ndarray:
     """d(ambient)/d(chart) at the rows of xs, shape (M, 7, 6)."""
-    flip = chart_id == "south"
-    x = xs * _SOUTH_FLIP if flip else xs
-    s = 1.0 + _squared_norms(x)
+    s = 1.0 + _squared_norms(xs)
     Dp = np.zeros((len(xs), 7, 6))
     Dp[:, :6, :] = (2.0 * np.eye(6) / s[:, None, None]
-                    - 4.0 * (x[:, :, None] * x[:, None, :]) / s[:, None, None] ** 2)
-    Dp[:, 6, :] = 4.0 * x / s[:, None] ** 2
-    if flip:
-        Dp[:, 6, :] = -Dp[:, 6, :]
-        Dp[:, :, 5] = -Dp[:, :, 5]
+                    - 4.0 * (xs[:, :, None] * xs[:, None, :]) / s[:, None, None] ** 2)
+    Dp[:, 6, :] = 4.0 * xs / s[:, None] ** 2
+    if chart_id == "south":                 # in place: only the two rows T turns
+        Dp[:, 5:] *= -1.0
     return Dp
 
 
@@ -129,36 +127,32 @@ def _stereographic_jets(chart_id: str, x: np.ndarray):
     and D3p[a, i, j, k], with a the ambient index.
 
     In the north chart p = (2 x q, 1 - 2 q) with q = 1/(1 + |x|^2); the
-    south chart is the north one at the flipped point y, with its last
-    ambient coordinate negated.
+    south chart's map is _SOUTH times the north one, so its derivatives
+    are the north ones at x with ambient rows 5 and 6 negated.
     """
     Dp = _jacobian_stack(chart_id, x[None])[0]
-    flip = chart_id == "south"
-    y = x * _SOUTH_FLIP if flip else x
-    q = 1.0 / (1.0 + float(y @ y))
+    q = 1.0 / (1.0 + float(x @ x))
     eye = _EYE
     # the derivatives of q
-    q1 = -2.0 * q * q * y
-    q2 = 8.0 * q ** 3 * np.outer(y, y) - 2.0 * q * q * eye
-    ey = np.einsum("ij,k->ijk", eye, y)             # delta_ij y_k
-    q3 = (8.0 * q ** 3 * (ey + ey.transpose(0, 2, 1) + ey.transpose(2, 0, 1))
-          - 48.0 * q ** 4 * np.einsum("i,j,k->ijk", y, y, y))
-    # derivatives of p_a = 2 y_a q by the product rule, and of 1 - 2 q
+    q1 = -2.0 * q * q * x
+    q2 = 8.0 * q ** 3 * np.outer(x, x) - 2.0 * q * q * eye
+    ex = np.einsum("ij,k->ijk", eye, x)             # delta_ij x_k
+    q3 = (8.0 * q ** 3 * (ex + ex.transpose(0, 2, 1) + ex.transpose(2, 0, 1))
+          - 48.0 * q ** 4 * np.einsum("i,j,k->ijk", x, x, x))
+    # derivatives of p_a = 2 x_a q by the product rule, and of 1 - 2 q
     D2p = np.empty((7, 6, 6))
-    D2p[:6] = 2.0 * (y[:, None, None] * q2 + eye[:, :, None] * q1
+    D2p[:6] = 2.0 * (x[:, None, None] * q2 + eye[:, :, None] * q1
                      + eye[:, None, :] * q1[:, None])
     D2p[6] = -2.0 * q2
     D3p = np.empty((7, 6, 6, 6))
-    D3p[:6] = 2.0 * (y[:, None, None, None] * q3
+    D3p[:6] = 2.0 * (x[:, None, None, None] * q3
                      + eye[:, :, None, None] * q2
                      + eye[:, None, :, None] * q2[:, None, :]
                      + eye[:, None, None, :] * q2[:, :, None])
     D3p[6] = -2.0 * q3
-    if flip:
-        # d/dx_i = f_i d/dy_i in each slot, and p_6 changes sign
-        D2p *= np.einsum("a,i,j->aij", _AMBIENT_FLIP, _SOUTH_FLIP, _SOUTH_FLIP)
-        D3p *= np.einsum("a,i,j,k->aijk", _AMBIENT_FLIP, _SOUTH_FLIP,
-                         _SOUTH_FLIP, _SOUTH_FLIP)
+    if chart_id == "south":
+        D2p[5:] *= -1.0
+        D3p[5:] *= -1.0
     return Dp, D2p, D3p
 
 
@@ -387,29 +381,26 @@ class MetricField(CheckedRecord,
         ddw = w (ddu + du du).
 
         w = scale 4 exp(2 f) q^2 with q = 1/(1 + |x|^2) and f = c . p
-        (c = 0 unless f is ambient-linear).  At the point y of the north
-        chart (the flipped point for the south chart, where c_6 changes
-        sign), f = 2 q beta + c_6 with beta = c[:6] . y - c_6, so
-        u = 4 q beta + 2 log q + const; d/dx_i = f_i d/dy_i maps back.
+        (c = 0 unless f is ambient-linear).  In the north chart
+        f = 2 q beta + c_6 with beta = c[:6] . x - c_6, so
+        u = 4 q beta + 2 log q + const.  In the south chart
+        f = c . (_SOUTH p_north) = (_SOUTH c) . p_north, so the north
+        formula holds at x with c turned.
         """
-        flip = chart_id == "south"
-        y = x * _SOUTH_FLIP if flip else x
         f = self.params.get("f", {"type": "constant"})
         if self.family == "conformal" and f["type"] == "ambient_linear":
             c = np.asarray(f["coeffs"], dtype=float)
-            c = c * _AMBIENT_FLIP if flip else c
         else:
             c = np.zeros(7)
-        q = 1.0 / (1.0 + float(y @ y))
-        beta = float(c[:6] @ y - c[6])
+        if chart_id == "south":
+            c = c * _SOUTH
+        q = 1.0 / (1.0 + float(x @ x))
+        beta = float(c[:6] @ x - c[6])
         k = 4.0 * q + 8.0 * q * q * beta
-        du = 4.0 * q * c[:6] - k * y
-        cy = c[:6, None] * y
-        ddu = ((8.0 * q * q + 32.0 * q ** 3 * beta) * (y[:, None] * y)
-               - 8.0 * q * q * (cy + cy.T) - k * _EYE)
-        if flip:
-            du *= _SOUTH_FLIP
-            ddu *= _SOUTH_FLIP[:, None] * _SOUTH_FLIP
+        du = 4.0 * q * c[:6] - k * x
+        cx = c[:6, None] * x
+        ddu = ((8.0 * q * q + 32.0 * q ** 3 * beta) * (x[:, None] * x)
+               - 8.0 * q * q * (cx + cx.T) - k * _EYE)
         return ((w * du)[:, None, None] * _EYE,
                 (w * (ddu + du[:, None] * du))[:, :, None, None] * _EYE)
 
@@ -574,6 +565,8 @@ def riemann(field: MetricField, point: ChartPoint,
 
 def sample_points(n: int, seed: int) -> list[ChartPoint]:
     """n ambient-uniform points, each in the chart where |x| <= 1."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InputError("number of sample points must be an integer")
     if n < 1:
         raise InputError("need at least one sample point")
     rng = make_rng(seed, 7)

@@ -171,7 +171,7 @@ def phi_wedge_form(phi: np.ndarray, J: np.ndarray, w: np.ndarray | None = None) 
     # M_ij = -i (Phi_i^H Phi_j - Phi_j^H Phi_i); zeta_ij = w^H M_ij w.
     H = np.einsum("ica,jcb->ijab", np.conj(phi), phi)  # Phi_i^H Phi_j
     M = -1j * (H - np.transpose(H, (1, 0, 2, 3)))
-    zeta = np.einsum("a,ijab,b->ij", np.conj(w), M, w)
+    zeta = (M @ w) @ np.conj(w)
     if not np.max(np.abs(zeta.imag)) <= 1e-10 * max(1.0, np.max(np.abs(zeta.real))):
         raise FormTypeError("wedge form has a non-real part beyond tolerance")
     return np.real(zeta)

@@ -98,6 +98,13 @@ def test_pickle_round_trip(record, fields, values):
 _SHAPE_TEXT = "curvature tensor must have shape (6, 6, 6, 6)"
 
 
+def _tensor_with(value):
+    """A (6, 6, 6, 6) zero tensor with one entry set to value."""
+    R = np.zeros((6, 6, 6, 6))
+    R[0, 1, 0, 1] = value
+    return R
+
+
 @pytest.mark.parametrize("build, error, text", [
     (lambda: sp.ChartPoint("east", np.zeros(6)), InputError,
      "chart_id must be 'north' or 'south'"),
@@ -173,6 +180,26 @@ _SHAPE_TEXT = "curvature tensor must have shape (6, 6, 6, 6)"
                  _SHAPE_TEXT, id="certify-point-5x5x5x5"),
     pytest.param(lambda: ct.refute_P(np.zeros((5, 5, 5, 5))), InputError,
                  _SHAPE_TEXT, id="refute-5x5x5x5"),
+    pytest.param(lambda: ct.refute_P(_tensor_with(np.nan)), InputError,
+                 "curvature tensor must be finite", id="refute-nan"),
+    pytest.param(lambda: ct.refute_P(_tensor_with(np.inf)), InputError,
+                 "curvature tensor must be finite", id="refute-inf"),
+    pytest.param(lambda: ct.CertifyOptions(checks=("p_refute",), search={"multistarts": 2}),
+                 InputError, "search must be a SearchConfig", id="options-search-dict"),
+    pytest.param(lambda: ct.CertifyOptions(search=None), InputError,
+                 "search must be a SearchConfig", id="options-search-none"),
+    pytest.param(lambda: sp.sample_points(3, 2.7), InputError,
+                 "seed must be an integer", id="sample-seed-float"),
+    pytest.param(lambda: sp.sample_points(3, -1), InputError,
+                 "seed must be nonnegative", id="sample-seed-negative"),
+    pytest.param(lambda: sp.sample_points(3, True), InputError,
+                 "seed must be an integer", id="sample-seed-bool"),
+    pytest.param(lambda: sp.sample_points(2.5, 0), InputError,
+                 "number of sample points must be an integer", id="sample-count-float"),
+    pytest.param(lambda: hm.random_orthogonal_complex_structure(1.5), InputError,
+                 "seed must be an integer", id="random-structure-seed-float"),
+    pytest.param(lambda: cv.random_curvature(2.9), InputError,
+                 "seed must be an integer", id="random-curvature-seed-float"),
 ])
 def test_validation_texts(build, error, text):
     with pytest.raises(error) as err:

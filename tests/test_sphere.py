@@ -33,6 +33,16 @@ def _g11_with_power(p):
     terms[1][2].append([0.3, [p, 0, 0, 0, 0, 0]])
     return {"terms": terms}
 
+
+# the rotation of R^7 that turns the north chart into the south one
+_T = np.array([1, 1, 1, 1, 1, -1, -1.0])
+
+
+def _same_bits(a, b):
+    """Equal arrays whose zeros also carry the same signs."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestOctonionTable:
     def test_three_form_total_antisymmetry(self):
         eps = sr.OCTONION_EPS
@@ -103,6 +113,37 @@ class TestCharts:
                 num = (sp.chart_to_ambient(sp.ChartPoint(chart, xp))
                        - sp.chart_to_ambient(sp.ChartPoint(chart, xm))) / (2 * h)
                 assert np.max(np.abs(jac[:, i] - num)) < 1e-9
+
+    def test_south_chart_is_the_north_chart_turned(self):
+        # p_south(x) = T p_north(x) with T = diag(1, 1, 1, 1, 1, -1, -1):
+        # the map and its first three derivatives, to the bit and the sign
+        # of zero
+        xs = np.stack([pt.x for pt in sp.sample_points(300, 5)])
+        assert _same_bits(sp._ambient_stack("south", xs), _T * sp._ambient_stack("north", xs))
+        assert _same_bits(sp._jacobian_stack("south", xs),
+                          _T[:, None] * sp._jacobian_stack("north", xs))
+        for x in xs:
+            for south, north in zip(sp._stereographic_jets("south", x),
+                                    sp._stereographic_jets("north", x)):
+                assert _same_bits(south, _T.reshape((7,) + (1,) * (north.ndim - 1)) * north)
+
+    def test_metrics_read_alike_in_both_charts(self):
+        # f = c . p_south = (T c) . p_north, and the round and ellipsoid
+        # metrics are invariant under T
+        c = np.array([0.3, -0.2, 0.1, 0, 0.4, 0.5, -0.25])
+
+        def conformal(coeffs):
+            return sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                                      "coeffs": list(coeffs)}})
+        axes = {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}
+        pairs = [(conformal(c), conformal(_T * c)), (sp.MetricField("round"),) * 2,
+                 (sp.MetricField("ellipsoid", axes),) * 2]
+        xs = np.stack([pt.x for pt in sp.sample_points(300, 5)])
+        for south, north in pairs:
+            assert np.array_equal(south.matrices("south", xs), north.matrices("north", xs))
+            for x in xs:
+                for a, b in zip(south.jets("south", x), north.jets("north", x)):
+                    assert np.array_equal(a, b)
 
     def test_transition_preserves_orientation(self):
         # north coords near the equator, re-expressed in the south chart
