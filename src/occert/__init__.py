@@ -7,7 +7,7 @@ star-Ricci positivity conditions, certifying, refuting with an explicit
 witness, or reporting unknown.
 Every name in ``__all__`` is exported lazily (PEP 562): it loads its
 submodule on first access, so ``import occert.cli`` loads only what the
-command line runs, never :mod:`occert.structures` or :mod:`occert.budget`.
+command line runs, never :mod:`occert.budget`.
 """
 
 from importlib import import_module
@@ -25,8 +25,6 @@ _HOMES = {
                  " random_orthogonal_complex_structure",
     "kernels": "BACKEND",
     "sphere": "ChartPoint FDConfig MetricField riemann sample_points",
-    "structures": "ACSField canonical_projection_scalar christoffel g2_structure"
-                  " hat make_complex_structure nabla_J sharp",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
 __all__ = sorted([*_HOME, "__version__"])

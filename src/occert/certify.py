@@ -91,11 +91,14 @@ def check_bhl(spectrum) -> BhlResult:
 
     Scale-invariant, ties included: the tie tolerance is relative to
     the largest eigenvalue modulus, so no normalization is needed.
+    InputError unless the spectrum is 15 finite numbers.
     """
     spec = np.sort(np.asarray(spectrum, dtype=float))
     if spec.shape != (15,):
         raise InputError("spectrum must have length 15")
-    lmin, lmax = float(spec[0]), float(spec[-1])
+    lmin, lmax = float(spec[0]), float(spec[-1])     # np.sort puts nan last
+    if not (math.isfinite(lmin) and math.isfinite(lmax)):
+        raise InputError("spectrum must be finite")
     margin = 7.0 * lmin - 5.0 * lmax
     tie = TIE_TOL * max(abs(lmin), abs(lmax))
     boundary = abs(margin) <= tie or abs(lmin) <= tie
@@ -109,11 +112,15 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
     bounded by 1/6 in sup norm implies the positivity class.
 
     The upper bound is the Frobenius norm of the deviation (rigorous for
-    the sup norm); the lower bound is its largest component.
+    the sup norm); the lower bound is its largest component.  InputError
+    unless R is a finite (6, 6, 6, 6) array.
     """
     dev = as_curvature_tensor(R) - _ROUND
-    upper = frobenius_norm(dev)
     lower = float(np.max(np.abs(dev)))
+    # not upper: the Frobenius norm of finite entries above 1e153 overflows
+    if not lower < math.inf:                     # also rejects nan
+        raise InputError("curvature tensor must be finite")
+    upper = frobenius_norm(dev)
     status = "certified" if upper <= P_THRESHOLD else "unknown"
     return PMembership(status=status, sup_lower=lower, sup_upper=upper,
                        threshold=P_THRESHOLD)
@@ -198,9 +205,11 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     value below -tol is found: the winner's J and, as X, a unit vector of
     its lambda_min plane (``_witness_direction``).  ``none found`` is NOT
     a membership proof.  Starts are orientation-compatible.  InputError
-    unless R is a finite (6, 6, 6, 6) array.
+    unless R is a finite (6, 6, 6, 6) array and config None or a SearchConfig.
     """
-    cfg = config or SearchConfig()
+    cfg = SearchConfig() if config is None else config
+    if not isinstance(cfg, SearchConfig):
+        raise InputError("config must be a SearchConfig")
     R = as_curvature_tensor(R)
     if not np.isfinite(R).all():
         raise InputError("curvature tensor must be finite")
@@ -272,8 +281,10 @@ class CertifyOptions(CheckedRecord,
 
 def certify_point(R: np.ndarray, options: CertifyOptions | None = None) -> Certificate:
     """Run the requested checks on one algebraic curvature tensor, given
-    in a g-orthonormal basis."""
-    opts = options or CertifyOptions()
+    in a g-orthonormal basis; options None or a CertifyOptions."""
+    opts = CertifyOptions() if options is None else options
+    if not isinstance(opts, CertifyOptions):
+        raise InputError("options must be a CertifyOptions")
     op = curvature_operator(R)
     notes = []
     bhl = None

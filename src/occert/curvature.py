@@ -2,8 +2,7 @@
 
 (4,0) curvature tensors in a g-orthonormal working basis, the
 Kulkarni-Nomizu square of the metric, the induced symmetric operator on
-2-forms and its spectrum, and the Ricci / star-Ricci contractions; the
-forms built with J and nabla J are in :mod:`occert.structures`.
+2-forms and its spectrum, and the Ricci / star-Ricci contractions.
 
 Sign conventions are anchored so that the unit round sphere has
 R = g (.) g (Kulkarni-Nomizu square) and operator = identity.

@@ -5,21 +5,8 @@ class OccertError(ValueError):
     """Base class for all library errors."""
 
 
-class FrameError(OccertError):
-    """A frame fails its orthonormality (Gram matrix) check."""
-
-
 class CompatibilityError(OccertError):
     """An almost complex structure is not orthogonal for the given metric."""
-
-
-class StructureError(OccertError):
-    """An input violates a structural invariant (J^2 = -Id, skewness,
-    anticommutation of a J-derivative, ...)."""
-
-
-class FormTypeError(OccertError):
-    """A Hom-valued 1-form does not have the required (1,0) type."""
 
 
 class CurvatureError(OccertError):

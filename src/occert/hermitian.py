@@ -2,7 +2,7 @@
 
 Random and standard complex structures, the fundamental 2-form, 2-form
 coordinates and norms, and the positivity classification the certifier
-uses; the rest is in :mod:`occert.structures`.  The working basis is
+uses.  The working basis is
 orthonormal (the sphere pipeline re-expresses everything in such a
 basis before it reaches this layer), so no function here takes a metric
 or a tolerance, and the inner product on 2-forms is the one making

@@ -10,7 +10,6 @@ import numpy as np
 from . import curvature as cv
 from . import hermitian as hm
 from . import sphere as sp
-from . import structures as sr
 from .certify import check_bhl
 from .cli import EXIT_OK
 
@@ -31,11 +30,6 @@ def run_selftest() -> int:
     J0 = hm.standard_complex_structure()
     check("Ric* of constant curvature is the metric",
           np.allclose(cv.ricci_star(G, J0), np.eye(6), atol=1e-12))
-    check("projection scalar of the standard J is 3i",
-          abs(sr.canonical_projection_scalar(J0, J0) - 3j) < 1e-12)
-    e = np.eye(7)
-    check("octonion table anchor e1 x e2 = e3",
-          np.allclose(sr.cross7(e[0], e[1]), e[2]))
     pt = sp.sample_points(1, 0)[0]
     round_metric = sp.MetricField(family="round")
     R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="richardson_4th"))
@@ -43,10 +37,5 @@ def run_selftest() -> int:
     R = sp.riemann(round_metric, pt, sp.FDConfig(scheme="exact"))
     check("exact round-sphere curvature anchor",
           float(np.max(np.abs(R - G))) <= 1e-12)
-    nd = sr.nabla_J(round_metric, sr.ACSField(), pt)
-    # nearly Kaehler, (nabla_X J) X = 0, and nabla_X J anticommutes with J
-    worst = max(np.max(np.abs(nd.nabla + nd.nabla.transpose(2, 1, 0))),
-                np.max(np.abs(nd.nabla @ nd.J + nd.J @ nd.nabla)))
-    check("exact nabla J of the octonionic anchor", worst <= 1e-12)
     print("selftest result: %s" % ("PASS" if ok else "FAIL"))
     return EXIT_OK if ok else 1

@@ -5,8 +5,7 @@ Riemann curvature from the metric's 2-jets, in closed form or, under the
 package's only ones), and point sampling.  All curvature leaving this
 module is re-expressed in a g-orthonormal frame and projected onto the
 algebraic curvature tensors, so the algebra layers always see g = Id and
-exact curvature identities.  The octonionic almost complex structure
-and the covariant derivative of J are in :mod:`occert.structures`.
+exact curvature identities.
 
 Charts: inverse stereographic projection from the north pole, and the
 south chart, which is the north chart followed by the rotation
@@ -492,15 +491,6 @@ def _christoffel(g: np.ndarray, dg: np.ndarray, x: np.ndarray):
     return (0.5 * (g_inv @ sym)).reshape(6, 6, 6), g_inv
 
 
-def _exact_levi_civita(field: MetricField, point: ChartPoint):
-    """The Christoffel symbols gamma[k, i, j], the inverse metric, the
-    metric g and its derivative dg[i, a, c] = d_i g_ac at the point, from
-    the closed-form jets of the metric."""
-    x = np.asarray(point.x, dtype=float)
-    g, dg, _ = field.jets(point.chart_id, x)
-    return (*_christoffel(g, dg, x), g, dg)
-
-
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Columns of a g-orthonormal frame (Cholesky Gram-Schmidt)."""
     L = np.linalg.cholesky(g)
@@ -549,8 +539,11 @@ def riemann(field: MetricField, point: ChartPoint,
     tensors, which is no farther from the true curvature (Frobenius
     norm) than the raw tensor.  An exact tensor violates the identities
     only by rounding, so its projection moves it by rounding only.
+    InputError unless fd is None (the default FDConfig) or an FDConfig.
     """
-    fd = fd or FDConfig()
+    fd = FDConfig() if fd is None else fd
+    if not isinstance(fd, FDConfig):
+        raise InputError("fd must be an FDConfig")
     R, g = _coordinate_riemann(field, point, fd)
     R_onf = express_in_frame(R, orthonormal_frame(g))
     worst = np.max(list(validate_symmetries(R_onf).values()))

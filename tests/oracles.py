@@ -1,9 +1,14 @@
-"""Second routes to quantities that ``occert`` computes once, and the
-random generators the tests feed them: the star-Ricci form by another
-contraction and in frame coordinates, the canonical-line projection
-scalar through an explicit (1,0)-coframe, the sup norm of a curvature
-deviation by sampling, and the ellipsoid's principal curvatures with
-the star-Ricci minimum of its Gauss tensor."""
+"""Second routes to quantities that ``occert`` computes once, the random
+generators the tests feed them, and the structures they are compared
+on: the star-Ricci form by another contraction, through psi and in frame
+coordinates, the canonical-line projection scalar through an explicit
+(1,0)-coframe, the sup norm of a curvature deviation by sampling, the
+ellipsoid's principal curvatures with the star-Ricci minimum of its
+Gauss tensor, complex structures from frames, phi, and the octonionic
+structure on S^6 with its covariant derivative on the Levi-Civita
+symbols of :mod:`occert.sphere`.  The input checks written here fail
+with an AssertionError and reject NaN; psi runs the library's
+curvature check."""
 
 from __future__ import annotations
 
@@ -11,9 +16,63 @@ from collections import namedtuple
 
 import numpy as np
 
-from occert.curvature import express_in_frame, ricci_star
-from occert.hermitian import standard_complex_structure
-from occert.structures import adapted_frame, check_complex_structure, make_complex_structure
+from occert import sphere as sp
+from occert.curvature import check_curvature, express_in_frame, ricci_star
+from occert.hermitian import TOL_CLASSIFY, ComplexStructure, standard_complex_structure
+
+TOL_CONSTRUCT = 1e-12   # invariants of constructed objects
+
+
+def check_complex_structure(J: np.ndarray) -> None:
+    """Assert J^2 = -Id and J orthogonal, both within TOL_CONSTRUCT."""
+    J = np.asarray(J, dtype=float)
+    eye = np.eye(J.shape[0])
+    assert np.max(np.abs(J @ J + eye)) <= TOL_CONSTRUCT, "J^2 differs from -Id beyond tolerance"
+    assert np.max(np.abs(J.T @ J - eye)) <= TOL_CONSTRUCT, "J is not orthogonal"
+
+
+def make_complex_structure(frame: np.ndarray) -> ComplexStructure:
+    """Complex structure of an ordered orthonormal frame (columns).
+
+    J maps frame vector e_i to (-1)^(i-1) e_{i#} (1-based), i.e. the
+    frame pairs (e_1, e_2), (e_3, e_4), (e_5, e_6) become complex lines.
+    """
+    F = np.asarray(frame, dtype=float)
+    defect = np.max(np.abs(F.T @ F - np.eye(F.shape[0])))
+    assert defect <= TOL_CLASSIFY, "frame is not orthonormal: Gram defect %.3e" % defect
+    J = F @ standard_complex_structure(F.shape[0]) @ F.T
+    # F is orthonormal, so det F has the sign of the frame orientation.
+    return ComplexStructure(J=J, compatible_orientation=bool(np.linalg.det(F) > 0))
+
+
+def adapted_frame(J: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal frame (f1, Jf1, f2, Jf2, f3, Jf3)."""
+    J = np.asarray(J, dtype=float)
+    n = J.shape[0]
+    cols = []
+
+    def proj_out(v):
+        for w in cols:
+            v = v - (w @ v) * w
+        return v
+
+    seed_idx = 0
+    while len(cols) < n:
+        v = None
+        while seed_idx < n:
+            cand = proj_out(np.eye(n)[:, seed_idx])
+            seed_idx += 1
+            norm = np.sqrt(cand @ cand)
+            if norm > 1e-8:
+                v = cand / norm
+                break
+        assert v is not None, "failed to build a J-adapted frame"
+        cols.append(v)
+        w = proj_out(J @ v)
+        nw = np.sqrt(w @ w)
+        assert nw >= 1e-8, "J does not map the complement to itself"
+        cols.append(w / nw)
+    return np.stack(cols, axis=1)
 
 
 def sharp_index(i: int) -> int:
@@ -24,6 +83,13 @@ def sharp_index(i: int) -> int:
 def ricci_star_alt(R: np.ndarray, J: np.ndarray) -> np.ndarray:
     """Ric*(X, Y) = (1/2) sum_i R(X, JY, e_i, J e_i)."""
     return 0.5 * np.einsum("iakm,aj,mk->ij", R, J, J)
+
+
+def psi(R: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """psi(X, Y) = sum_i R(X, Y, e_i, J e_i), which equals -2 Ric*(X, JY)
+    for a curvature tensor R; anything else raises CurvatureError."""
+    check_curvature(R)
+    return np.einsum("xyim,mi->xy", R, J)
 
 
 # ``alpha`` includes the signs of J e_i = (-1)^(i-1) e_{i#} and equals the
@@ -39,7 +105,7 @@ def star_matrix(R: np.ndarray, frame: np.ndarray) -> FrameMatrix:
     where alpha_ij = sum_k R(e_i, e_k, J e_j, J e_k) in frame coordinates
     and J is the complex structure generated by the frame."""
     F = np.asarray(frame, dtype=float)
-    cs = make_complex_structure(F)   # raises FrameError when not orthonormal
+    cs = make_complex_structure(F)   # fails when F is not orthonormal
     Rf = express_in_frame(R, F)
     alpha = ricci_star(Rf, standard_complex_structure(F.shape[0]))
     a = 0.5 * (alpha + alpha.T)
@@ -93,6 +159,23 @@ def random_nabla_j(rng: np.random.Generator, J: np.ndarray) -> np.ndarray:
     N = rng.normal(size=(6, 6, 6))
     N = 0.5 * (N - N.transpose(0, 2, 1))
     return 0.5 * (N + np.einsum("ab,ibc,cd->iad", J, N, J))
+
+
+def phi(J: np.ndarray, nabla_j: np.ndarray) -> np.ndarray:
+    """phi(X, Y) = trace((nabla_X J)(nabla_{JY} J)).
+
+    The sign is pinned by the identity phi(X, JX) = |nabla_X J|^2
+    (Frobenius), which holds for any nabla_j whose slices are skew and
+    anticommute with J; both are asserted within TOL_CONSTRUCT relative
+    to max(1, max |nabla J|).
+    """
+    scale = max(1.0, float(np.max(np.abs(nabla_j))))
+    anti = np.max(np.abs(nabla_j @ J + J @ nabla_j))
+    skew = np.max(np.abs(nabla_j + nabla_j.transpose(0, 2, 1)))
+    assert anti <= TOL_CONSTRUCT * scale and skew <= TOL_CONSTRUCT * scale, (
+        "nabla J incompatible with J: anticommutation %.3e, skewness %.3e" % (anti, skew))
+    NJ = np.einsum("kj,kab->jab", J, nabla_j)        # slice in direction J e_j
+    return np.einsum("iab,jba->ij", nabla_j, NJ)
 
 
 def sampled_sup_norm(D: np.ndarray, rng: np.random.Generator, samples: int) -> float:
@@ -149,3 +232,76 @@ def gauss_two_angle_minimum(kappa: np.ndarray) -> float:
             g = m1 * m2 - m2 * d1 * c - d2 * np.sqrt(max(0.0, m1 * m1 + d1 * d1 - 2 * m1 * d1 * c))
             best = min(best, g)
     return float(best)
+
+
+# Octonion structure constants: eps[i,j,k] = +1 on these ordered triples
+# (0-based), totally antisymmetric.  Any consistent table works; this one
+# satisfies u x (u x v) = <u,v> u - |u|^2 v, which is what downstream needs.
+_OCT_TRIPLES = ((0, 1, 2), (0, 3, 4), (0, 6, 5), (1, 3, 5), (1, 4, 6),
+                (2, 3, 6), (2, 5, 4))
+
+
+def _octonion_eps() -> np.ndarray:
+    eps = np.zeros((7, 7, 7))
+    for (i, j, k) in _OCT_TRIPLES:
+        for (a, b, c), s in (((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
+                             ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1)):
+            eps[a, b, c] = s
+    return eps
+
+
+OCTONION_EPS = _octonion_eps()
+
+
+def cross7(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Seven-dimensional cross product from the octonion table."""
+    return np.einsum("ijk,i,j->k", OCTONION_EPS, u, v)
+
+
+def g2_structure(p: np.ndarray) -> np.ndarray:
+    """Ambient matrix of v -> p x v at a unit 7-vector p.
+
+    Restricts to an orthogonal complex structure on the tangent space.
+    """
+    p = np.asarray(p, dtype=float)
+    assert p.shape == (7,) and abs(np.linalg.norm(p) - 1.0) <= 1e-9, (
+        "base point must be a unit 7-vector")
+    return np.einsum("ijk,i->kj", OCTONION_EPS, p)
+
+
+def octonionic_chart_jet(point: sp.ChartPoint) -> tuple[np.ndarray, np.ndarray]:
+    """The octonionic J in chart coordinates and its chart derivative
+    dJ[l] = d_l J.
+
+    J is M^-1 P^T Jp P, with P the chart Jacobian, M = P^T P and
+    Jp = p x . (the image of the cross product is tangent).  Jp is linear
+    in p, so d_l Jp = (d_l p) x . and the product rule on M J = P^T Jp P
+    gives dJ in closed form."""
+    P, D2p, _ = sp._stereographic_jets(point.chart_id, np.asarray(point.x, dtype=float))
+    Jp = g2_structure(sp.chart_to_ambient(point))
+    M = P.T @ P
+    J = np.linalg.solve(M, P.T @ (Jp @ P))
+    dP = D2p.transpose(2, 0, 1)                     # dP[l] = d_l P
+    dPt = dP.transpose(0, 2, 1)
+    dJp = np.einsum("ijk,il->lkj", OCTONION_EPS, P)  # dJp[l] = P[:, l] x .
+    # M d_l J = d_l (P^T Jp P) - (d_l M) J
+    rhs = dPt @ Jp @ P + P.T @ dJp @ P + P.T @ Jp @ dP - (dPt @ P + P.T @ dP) @ J
+    return J, np.linalg.solve(M, rhs)
+
+
+def nabla_J(field: sp.MetricField, point: sp.ChartPoint,
+            jet=octonionic_chart_jet) -> tuple[np.ndarray, np.ndarray]:
+    """J and its covariant derivative nabla[i] = nabla_{e_i} J in the
+    g-orthonormal frame of ``sphere.orthonormal_frame``, from the
+    Levi-Civita symbols of the metric's closed-form jets and
+    jet(point) = (J, dJ) in chart coordinates."""
+    x = np.asarray(point.x, dtype=float)
+    g, dg, _ = field.jets(point.chart_id, x)
+    gamma, _ = sp._christoffel(g, dg, x)
+    J, dJ = jet(point)
+    nab = (dJ
+           + np.einsum("kim,mj->ikj", gamma, J)
+           - np.einsum("mij,km->ikj", gamma, J))
+    B = sp.orthonormal_frame(g)
+    B_inv = np.linalg.inv(B)
+    return B_inv @ J @ B, np.einsum("ikj,ia,kc,jb->acb", nab, B, B_inv.T, B)

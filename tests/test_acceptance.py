@@ -13,14 +13,13 @@ import numpy as np
 import pytest
 
 from conftest import random_form_above_omega, random_one_one_form, random_skew
-from oracles import canonical_projection_scalar_oracle, random_nabla_j
+from oracles import canonical_projection_scalar_oracle, nabla_J, phi, psi, random_nabla_j
 from occert import budget as bd
 from occert import certify as ct
 from occert import cli
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import sphere as sp
-from occert import structures as sr
 from occert.rng import make_rng
 
 
@@ -66,7 +65,7 @@ def test_03_projection_lemma_oracle():
     for _ in range(1000):
         A = random_skew(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
-        lemma = sr.canonical_projection_scalar(A, J)
+        lemma = -1j * hm.lambda2_inner(A, hm.fundamental_two_form(J))
         oracle = canonical_projection_scalar_oracle(A, J)
         worst = max(worst, abs(lemma - oracle))
     _report(3, "projection lemma vs coframe oracle", worst < 1e-10,
@@ -78,13 +77,13 @@ def test_04_psi_identity(J0, omega0):
     for k in (0.5, 1.0, 2.0):
         R = cv.kulkarni_nomizu_square(k=k)
         worst_val = max(worst_val, float(np.max(np.abs(
-            sr.psi(R, J0) - 2.0 * k * omega0))))
+            psi(R, J0) - 2.0 * k * omega0))))
     rng = make_rng(4)
     worst_gap = 0.0
     for _ in range(1000):
         R = cv.random_curvature(rng)
         J = hm.random_orthogonal_complex_structure(rng).J
-        direct = sr.psi(R, J)
+        direct = psi(R, J)
         via_star = -2.0 * (cv.ricci_star(R, J) @ J)
         worst_gap = max(worst_gap, float(np.max(np.abs(direct - via_star))))
     ok = worst_val < 1e-12 and worst_gap < 1e-9
@@ -98,21 +97,20 @@ def test_05_phi_identity():
     for _ in range(1000):
         J = hm.random_orthogonal_complex_structure(rng).J
         N = random_nabla_j(rng, J)
-        phi = sr.phi(J, N)
+        p = phi(J, N)
         x = rng.normal(size=6)
-        lhs = x @ phi @ (J @ x)
+        lhs = x @ p @ (J @ x)
         nx = np.einsum("i,iab->ab", x, N)
         rhs = float(np.sum(nx * nx))
         worst = max(worst, abs(lhs - rhs) / max(rhs, 1e-300))
     field = sp.MetricField("round")
-    acs = sr.ACSField()
     for pt in sp.sample_points(20, 55):
-        nd = sr.nabla_J(field, acs, pt)
-        phi = sr.phi(nd.J, nd.nabla)
+        J, N = nabla_J(field, pt)
+        p = phi(J, N)
         for _ in range(10):
             x = rng.normal(size=6)
-            lhs = x @ phi @ (nd.J @ x)
-            nx = np.einsum("i,iab->ab", x, nd.nabla)
+            lhs = x @ p @ (J @ x)
+            nx = np.einsum("i,iab->ab", x, N)
             rhs = float(np.sum(nx * nx))
             worst = max(worst, abs(lhs - rhs) / rhs)
     _report(5, "phi norm identity", worst < 1e-6, "max rel=%.2e" % worst)

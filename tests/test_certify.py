@@ -11,13 +11,13 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import random_form_above_omega, random_one_one_form
-from oracles import ellipsoid_principal_curvatures, gauss_two_angle_minimum
+from oracles import (check_complex_structure, ellipsoid_principal_curvatures,
+                     gauss_two_angle_minimum)
 from occert import budget as bd
 from occert import certify as ct
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import kernels
-from occert import structures as sr
 from occert.errors import InputError
 from occert.rng import make_rng
 from occert.sphere import FDConfig, MetricField, chart_to_ambient, riemann, sample_points
@@ -71,6 +71,14 @@ class TestSufficientBound:
         assert r.status == "unknown"
         assert r.sup_upper == pytest.approx(0.1 * np.sqrt(60.0))
 
+    def test_finite_tensor_whose_frobenius_norm_overflows_stays_unknown(self):
+        # only a non-finite entry is an input error; entries above 1e153
+        # overflow the Frobenius norm of a finite tensor
+        with np.errstate(over="ignore"):
+            r = ct.certify_P_sufficient(cv.kulkarni_nomizu_square(k=1e200))
+        assert r.status == "unknown"
+        assert r.sup_lower == 1e200 and r.sup_upper == np.inf
+
     def test_bounds_enclose_sampled_values(self, G):
         rng = make_rng(23)
         vs = rng.normal(size=(10_000, 4, 6))
@@ -93,7 +101,7 @@ class TestRefutation:
         assert res.witness.value == pytest.approx(-1.0, abs=1e-6)
         assert abs(np.linalg.norm(res.witness.X) - 1.0) < 1e-12
         # witness J invariants
-        sr.check_complex_structure(res.witness.J)
+        check_complex_structure(res.witness.J)
 
     def test_round_finds_nothing(self, G):
         res = ct.refute_P(G, ct.SearchConfig(multistarts=8, seed=1))

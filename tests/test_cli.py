@@ -516,11 +516,13 @@ class TestSubprocessEntryPoints:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         lines = proc.stdout.splitlines()
-        for name in ("round-sphere curvature anchor",
-                     "exact round-sphere curvature anchor"):
-            assert any(line.startswith("selftest %s " % name) and line.endswith("PASS")
-                       for line in lines), name
-        assert lines[-1] == "selftest result: PASS"
+        names = ["operator of constant curvature is Id",
+                 "spectral pinching on the round anchor",
+                 "Ric* of constant curvature is the metric",
+                 "round-sphere curvature anchor",
+                 "exact round-sphere curvature anchor"]
+        assert lines == ["selftest %-38s PASS" % name for name in names] + [
+            "selftest result: PASS"]
 
     def test_run_path_imports_no_third_party_but_numpy(self, tmp_path):
         """Importing the CLI and one ``certify --spec`` run load no

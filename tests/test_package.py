@@ -67,16 +67,20 @@ def test_benchmark_names_resolve():
 
 # the package's export list
 EXPORTS = [
-    "ACSField", "BACKEND", "BhlResult", "Certificate", "CertifyOptions", "ChartPoint",
+    "BACKEND", "BhlResult", "Certificate", "CertifyOptions", "ChartPoint",
     "ComplexStructure", "CurvatureOperator", "FDConfig", "MetricField",
     "PerturbationBudget", "SearchConfig", "Witness", "__version__",
-    "canonical_projection_scalar", "certify_P_sufficient", "certify_point", "check_bhl",
-    "check_lemma_LL", "christoffel", "curvature_operator", "fundamental_two_form",
-    "g2_structure", "hat", "is_positive_form", "kulkarni_nomizu_square",
-    "make_complex_structure", "nabla_J", "perturbation_budget_check",
+    "certify_P_sufficient", "certify_point", "check_bhl", "check_lemma_LL",
+    "curvature_operator", "fundamental_two_form", "is_positive_form",
+    "kulkarni_nomizu_square", "perturbation_budget_check",
     "random_orthogonal_complex_structure", "refute_P", "ricci", "ricci_star", "riemann",
-    "sample_points", "sharp", "validate_symmetries",
+    "sample_points", "validate_symmetries",
 ]
+
+# the modules ``import occert.cli`` loads: the run path README names
+RUN_PATH = ["occert", "occert.certify", "occert.cli", "occert.curvature", "occert.errors",
+            "occert.hermitian", "occert.kernels", "occert.rng", "occert.sphere",
+            "occert.validation"]
 
 
 def _fresh(script: str, *args: str) -> list:
@@ -112,10 +116,10 @@ class TestNamespace:
         assert loaded == []
         assert listed == []
         assert resolved == EXPORTS
-        from occert import budget, curvature, kernels, sphere, structures
+        from occert import budget, curvature, hermitian, kernels, sphere
         assert occert.MetricField is sphere.MetricField
         assert occert.CurvatureOperator is curvature.CurvatureOperator
-        assert occert.ACSField is structures.ACSField
+        assert occert.ComplexStructure is hermitian.ComplexStructure
         assert occert.perturbation_budget_check is budget.perturbation_budget_check
         assert occert.BACKEND is kernels.BACKEND
 
@@ -132,10 +136,10 @@ class TestNamespace:
 
 
 def test_cli_run_path_import_closure(tmp_path):
-    """``import occert.cli`` loads neither ``dataclasses`` nor the modules
-    the command line does not run, and a certify run with every check
-    then loads no further occert module: everything it needs was
-    imported before ``cli.main``."""
+    """``import occert.cli`` loads exactly the run-path modules and not
+    ``dataclasses``, and a certify run with every check then loads no
+    further occert module: everything it needs was imported before
+    ``cli.main``."""
     spec = tmp_path / "ellipsoid.json"
     spec.write_text(json.dumps({"family": "ellipsoid",
                                 "axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}))
@@ -152,7 +156,21 @@ def test_cli_run_path_import_closure(tmp_path):
         print(json.dumps([imported, dataclasses, sorted(ours() - set(imported)), codes]))
     """, str(spec), str(tmp_path / "report.json"))
     assert not dataclasses
-    assert not {"occert.structures", "occert.budget", "occert.selftest"} & set(imported)
-    assert "occert.hermitian" in imported          # refute needs it
+    assert imported == RUN_PATH
     assert added == []
     assert codes == [3]
+
+
+def test_selftest_import_closure():
+    """The selftest anchors run on the command line's modules: running
+    them loads no occert module beyond those and ``occert.selftest``."""
+    imported, code = _fresh("""
+        import contextlib, io, json, sys
+        from occert.selftest import run_selftest
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = run_selftest()
+        print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "occert"),
+                          code]))
+    """)
+    assert imported == sorted(RUN_PATH + ["occert.selftest"])
+    assert code == 0

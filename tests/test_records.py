@@ -15,7 +15,6 @@ from occert import cli
 from occert import curvature as cv
 from occert import hermitian as hm
 from occert import sphere as sp
-from occert import structures as sr
 from occert.errors import ConfigError, InputError
 
 # (record, its fields in constructor order, valid field values; None: any)
@@ -36,12 +35,6 @@ RECORDS = [
     (cli.RunConfig, "metric points fd options out", None),
     (bd.PerturbationBudget, "eps1 eps2", (0.01, 0.02)),
     (bd.BudgetCheck, "quadratic_ok linear_ok implied_bound", None),
-    (sr.StarRicciData, "ric ric_star psi phi", None),
-    (sr.ACSField, "kind matrix", ("chart_constant", hm.standard_complex_structure())),
-    (sr.ConnectionCoefficients, "gamma g g_inv", None),
-    (sr.NablaJData, "J nabla", None),
-    (sr.CanonicalConnectionReport,
-     "metricity complex_compat torsion_formula torsion_norm", None),
 ]
 
 
@@ -80,7 +73,6 @@ def test_defaults():
     assert ct.SearchConfig() == (64, 1e-9, 0)
     assert ct.CertifyOptions() == (("bhl", "p_sufficient"), ct.SearchConfig())
     assert ct.PMembership("unknown", 0.0, 1.0, 1.0 / 6.0).witness is None
-    assert sr.ACSField() == ("g2_octonionic", None)
     field = sp.MetricField("round")
     assert field.params == {} and field.scale == 1.0
     field.params["f"] = {"type": "constant"}         # each metric has its own
@@ -141,16 +133,6 @@ def _tensor_with(value):
                  "perturbation budget entries must be nonnegative", id="budget-nan"),
     pytest.param(lambda: bd.estimate_perturbation(sp.MetricField("round"), []), InputError,
                  "need at least one point to estimate a perturbation", id="estimate-no-points"),
-    pytest.param(lambda: sr.ACSField(kind="custom"), ConfigError,
-                 "unknown ACS field kind 'custom'", id="acs-unknown-kind"),
-    pytest.param(lambda: sr.ACSField("chart_constant"), ConfigError,
-                 "chart_constant ACS field needs a matrix", id="acs-no-matrix"),
-    pytest.param(lambda: sr.ACSField("chart_constant", np.eye(5)), ConfigError,
-                 "chart_constant ACS field needs a matrix", id="acs-matrix-5x5"),
-    pytest.param(lambda: sr.ACSField("chart_constant", np.full((6, 6), np.nan)), ConfigError,
-                 "chart_constant ACS field needs a matrix", id="acs-matrix-nan"),
-    pytest.param(lambda: sr.ACSField("chart_constant", "abc"), ConfigError,
-                 "chart_constant ACS field needs a matrix", id="acs-matrix-string"),
     (lambda: ct.SearchConfig(tol=float("nan")), InputError, "tol must be positive and finite"),
     pytest.param(lambda: ct.SearchConfig(tol="x"), InputError,
                  "tol must be positive and finite", id="tol-string"),
@@ -200,6 +182,29 @@ def _tensor_with(value):
                  "seed must be an integer", id="random-structure-seed-float"),
     pytest.param(lambda: cv.random_curvature(2.9), InputError,
                  "seed must be an integer", id="random-curvature-seed-float"),
+    pytest.param(lambda: ct.check_bhl([np.nan] * 15), InputError,
+                 "spectrum must be finite", id="bhl-nan"),
+    pytest.param(lambda: ct.check_bhl([1.0] * 14 + [np.inf]), InputError,
+                 "spectrum must be finite", id="bhl-inf"),
+    pytest.param(lambda: ct.check_bhl([-np.inf] + [1.0] * 14), InputError,
+                 "spectrum must be finite", id="bhl-minus-inf"),
+    pytest.param(lambda: ct.certify_P_sufficient(_tensor_with(np.nan)), InputError,
+                 "curvature tensor must be finite", id="p-sufficient-nan"),
+    pytest.param(lambda: ct.certify_P_sufficient(_tensor_with(np.inf)), InputError,
+                 "curvature tensor must be finite", id="p-sufficient-inf"),
+    pytest.param(lambda: ct.refute_P(np.zeros((6,) * 4), {}), InputError,
+                 "config must be a SearchConfig", id="refute-config-empty-dict"),
+    pytest.param(lambda: ct.refute_P(np.zeros((6,) * 4), {"multistarts": 2}), InputError,
+                 "config must be a SearchConfig", id="refute-config-dict"),
+    pytest.param(lambda: ct.certify_point(np.zeros((6,) * 4), ()), InputError,
+                 "options must be a CertifyOptions", id="certify-options-empty-tuple"),
+    pytest.param(lambda: ct.certify_point(np.zeros((6,) * 4), ("bhl",)), InputError,
+                 "options must be a CertifyOptions", id="certify-options-tuple"),
+    pytest.param(lambda: sp.riemann(sp.MetricField("round"), sp.sample_points(1, 0)[0], {}),
+                 InputError, "fd must be an FDConfig", id="riemann-fd-empty-dict"),
+    pytest.param(lambda: sp.riemann(sp.MetricField("round"), sp.sample_points(1, 0)[0],
+                                    {"scheme": "exact"}),
+                 InputError, "fd must be an FDConfig", id="riemann-fd-dict"),
 ])
 def test_validation_texts(build, error, text):
     with pytest.raises(error) as err:
@@ -296,7 +301,6 @@ CHECKED = [
     (sp.ChartPoint, ("north", np.zeros(6)), {"chart_id": "east"}),
     (sp.FDConfig, (), {"h": 1.0}),
     (sp.MetricField, ("round",), {"scale": float("nan")}),
-    (sr.ACSField, (), {"kind": "custom"}),
     (bd.PerturbationBudget, (0.0, 0.0), {"eps1": -1.0}),
     (ct.SearchConfig, (), {"tol": float("nan")}),
     (ct.CertifyOptions, (), {"checks": ("nope",)}),

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from conftest import chart_coords, saddle_metric
-from oracles import sampled_sup_norm
+from oracles import (OCTONION_EPS, cross7, g2_structure, nabla_J, octonionic_chart_jet, phi,
+                     sampled_sup_norm)
 from occert import budget as bd
 from occert import cli
 from occert import curvature as cv
 from occert import sphere as sp
-from occert import structures as sr
-from occert.errors import ConfigError, FDQualityError, InputError, MetricError, StructureError
+from occert.errors import ConfigError, FDQualityError, InputError, MetricError
 from occert.rng import make_rng
 
 
@@ -45,42 +45,42 @@ def _same_bits(a, b):
 
 class TestOctonionTable:
     def test_three_form_total_antisymmetry(self):
-        eps = sr.OCTONION_EPS
+        eps = OCTONION_EPS
         assert np.max(np.abs(eps + eps.transpose(1, 0, 2))) == 0.0
         assert np.max(np.abs(eps + eps.transpose(0, 2, 1))) == 0.0
         assert np.max(np.abs(eps - eps.transpose(1, 2, 0))) == 0.0
 
     def test_anchor_product(self):
         e = np.eye(7)
-        assert np.allclose(sr.cross7(e[0], e[1]), e[2])
+        assert np.allclose(cross7(e[0], e[1]), e[2])
 
     def test_unit_products(self):
         e = np.eye(7)
         for i in range(7):
             for j in range(7):
                 if i != j:
-                    assert abs(np.linalg.norm(sr.cross7(e[i], e[j])) - 1.0) < 1e-14
+                    assert abs(np.linalg.norm(cross7(e[i], e[j])) - 1.0) < 1e-14
 
     def test_alternativity(self):
         rng = make_rng(1)
         for _ in range(200):
             u, v = rng.normal(size=7), rng.normal(size=7)
-            lhs = sr.cross7(u, sr.cross7(u, v))
+            lhs = cross7(u, cross7(u, v))
             rhs = (u @ v) * u - (u @ u) * v
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestG2Structure:
     def test_unit_point_required(self):
-        with pytest.raises(InputError):
-            sr.g2_structure(np.ones(7))
+        with pytest.raises(AssertionError, match="^base point must be a unit 7-vector$"):
+            g2_structure(np.ones(7))
 
     def test_tangent_orthogonality_and_square(self):
         rng = make_rng(2)
         for _ in range(20):
             p = rng.normal(size=7)
             p /= np.linalg.norm(p)
-            Jp = sr.g2_structure(p)
+            Jp = g2_structure(p)
             assert np.max(np.abs(Jp @ p)) < 1e-14
             for _ in range(100):
                 v = rng.normal(size=7)
@@ -391,32 +391,39 @@ class TestSPDScreen:
                                  % self.xs[100])
 
 
+def _exact_christoffel(field, pt):
+    """Levi-Civita symbols gamma[k, i, j] and the metric g at the point,
+    from the closed-form jets that riemann's exact scheme reads."""
+    g, dg, _ = field.jets(pt.chart_id, pt.x)
+    return sp._christoffel(g, dg, pt.x)[0], g
+
+
 class TestChristoffel:
     def test_flat_metric_vanishes(self):
-        conn = sr.christoffel(sp.MetricField.flat_toy(),
-                              sp.ChartPoint("north", np.array([0.2, 0, 0, 0, 0, 0.1])))
-        assert np.max(np.abs(conn.gamma)) < 1e-14
+        gamma, _ = _exact_christoffel(sp.MetricField.flat_toy(),
+                                      sp.ChartPoint("north", np.array([0.2, 0, 0, 0, 0, 0.1])))
+        assert np.max(np.abs(gamma)) < 1e-14
 
     def test_round_vanishes_at_origin(self):
-        conn = sr.christoffel(sp.MetricField("round"),
-                              sp.ChartPoint("north", np.zeros(6)))
-        assert np.max(np.abs(conn.gamma)) < 1e-12
+        gamma, _ = _exact_christoffel(sp.MetricField("round"),
+                                      sp.ChartPoint("north", np.zeros(6)))
+        assert np.max(np.abs(gamma)) < 1e-12
 
     def test_symmetry_exact(self):
-        conn = sr.christoffel(sp.MetricField("round"),
-                              sp.ChartPoint("north", np.full(6, 0.2)))
-        assert np.max(np.abs(conn.gamma - conn.gamma.transpose(0, 2, 1))) == 0.0
+        gamma, _ = _exact_christoffel(sp.MetricField("round"),
+                                      sp.ChartPoint("north", np.full(6, 0.2)))
+        assert np.max(np.abs(gamma - gamma.transpose(0, 2, 1))) == 0.0
 
     def test_metricity_residual(self):
         # fourth-order differences: the worst residual is 2.6e-11 = 26 h^4
         fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
         field = sp.MetricField("round")
         for pt in sp.sample_points(20, 31):
-            conn = sr.christoffel(field, pt)
+            gamma, g = _exact_christoffel(field, pt)
             stencil = sp._stencil(pt.x[None], fd.h)[0, 1:]
             dg = sp._fd_derivative(field.matrices(pt.chart_id, stencil), fd.h)
-            res = (dg - np.einsum("mij,mk->ijk", conn.gamma, conn.g)
-                   - np.einsum("mik,jm->ijk", conn.gamma, conn.g))
+            res = (dg - np.einsum("mij,mk->ijk", gamma, g)
+                   - np.einsum("mik,jm->ijk", gamma, g))
             assert np.max(np.abs(res)) < 100.0 * fd.h ** 4
 
 
@@ -571,11 +578,10 @@ class TestRiemann:
 
 
 def _fd_christoffel(field, pt, fd):
-    """Levi-Civita symbols by finite differences of the metric, from the
-    jet and symbol routines of riemann's FD scheme."""
+    """Levi-Civita symbols and the metric by finite differences of the
+    metric, from the jet and symbol routines of riemann's FD scheme."""
     g, dg, _ = sp._fd_jets(field, pt, fd.h)
-    gamma, g_inv = sp._christoffel(g, dg, pt.x)
-    return sr.ConnectionCoefficients(gamma=gamma, g=g, g_inv=g_inv)
+    return sp._christoffel(g, dg, pt.x)[0], g
 
 
 def _jet_fields():
@@ -698,19 +704,18 @@ class TestExactJets:
         fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
         for field in _jet_fields():
             for pt in _jet_points():
-                exact = sr.christoffel(field, pt)
-                ref = _fd_christoffel(field, pt, fd)
-                assert np.array_equal(exact.g, ref.g)
-                assert np.max(np.abs(exact.gamma - ref.gamma)) <= 10 * fd.h ** 2 * max(
-                    1.0, np.max(np.abs(exact.gamma)))
+                gamma, g = _exact_christoffel(field, pt)
+                ref_gamma, ref_g = _fd_christoffel(field, pt, fd)
+                assert np.array_equal(g, ref_g)
+                assert np.max(np.abs(gamma - ref_gamma)) <= 10 * fd.h ** 2 * max(
+                    1.0, np.max(np.abs(gamma)))
 
     def test_j_jet_matches_central_differences(self):
         h = 1e-4
-        acs = sr.ACSField()
         for pt in _jet_points():
-            J, dJ = acs.chart_jet(pt)
-            ref = np.stack([(acs.chart_jet(sp.ChartPoint(pt.chart_id, pt.x + h * e))[0]
-                             - acs.chart_jet(sp.ChartPoint(pt.chart_id, pt.x - h * e))[0])
+            J, dJ = octonionic_chart_jet(pt)
+            ref = np.stack([(octonionic_chart_jet(sp.ChartPoint(pt.chart_id, pt.x + h * e))[0]
+                             - octonionic_chart_jet(sp.ChartPoint(pt.chart_id, pt.x - h * e))[0])
                             / (2.0 * h) for e in np.eye(6)])
             assert np.max(np.abs(J @ J + np.eye(6))) <= 1e-12
             assert np.max(np.abs(dJ - ref)) <= 1e-6 * np.max(np.abs(dJ))
@@ -738,42 +743,37 @@ def _round_points():
 
 
 class TestNablaJ:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="^unknown ACS field kind 'custom'$"):
-            sr.ACSField(kind="custom")
-
     def test_nearly_kahler_skewness(self):
         # (nabla_X J) X = 0 for every X: each slice nabla[i, a, b] is
         # skew in the direction i and the argument b
         for pt in _round_points():
-            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
-            assert np.max(np.abs(nd.nabla + nd.nabla.transpose(2, 1, 0))) <= 1e-12
+            _, N = nabla_J(sp.MetricField("round"), pt)
+            assert np.max(np.abs(N + N.transpose(2, 1, 0))) <= 1e-12
 
     def test_constant_type_one(self):
         # the unit round sphere is nearly Kaehler of constant type 1:
         # |(nabla_X J) Y|^2 = |X|^2 |Y|^2 - <X, Y>^2 - <JX, Y>^2
         rng = make_rng(50)
         for pt in _round_points():
-            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
+            J, N = nabla_J(sp.MetricField("round"), pt)
             for _ in range(10):
                 x, y = rng.normal(size=(2, 6))
-                lhs = np.sum(np.einsum("i,iab,b->a", x, nd.nabla, y) ** 2)
-                rhs = (x @ x) * (y @ y) - (x @ y) ** 2 - (x @ nd.J @ y) ** 2
+                lhs = np.sum(np.einsum("i,iab,b->a", x, N, y) ** 2)
+                rhs = (x @ x) * (y @ y) - (x @ y) ** 2 - (x @ J @ y) ** 2
                 assert abs(lhs - rhs) <= 1e-12 * rhs
 
     def test_constant_j_flat_metric(self):
         J6 = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        acs = sr.ACSField(kind="chart_constant", matrix=J6)
-        nd = sr.nabla_J(sp.MetricField.flat_toy(), acs,
-                        sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])))
-        assert not nd.nabla.any()
-        assert np.max(np.abs(nd.J - J6)) < 1e-12
+        J, N = nabla_J(sp.MetricField.flat_toy(),
+                       sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])),
+                       jet=lambda pt: (J6, np.zeros((6, 6, 6))))
+        assert not N.any()
+        assert np.max(np.abs(J - J6)) < 1e-12
 
     def test_anticommutation(self):
         for pt in _round_points():
-            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
-            anti = (np.einsum("iab,bc->iac", nd.nabla, nd.J)
-                    + np.einsum("ab,ibc->iac", nd.J, nd.nabla))
+            J, N = nabla_J(sp.MetricField("round"), pt)
+            anti = np.einsum("iab,bc->iac", N, J) + np.einsum("ab,ibc->iac", J, N)
             assert np.max(np.abs(anti)) <= 1e-12
 
     @pytest.mark.parametrize("field", [
@@ -783,53 +783,31 @@ class TestNablaJ:
     ], ids=["round", "conformal"])
     def test_invariants_checked_to_roundoff(self, field):
         # the octonionic J is orthogonal for every metric conformal to the
-        # round one; its exact nabla J passes the check, a 1e-9 defect fails it
+        # round one; its exact nabla J passes phi's check, a 1e-9 defect fails it
         for pt in _round_points():
-            nd = sr.nabla_J(field, sr.ACSField(), pt)
-            sr.check_nabla_j(nd.nabla, nd.J)
-            bad = nd.nabla.copy()
+            J, N = nabla_J(field, pt)
+            phi(J, N)
+            bad = N.copy()
             bad[0, 0, 1] += 1e-9
-            with pytest.raises(StructureError):
-                sr.check_nabla_j(bad, nd.J)
+            with pytest.raises(AssertionError, match="^nabla J incompatible with J"):
+                phi(J, bad)
 
     def test_ellipsoid_octonionic_rejected(self):
         # not orthogonal for the ellipsoid metric: the invariants fail by O(1)
         field = sp.MetricField("ellipsoid", {"axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]})
         for pt in _round_points():
-            nd = sr.nabla_J(field, sr.ACSField(), pt)
-            with pytest.raises(StructureError):
-                sr.phi(nd.J, nd.nabla)
+            with pytest.raises(AssertionError, match="^nabla J incompatible with J"):
+                phi(*nabla_J(field, pt))
 
     def test_g2_phi_positive_on_round_sphere(self):
         rng = make_rng(52)
         for pt in sp.sample_points(5, 53):
-            nd = sr.nabla_J(sp.MetricField("round"), sr.ACSField(), pt)
-            phi = sr.phi(nd.J, nd.nabla)
+            J, N = nabla_J(sp.MetricField("round"), pt)
+            p = phi(J, N)
             for _ in range(50):
                 x = rng.normal(size=6)
                 x /= np.linalg.norm(x)
-                assert x @ phi @ (nd.J @ x) > 0.0
-
-
-class TestCanonicalConnection:
-    def test_flat_kahler_toy(self):
-        J6 = np.kron(np.eye(3), np.array([[0.0, -1.0], [1.0, 0.0]]))
-        rep = sr.canonical_connection_check(
-            sp.MetricField.flat_toy(),
-            sr.ACSField(kind="chart_constant", matrix=J6),
-            sp.ChartPoint("north", np.array([0.1, 0, 0, 0, 0, 0.2])))
-        assert rep.metricity < 1e-10
-        assert rep.complex_compat < 1e-10
-        assert rep.torsion_norm < 1e-10
-
-    def test_round_g2_torsion(self):
-        for pt in _round_points():
-            rep = sr.canonical_connection_check(sp.MetricField("round"),
-                                                sr.ACSField(), pt)
-            assert rep.metricity <= 1e-12
-            assert rep.complex_compat <= 1e-12
-            assert rep.torsion_formula <= 1e-12
-            assert rep.torsion_norm > 0.1     # the derivative of J forces torsion
+                assert x @ p @ (J @ x) > 0.0
 
 
 class TestSampling:
