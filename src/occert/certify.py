@@ -42,6 +42,7 @@ LL_RADIUS = 0.5 / math.sqrt(3.0)  # nondegeneracy radius 1/(2 sqrt(n)), n = 3
 MAX_ITER = 80                    # gradient steps per start
 GRAD_TOL = 1e-10                 # a start stops once the gradient norm is below this
 STEP0 = 0.2                      # first line-search step of a start
+HUGE = 1e100                     # max |R| above which the search runs on a scaled R
 
 # the round tensor g (.) g that the sufficient bound measures from, built
 # once; read-only, since every call shares it
@@ -112,15 +113,21 @@ def certify_P_sufficient(R: np.ndarray) -> PMembership:
     bounded by 1/6 in sup norm implies the positivity class.
 
     The upper bound is the Frobenius norm of the deviation (rigorous for
-    the sup norm); the lower bound is its largest component.  InputError
-    unless R is a finite (6, 6, 6, 6) array.
+    the sup norm), taken of the deviation divided by the lower bound where
+    the plain sum of squares overflows; the lower bound is its largest
+    component.  InputError unless R is a finite (6, 6, 6, 6) array.
     """
     dev = as_curvature_tensor(R) - _ROUND
     lower = float(np.max(np.abs(dev)))
-    # not upper: the Frobenius norm of finite entries above 1e153 overflows
     if not lower < math.inf:                     # also rejects nan
         raise InputError("curvature tensor must be finite")
-    upper = frobenius_norm(dev)
+    if lower < 1e150:                            # 1296 squares below 1e300 stay finite
+        upper = frobenius_norm(dev)
+    else:
+        with np.errstate(over="ignore"):
+            upper = frobenius_norm(dev)
+        if upper == math.inf:                    # finite entries above about 1e153
+            upper = lower * frobenius_norm(dev / lower)
     status = "certified" if upper <= P_THRESHOLD else "unknown"
     return PMembership(status=status, sup_lower=lower, sup_upper=upper,
                        threshold=P_THRESHOLD)
@@ -204,20 +211,26 @@ def refute_P(R: np.ndarray, config: SearchConfig | None = None) -> RefutationRes
     All starts descend together as one stack.  Returns a witness when a
     value below -tol is found: the winner's J and, as X, a unit vector of
     its lambda_min plane (``_witness_direction``).  ``none found`` is NOT
-    a membership proof.  Starts are orientation-compatible.  InputError
+    a membership proof.  Starts are orientation-compatible; above max
+    |R| = HUGE they descend on R scaled by a power of two.  InputError
     unless R is a finite (6, 6, 6, 6) array and config None or a SearchConfig.
     """
     cfg = SearchConfig() if config is None else config
     if not isinstance(cfg, SearchConfig):
         raise InputError("config must be a SearchConfig")
     R = as_curvature_tensor(R)
-    if not np.isfinite(R).all():
+    peak = float(np.max(np.abs(R)))
+    if not peak < math.inf:                      # also rejects nan
         raise InputError("curvature tensor must be finite")
     starts = [random_orthogonal_complex_structure(make_rng(cfg.seed, 211, start)).J
               for start in range(cfg.multistarts)]
     best_val, witness = np.inf, None
     if starts:
-        vals, vecs, Js = _descend(R, starts)
+        # the objective is linear in R: a huge R descends scaled by a power
+        # of two, exactly, so that its gradient norm cannot overflow
+        scale = 2.0 ** -math.frexp(peak)[1] if peak > HUGE else 1.0
+        vals, vecs, Js = _descend(R * scale, starts)
+        vals = vals / scale
         # the lowest start within TIE_TOL max(1, |best|) of the minimum, so
         # that last-bit ties do not trade places; a witness candidate must
         # itself be below -tol, and a NaN is never picked

@@ -7,12 +7,15 @@ refuted, 4 at least one point unknown or errored (none refuted),
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
+import getopt
 import json
+import re
 import sys
 from collections import Counter, namedtuple
+from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -84,7 +87,7 @@ def _builtin_metric(name: str) -> MetricField:
                       "parametrized families)" % (name, ", ".join(_BUILTIN_METRICS)))
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
+def parse_config(args: SimpleNamespace) -> RunConfig:
     if args.spec:
         metric = load_metric_spec(args.spec)
     elif args.metric:
@@ -257,35 +260,155 @@ def _print_summary(report: dict) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="occert",
-        description="Certify curvature-positivity conditions at sampled "
-                    "points of the 6-sphere.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The certify options: name, type (None: a flag), default, help.
+CERTIFY_OPTIONS = (
+    ("metric", str, None, "builtin metric family (round, flat)"),
+    ("spec", str, None, "JSON metric spec file"),
+    ("points", int, 20, "number of sampled points"),
+    ("seed", int, 0, "seed of the points and of the search starts"),
+    ("richardson", None, False, "fourth-order finite differences of step 1e-3 "
+                                "(default: closed-form curvature)"),
+    ("multistarts", int, 64, "refutation search starts per point"),
+    ("tol", float, 1e-9, "a search value below -tol is a witness"),
+    ("checks", str, "bhl,p_sufficient", "comma list from bhl,p_sufficient,p_refute"),
+    ("out", str, None, "path for the JSON report"),
+)
+_COMMANDS = {"certify": ("run the certification survey", CERTIFY_OPTIONS),
+             "selftest": ("run built-in anchor checks", ())}
 
-    p = sub.add_parser("certify", help="run the certification survey")
-    p.add_argument("--metric", help="builtin metric family (round, flat)")
-    p.add_argument("--spec", help="JSON metric spec file")
-    p.add_argument("--points", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--richardson", action="store_true",
-                   help="fourth-order finite differences of step 1e-3 "
-                        "(default: closed-form curvature)")
-    p.add_argument("--multistarts", type=int, default=64)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--checks", default="bhl,p_sufficient",
-                   help="comma list from bhl,p_sufficient,p_refute")
-    p.add_argument("--out", help="path for the JSON report")
-    sub.add_parser("selftest", help="run built-in anchor checks")
-    return parser
+
+def _wrap(head: str, words: list[str]) -> str:
+    """``head`` and the words after it, wrapped at 79 columns; each further
+    line is indented by the length of ``head``."""
+    lines = [head]
+    for n, word in enumerate(words):
+        if n and len(lines[-1]) + 1 + len(word) > 79:
+            lines.append(" " * len(head))
+        lines[-1] += " " + word
+    return "\n".join(lines)
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        return _wrap("usage: occert", ["[-h]", "{%s}" % ",".join(_COMMANDS), "..."])
+    return _wrap("usage: occert " + command, ["[-h]"] + [
+        "[--%s%s]" % (name, "" if kind is None else " " + name.upper())
+        for name, kind, _, _ in _COMMANDS[command][1]])
+
+
+def _help(command: str | None) -> NoReturn:
+    """Print the usage block of ``occert`` or of one command; exit 0."""
+    if command is None:
+        text = "Certify curvature-positivity conditions at sampled points of the 6-sphere."
+        table = ()
+        sections = [("commands", [(name, about) for name, (about, _) in _COMMANDS.items()])]
+    else:
+        text, table = _COMMANDS[command]
+        sections = []
+    options = [("-h, --help", "show this help message and exit")]
+    for name, kind, default, about in table:
+        if kind is None:
+            options.append(("--" + name, about))
+        else:
+            options.append(("--%s %s" % (name, name.upper()),
+                            about if default is None else "%s (default: %s)" % (about, default)))
+    sections.append(("options", options))
+    width = max(len(left) for _, rows in sections for left, _ in rows)
+    lines = [_usage(command), "", text]
+    for title, rows in sections:
+        lines += ["", title + ":"] + [_wrap("  %-*s " % (width, left), right.split())
+                                      for left, right in rows]
+    sys.stdout.write("\n".join(lines) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(command: str | None, message: str) -> NoReturn:
+    sys.stderr.write("%s\noccert: error: %s\n" % (_usage(command), message))
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _option_like(token: str) -> bool:
+    """Whether a word in a value's place reads as an option rather than
+    as the value: negative numbers, ``-`` and texts with a space do not."""
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and not re.match(r"^-\d+$|^-\d*\.\d+$", token))
+
+
+def _getopt(command: str | None, args: list[str]) -> tuple[list, list]:
+    """``getopt`` over one level of the command line: the top level stops
+    at the command, a command's level collects stray words."""
+    table = _COMMANDS[command][1] if command else ()
+    parse = getopt.gnu_getopt if command else getopt.getopt
+    try:
+        return parse(args, "h", ["help"] + [name if kind is None else name + "="
+                                            for name, kind, _, _ in table])
+    except getopt.GetoptError as exc:
+        at = next((i for i, token in enumerate(args)
+                   if token.partition("=")[0] == "--" + exc.opt), None)
+        if at is None or any(name.startswith(exc.opt) for name in
+                             ["help"] + [row[0] for row in table]):
+            _fail(command, exc.msg)
+        # an unknown long option: name it with the stray words after it
+        words = [args[at]]
+        for token in args[at + 1:]:
+            if _option_like(token):
+                break
+            words.append(token)
+        _fail(command, "unrecognized arguments: " + " ".join(words))
+
+
+def parse_args(argv: list[str] | None = None) -> SimpleNamespace:
+    """The command line (default ``sys.argv[1:]``) as a namespace:
+    ``command`` and, for ``certify``, one attribute per entry of
+    ``CERTIFY_OPTIONS``.  Options take ``--opt value`` or ``--opt=value``
+    and unique prefixes; the last of a repeated option wins.  ``-h`` or
+    ``--help`` prints the usage block and exits 0; a usage error prints
+    the usage line and ``occert: error: ...`` to stderr and exits
+    EXIT_CONFIG."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    found, rest = _getopt(None, args)
+    if found:
+        _help(None)
+    if not rest:
+        _fail(None, "the following arguments are required: command")
+    command, args = rest[0], rest[1:]
+    if command not in _COMMANDS:
+        _fail(None, "argument command: invalid choice: %r (choose from %s)"
+              % (command, ", ".join(map(repr, _COMMANDS))))
+    found, strays = _getopt(command, args)
+    if any(opt in ("-h", "--help") for opt, _ in found):
+        _help(command)
+    table = _COMMANDS[command][1]
+    values = {name: default for name, _, default, _ in table}
+    kinds = {"--" + name: kind for name, kind, _, _ in table}
+    tokens = iter(args)
+    for opt, value in found:
+        # getopt takes the word after --opt as its value whatever it is;
+        # an option-like word there is a missing value
+        token = next(t for t in tokens if t[:1] == "-" and t != "-")
+        kind = kinds[opt]
+        if kind is None:
+            values[opt[2:]] = True
+            continue
+        if "=" not in token:
+            next(tokens)
+            if _option_like(value):
+                _fail(command, "option %s requires argument" % opt)
+        try:
+            values[opt[2:]] = kind(value)
+        except ValueError:
+            _fail(command, "option %s: invalid %s value: %r" % (opt, kind.__name__, value))
+    # gnu_getopt drops the "--" that ends the options; no command takes words
+    if strays or "--" in args:
+        _fail(command, "unrecognized arguments: " + " ".join(strays or ["--"]))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
     # exit skips the final collections (teardown 22 -> 6 ms); cycles left then go unfinalized
     atexit.unregister(gc.freeze)
     atexit.register(gc.freeze)
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     if args.command == "selftest":
         from .selftest import run_selftest
 

@@ -6,12 +6,13 @@ coordinates, the canonical-line projection scalar through an explicit
 ellipsoid's principal curvatures with the star-Ricci minimum of its
 Gauss tensor, complex structures from frames, phi, and the octonionic
 structure on S^6 with its covariant derivative on the Levi-Civita
-symbols of :mod:`occert.sphere`.  The input checks written here fail
-with an AssertionError and reject NaN; psi runs the library's
-curvature check."""
+symbols of :mod:`occert.sphere`, and the command line as argparse
+parses it.  The input checks written here fail with an AssertionError
+and reject NaN; psi runs the library's curvature check."""
 
 from __future__ import annotations
 
+import argparse
 from collections import namedtuple
 
 import numpy as np
@@ -305,3 +306,30 @@ def nabla_J(field: sp.MetricField, point: sp.ChartPoint,
     B = sp.orthonormal_frame(g)
     B_inv = np.linalg.inv(B)
     return B_inv @ J @ B, np.einsum("ikj,ia,kc,jb->acb", nab, B, B_inv.T, B)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``occert`` command line in argparse, the reference that
+    ``cli.parse_args`` is compared with: the same commands, and for
+    ``certify`` the options, types and defaults of ``cli.CERTIFY_OPTIONS``."""
+    parser = argparse.ArgumentParser(
+        prog="occert",
+        description="Certify curvature-positivity conditions at sampled "
+                    "points of the 6-sphere.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("certify", help="run the certification survey")
+    p.add_argument("--metric", help="builtin metric family (round, flat)")
+    p.add_argument("--spec", help="JSON metric spec file")
+    p.add_argument("--points", type=int, default=20)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--richardson", action="store_true",
+                   help="fourth-order finite differences of step 1e-3 "
+                        "(default: closed-form curvature)")
+    p.add_argument("--multistarts", type=int, default=64)
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--checks", default="bhl,p_sufficient",
+                   help="comma list from bhl,p_sufficient,p_refute")
+    p.add_argument("--out", help="path for the JSON report")
+    sub.add_parser("selftest", help="run built-in anchor checks")
+    return parser

@@ -73,11 +73,20 @@ class TestSufficientBound:
 
     def test_finite_tensor_whose_frobenius_norm_overflows_stays_unknown(self):
         # only a non-finite entry is an input error; entries above 1e153
-        # overflow the Frobenius norm of a finite tensor
-        with np.errstate(over="ignore"):
-            r = ct.certify_P_sufficient(cv.kulkarni_nomizu_square(k=1e200))
+        # overflow the plain Frobenius norm, so the bound divides by the
+        # largest entry first, and no RuntimeWarning is raised
+        r = ct.certify_P_sufficient(cv.kulkarni_nomizu_square(k=1e200))
         assert r.status == "unknown"
-        assert r.sup_lower == 1e200 and r.sup_upper == np.inf
+        assert r.sup_lower == 1e200
+        assert r.sup_upper == pytest.approx(1e200 * np.sqrt(60.0), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [1e100, 1e150, 1.2e153])
+    def test_plain_norm_kept_where_finite(self, k):
+        """Up to the overflow the bound is the plain Frobenius norm, bit for bit."""
+        R = cv.kulkarni_nomizu_square(k=k)
+        R[0, 1, 0, 1] *= 1.0 + 2.0 ** -20        # no longer a multiple of G
+        assert ct.certify_P_sufficient(R).sup_upper == cv.frobenius_norm(
+            R - cv.kulkarni_nomizu_square())
 
     def test_bounds_enclose_sampled_values(self, G):
         rng = make_rng(23)
@@ -120,6 +129,19 @@ class TestRefutation:
         res = ct.refute_P(R, ct.SearchConfig(multistarts=8, seed=2))
         assert res.witness is not None
         assert res.witness.value <= direct + 1e-8
+
+    @pytest.mark.parametrize("k", [1e155, 1e160, 1e300])
+    def test_huge_tensor_refuted_as_at_scale_one(self, G, J0, k):
+        """Above max |R| = HUGE the search descends on R scaled by a power
+        of two: the gradient norm of k R would overflow and stop every start."""
+        w = np.zeros((6, 6))
+        w[0, 1], w[1, 0] = 1.0, -1.0
+        R = G - 3.0 * np.einsum("ij,kl->ijkl", w, w)
+        config = ct.SearchConfig(multistarts=8, seed=2)
+        plain, huge = ct.refute_P(R, config), ct.refute_P(k * R, config)
+        assert huge.witness is not None
+        assert huge.best_value / k == pytest.approx(plain.best_value, rel=1e-9)
+        assert huge.witness.value / k == pytest.approx(plain.witness.value, rel=1e-9)
 
     def test_witness_value_reproducible(self, G):
         res = ct.refute_P(-0.7 * G, ct.SearchConfig(multistarts=4, seed=5))

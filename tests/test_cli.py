@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import io
 import json
 import os
 import subprocess
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import saddle_metric
+from oracles import build_parser
 from occert import cli, validation
 from occert.certify import CertifyOptions, SearchConfig
 from occert.errors import ConditioningError, ConfigError, InputError, SchemaError
@@ -46,7 +49,7 @@ _REJECTED_OPTIONS = [
 
 class TestConfigParsing:
     def test_builtin_round_flags(self):
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["certify", "--metric", "round", "--points", "20", "--seed", "7"])
         config = cli.parse_config(args)
         assert config.metric.family == "round"
@@ -61,7 +64,7 @@ class TestConfigParsing:
         (["--richardson"], 1e-3, "richardson_4th"),
     ])
     def test_curvature_scheme_selection(self, flags, h, scheme):
-        args = cli.build_parser().parse_args(["certify", "--metric", "round"] + flags)
+        args = cli.parse_args(["certify", "--metric", "round"] + flags)
         config = cli.parse_config(args)
         assert (config.fd.h, config.fd.scheme) == (h, scheme)
         assert config.to_dict()["fd"] == {"h": h, "scheme": scheme}
@@ -70,7 +73,7 @@ class TestConfigParsing:
         spec = {"family": "conformal",
                 "f": {"type": "ambient_linear",
                       "coeffs": [0.01, 0, 0, 0, 0, 0, 0]}}
-        args = cli.build_parser().parse_args(
+        args = cli.parse_args(
             ["certify", "--spec", _write_spec(tmp_path, spec)])
         config = cli.parse_config(args)
         assert config.metric.family == "conformal"
@@ -148,28 +151,27 @@ class TestConfigParsing:
                               MetricField.flat_toy().matrices("north", xs))
 
     def test_out_of_range_values(self):
-        parser = cli.build_parser()
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--points", "0"]))
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--tol", "-1"]))
         for tol in ("nan", "inf"):
             with pytest.raises(ConfigError):
-                cli.parse_config(parser.parse_args(
+                cli.parse_config(cli.parse_args(
                     ["certify", "--metric", "round", "--tol", tol]))
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--multistarts", "-1"]))
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--seed", "-3"]))
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--checks", " "]))
         with pytest.raises(ConfigError):
-            cli.parse_config(parser.parse_args(
+            cli.parse_config(cli.parse_args(
                 ["certify", "--metric", "round", "--checks", "bhl,nope"]))
 
     @pytest.mark.parametrize("checks", ["lemma_ll_demo", "p_sufficient,p_refute,lemma_ll_demo"])
@@ -198,9 +200,111 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_metric_or_spec_required(self):
-        args = cli.build_parser().parse_args(["certify"])
+        args = cli.parse_args(["certify"])
         with pytest.raises(ConfigError):
             cli.parse_config(args)
+
+
+def _parsed(parse, argv):
+    """The parse's namespace as the repr of each value (NaN equals NaN), or
+    its exit code; what it prints is swallowed.  (argparse reads
+    ``--opt=--`` as an empty list, so no value drawn here is ``--``.)"""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return {key: repr(value) for key, value in vars(parse(argv)).items()}
+        except SystemExit as exc:
+            return exc.code
+
+
+_OPTION_NAMES = ["help"] + [name for name, *_ in cli.CERTIFY_OPTIONS]
+_TEXTS = st.sampled_from(["round", "flat", "bhl,p_refute", "report.json", "x=y", "",
+                          "-", "a b", "-3", "-0.5", "-a", "--points"]) | st.text(
+    alphabet="abc019.,/_", max_size=8)
+_VALUES = {int: st.integers(-10**6, 10**6).map(str) | st.sampled_from(
+               ["+3", " 7 ", "1_000", "0x10", "1.5", "x", "-1e3"]),
+           float: st.floats().map(repr) | st.sampled_from(
+               ["1e-9", ".5", "-.5", "1e", "x", "-inf", "1_0.5"]),
+           str: _TEXTS}
+
+
+@st.composite
+def _certify_argv(draw):
+    """``certify`` and options of CERTIFY_OPTIONS in any order, repeated or
+    not, each spelt in full or as a unique prefix, its value after ``=``
+    or as the next word."""
+    argv = ["certify"]
+    for name, kind, _, _ in draw(st.lists(st.sampled_from(cli.CERTIFY_OPTIONS), max_size=8)):
+        prefixes = [name[:k] for k in range(1, len(name) + 1)
+                    if not any(other.startswith(name[:k])
+                               for other in _OPTION_NAMES if other != name)]
+        option = "--" + draw(st.sampled_from(prefixes))
+        if kind is None:
+            argv.append(option)
+        elif draw(st.booleans()):
+            argv.append("%s=%s" % (option, draw(_VALUES[kind])))
+        else:
+            argv += [option, draw(_VALUES[kind])]
+    return argv
+
+
+class TestParseArgs:
+    """``cli.parse_args`` against the argparse parser it replaced
+    (``oracles.build_parser``): the same values, or the same exit code."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_certify_argv())
+    def test_agrees_with_argparse(self, argv):
+        assert _parsed(cli.parse_args, argv) == _parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--mult", "8", "--seed", "-3", "--tol=-1e-3", "--r"],
+        ["certify", "--metric", "round", "--metric=flat", "--out", "-"],
+        ["certify", "--spec", "a b", "--checks", "-3", "--points=-2"],
+        ["selftest"],
+    ])
+    def test_valid_rows(self, argv):
+        parsed = _parsed(cli.parse_args, argv)
+        assert isinstance(parsed, dict) and parsed == _parsed(build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["spectrum", "--metric", "round"], ["--bogus", "certify"], ["-x", "certify"],
+        ["certify", "--points", "x"], ["certify", "--tol", "1e"], ["certify", "--m", "round"],
+        ["certify", "--spec", "--points", "3"], ["certify", "--points"],
+        ["certify", "--richardson=1"], ["certify", "--fd-step", "1e-3"],
+        ["certify", "--metric", "round", "stray"], ["certify", "--metric", "round", "--"],
+        ["certify", "--spec", "--"], ["certify", "--", "x"], ["certify", "-x"],
+        ["certify", "--seed", "-1e3"], ["certify", "--tol", "-inf"],
+        ["selftest", "--points", "3"], ["selftest", "extra"],
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_usage_errors_exit_2(self, capsys, argv):
+        assert _parsed(build_parser().parse_args, argv) == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: occert") and lines[-1].startswith("occert: error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["--he"], ["certify", "-h"], ["certify", "--metric", "round", "--help"],
+        ["certify", "--h"], ["selftest", "-h"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert _parsed(build_parser().parse_args, argv) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.parse_args(argv)
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: occert")
+        if argv[0] == "certify":
+            assert all("--%s " % name in captured.out or "--%s\n" % name in captured.out
+                       for name, *_ in cli.CERTIFY_OPTIONS)
+
+    def test_unknown_option_named_with_its_value(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.parse_args(["certify", "--fd-step", "1e-3", "--points", "2"])
+        assert capsys.readouterr().err.endswith(
+            "occert: error: unrecognized arguments: --fd-step 1e-3\n")
 
 
 class TestExitCodes:
@@ -297,6 +401,26 @@ class TestExitCodes:
                          "--points", "50", "--seed", "7", "--out", out])
         assert code == cli.EXIT_OK
         assert cli.load_report(out)["aggregate"]["counts"] == {"certified": 50}
+
+    @pytest.mark.parametrize("checks", ["bhl,p_refute", "bhl,p_sufficient,p_refute"])
+    @pytest.mark.parametrize("scale", [1e-155, 1e-160])
+    def test_huge_finite_curvature_decided_as_at_scale_one(self, tmp_path, scale, checks):
+        """Curvature ~1/scale: the sufficient bound's Frobenius norm and the
+        search's gradient norm would overflow (a RuntimeWarning fails the
+        test).  Verdicts and P statuses are those at scale 1, and the report
+        holds finite numbers only."""
+        axes = [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]
+        outcomes = []
+        for s in (1.0, scale):
+            spec = _write_spec(tmp_path, {"family": "ellipsoid", "axes": axes, "scale": s})
+            out = tmp_path / "report.json"
+            code = cli.main(["certify", "--spec", spec, "--points", "2", "--seed", "7",
+                             "--multistarts", "4", "--checks", checks, "--out", str(out)])
+            text = out.read_text()
+            assert "Infinity" not in text and "NaN" not in text
+            outcomes.append((code, [(r["verdict"], r["p_membership"]["status"])
+                                    for r in json.loads(text)["points"]]))
+        assert outcomes[0] == outcomes[1] == (cli.EXIT_REFUTED, [("refuted", "refuted")] * 2)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e308, 1e-320])
@@ -427,7 +551,7 @@ class TestReports:
         ]
         reports = []
         for index, argv in enumerate(runs):
-            report, _ = cli.run_certify(cli.parse_config(cli.build_parser().parse_args(argv)))
+            report, _ = cli.run_certify(cli.parse_config(cli.parse_args(argv)))
             walk(report, "run%d" % index)
             reports.append(report)
         assert any(r["p_membership"]["witness"] for r in reports[0]["points"])
@@ -448,7 +572,7 @@ class TestReports:
                     "--multistarts", "4", "--checks", "bhl,p_sufficient,p_refute"]
         else:
             argv = ["certify", "--metric", "round", "--points", str(points), "--seed", "7"]
-        report, _ = cli.run_certify(cli.parse_config(cli.build_parser().parse_args(argv)))
+        report, _ = cli.run_certify(cli.parse_config(cli.parse_args(argv)))
         if points is None:
             assert any(r["p_membership"]["witness"] for r in report["points"])
         out = tmp_path / "report.json"
@@ -471,7 +595,7 @@ class TestReports:
 
     def test_report_text_written_in_slices(self, tmp_path, monkeypatch):
         """No ``json.dumps`` call of the writer returns a quarter of the file."""
-        config = cli.parse_config(cli.build_parser().parse_args(
+        config = cli.parse_config(cli.parse_args(
             ["certify", "--metric", "round", "--points", "200", "--seed", "7"]))
         report, _ = cli.run_certify(config)
         dumps, lengths = json.dumps, []
@@ -720,7 +844,7 @@ def real_reports(tmp_path_factory):
     ]
     reports = []
     for argv in runs:
-        config = cli.parse_config(cli.build_parser().parse_args(argv))
+        config = cli.parse_config(cli.parse_args(argv))
         reports.append(json.loads(json.dumps(cli.run_certify(config)[0])))
     return reports
 

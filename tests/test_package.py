@@ -139,11 +139,13 @@ def test_cli_run_path_import_closure(tmp_path):
     """``import occert.cli`` loads exactly the run-path modules and not
     ``dataclasses``, and a certify run with every check then loads no
     further occert module: everything it needs was imported before
-    ``cli.main``."""
+    ``cli.main``.  Nor has the run loaded ``argparse`` or ``locale``
+    (argparse's first message lookup imports it): the command line is
+    parsed with ``getopt``, whose messages are looked up on errors only."""
     spec = tmp_path / "ellipsoid.json"
     spec.write_text(json.dumps({"family": "ellipsoid",
                                 "axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}))
-    imported, dataclasses, added, codes = _fresh("""
+    imported, dataclasses, added, codes, parsers = _fresh("""
         import json, sys
         import occert.cli
         ours = lambda: {m for m in sys.modules if m.split(".")[0] == "occert"}
@@ -153,12 +155,15 @@ def test_cli_run_path_import_closure(tmp_path):
                                   "--multistarts", "2", "--checks",
                                   "bhl,p_sufficient,p_refute",
                                   "--out", sys.argv[2]])]
-        print(json.dumps([imported, dataclasses, sorted(ours() - set(imported)), codes]))
+        parsers = sorted({"argparse", "locale"} & set(sys.modules))
+        print(json.dumps([imported, dataclasses, sorted(ours() - set(imported)), codes,
+                          parsers]))
     """, str(spec), str(tmp_path / "report.json"))
     assert not dataclasses
     assert imported == RUN_PATH
     assert added == []
     assert codes == [3]
+    assert parsers == []
 
 
 def test_selftest_import_closure():
