@@ -112,7 +112,9 @@ def parse_config(args: SimpleNamespace) -> RunConfig:
 def _survey(config: RunConfig) -> tuple[list[dict], dict[str, int]]:
     """One record per sampled point (its position, then the certificate
     of its curvature tensor, or the error that stopped the point) and the
-    number of points per verdict."""
+    number of points per verdict.  A floating-point overflow, division by
+    zero or invalid operation (a metric beyond the float range) stops its
+    point as an error too, never the run."""
     records = []
     for index, point in enumerate(sample_points(config.points, config.options.search.seed)):
         record: dict = {
@@ -122,11 +124,15 @@ def _survey(config: RunConfig) -> tuple[list[dict], dict[str, int]]:
             "ambient": chart_to_ambient(point).tolist(),
         }
         try:
-            R = riemann(config.metric, point, config.fd)
-            record.update(_certify_one(R, config))
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                R = riemann(config.metric, point, config.fd)
+                record.update(_certify_one(R, config))
         except (OccertError, np.linalg.LinAlgError) as exc:
             # per-point isolation: a bad point must not abort the survey
             record.update({"verdict": "error", "error": str(exc), "notes": ""})
+        except FloatingPointError as exc:
+            record.update({"verdict": "error", "error": "floating-point error: %s" % exc,
+                           "notes": ""})
         records.append(record)
     return records, dict(Counter(r["verdict"] for r in records))
 

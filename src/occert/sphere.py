@@ -2,7 +2,8 @@
 
 Riemann curvature from the metric's 2-jets, in closed form or, under the
 'richardson_4th' scheme, by fourth-order finite differences (the
-package's only ones), and point sampling.  All curvature leaving this
+package's only ones), through the Christoffel symbols of both kinds and
+the classical first-kind formula, and point sampling.  All curvature leaving this
 module is re-expressed in a g-orthonormal frame and projected onto the
 algebraic curvature tensors, so the algebra layers always see g = Id and
 exact curvature identities.
@@ -241,6 +242,12 @@ def _non_finite(value, path: tuple):
                          % value.bit_length())
 
 
+# The params that each family reads, and the key that each type of 'f' reads.
+_FAMILY_PARAMS = {"round": (), "conformal": ("f",), "ellipsoid": ("axes",),
+                  "custom": ("terms",)}
+_F_PARAM = {"constant": "value", "ambient_linear": "coeffs"}
+
+
 class MetricField(CheckedRecord,
                   namedtuple("MetricField", "family params scale", defaults=(None, 1.0))):
     """Metric evaluator on the sphere, one of the built-in families.
@@ -265,11 +272,19 @@ class MetricField(CheckedRecord,
         if "family" in self.params or "scale" in self.params:
             raise ConfigError("metric params must not hold 'family' or 'scale'")
         check_spec(self.spec())
-        # what the schema cannot say: the params each family needs
+        # what the schema cannot say: the params each family reads and needs
+        for key in self.params:
+            if key not in _FAMILY_PARAMS[self.family]:
+                raise ConfigError("invalid metric spec at '%s': the %s family takes no '%s'"
+                                  % (key, self.family, key))
+        f = self.params.get("f", {})
+        for key in f:
+            if key not in ("type", _F_PARAM[f["type"]]):
+                raise ConfigError("invalid metric spec at 'f/%s': 'f' of type '%s' takes "
+                                  "no '%s'" % (key, f["type"], key))
         if self.family == "custom" and "terms" not in self.params:
             raise ConfigError("custom metric needs a 'terms' table of "
                               "[i, j, [[coeff, 6 powers], ...]] entries, i and j in 0..5")
-        f = self.params.get("f", {})
         if self.family == "conformal" and f.get("type") == "ambient_linear" and "coeffs" not in f:
             raise ConfigError("conformal factor 'f' needs 7 finite 'coeffs'")
         return self
@@ -477,18 +492,17 @@ def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
 
 
 def _christoffel(g: np.ndarray, dg: np.ndarray, x: np.ndarray):
-    """Christoffel symbols gamma[k, i, j] = Gamma^k_ij and g_inv from g and
-    dg[i, a, c] = d_i g_ac at the chart point x; ConditioningError when the
-    condition number lambda_max / lambda_min of g (SPD, checked by
-    :meth:`MetricField.matrices`) is above 1e8."""
+    """Christoffel symbols of both kinds, gamma[k, i, j] = Gamma^k_ij and
+    first[l, i, j] = Gamma_l,ij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij), from g
+    and dg[i, a, c] = d_i g_ac at the chart point x; ConditioningError when
+    the condition number of g (SPD, checked by :meth:`MetricField.matrices`)
+    is above 1e8, tested without forming it, which could overflow."""
     lam = np.linalg.eigvalsh(g)
-    if lam[-1] > 1e8 * lam[0]:
-        raise ConditioningError("metric condition number %.3e at %s"
-                                % (lam[-1] / lam[0], x))
-    g_inv = np.linalg.inv(g)
-    # Gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij)
+    if lam[0] < 1e-8 * lam[-1]:
+        raise ConditioningError("metric condition number above 1e8 at %s "
+                                "(eigenvalues %.3e to %.3e)" % (x, lam[0], lam[-1]))
     sym = _christoffel_sum(dg).reshape(36, 6).T
-    return (0.5 * (g_inv @ sym)).reshape(6, 6, 6), g_inv
+    return (0.5 * (np.linalg.inv(g) @ sym)).reshape(6, 6, 6), (0.5 * sym).reshape(6, 6, 6)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -502,24 +516,19 @@ def _coordinate_riemann(field: MetricField, point: ChartPoint,
     """(4,0) curvature in chart coordinates and the metric at the point,
     from the metric's 2-jet: closed form (:meth:`MetricField.jets`) under
     'exact', :func:`_fd_jets` under 'richardson_4th', then one route for
-    both to the Christoffel symbols, their derivative and the curvature."""
+    both: the Christoffel symbols of both kinds and the first-kind formula."""
     x = np.asarray(point.x, dtype=float)
     if fd.scheme == "exact":
         g, dg, ddg = field.jets(point.chart_id, x)
     else:
         g, dg, ddg = _fd_jets(field, point, fd.h)
-    gamma, g_inv = _christoffel(g, dg, x)
-    # d_m Gamma^k_ij = g^kl (1/2 d_m S_ijl - d_m g_ln Gamma^n_ij), where
-    # Gamma = 1/2 g^-1 S and d g^-1 = -g^-1 (d g) g^-1
-    inner = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(6, 6, 36)
-             - dg @ gamma.reshape(6, 36))                  # inner[m, l, ij]
-    dgamma = (g_inv @ inner).reshape(6, 6, 6, 6)
-    # dgamma[i, l, j, k] = d_i Gamma^l_jk.  Bracket-convention curvature,
-    # then a global sign for the round anchor.
-    r_up = (np.einsum("iljk->lijk", dgamma) - np.einsum("jlik->lijk", dgamma)
-            + np.einsum("lim,mjk->lijk", gamma, gamma)
-            - np.einsum("ljm,mik->lijk", gamma, gamma))
-    return -np.einsum("lijk,lm->ijkm", r_up, g), g
+    gamma, first = _christoffel(g, dg, x)
+    # R_ijkm = T[j, m, i, k] - T[i, m, j, k] with T[i, m, j, k] =
+    # 1/2 d_i S_jkm - Gamma_n,im Gamma^n_jk, S_jkm = 2 Gamma_m,jk (signed
+    # so that the round sphere is positive)
+    T = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(36, 36)
+         - first.reshape(6, 36).T @ gamma.reshape(6, 36)).reshape(6, 6, 6, 6)
+    return T.transpose(2, 0, 3, 1) - T.transpose(0, 2, 3, 1), g
 
 
 def riemann(field: MetricField, point: ChartPoint,
@@ -546,10 +555,11 @@ def riemann(field: MetricField, point: ChartPoint,
         raise InputError("fd must be an FDConfig")
     R, g = _coordinate_riemann(field, point, fd)
     R_onf = express_in_frame(R, orthonormal_frame(g))
+    if not np.isfinite(R_onf).all():
+        raise FDQualityError("curvature tensor is not finite")
     worst = np.max(list(validate_symmetries(R_onf).values()))
-    # max() may drop a nan of R_onf, but then worst is nan
     gate = 100.0 * fd.h ** 2 * max(1.0, float(np.abs(R_onf).max()))
-    if not worst <= gate < np.inf:               # also rejects nan and inf
+    if not worst <= gate:                        # also rejects a nan or inf worst
         raise FDQualityError(
             "curvature identities violated at %.3e (> 100 h^2 max(1, max |R|) = %.3e)"
             % (worst, gate))

@@ -4,7 +4,8 @@ on: the star-Ricci form by another contraction, through psi and in frame
 coordinates, the canonical-line projection scalar through an explicit
 (1,0)-coframe, the sup norm of a curvature deviation by sampling, the
 ellipsoid's principal curvatures with the star-Ricci minimum of its
-Gauss tensor, complex structures from frames, phi, and the octonionic
+Gauss tensor, the curvature of a conformally flat metric by the
+conformal-change formula, complex structures from frames, phi, and the octonionic
 structure on S^6 with its covariant derivative on the Levi-Civita
 symbols of :mod:`occert.sphere`, and the command line as argparse
 parses it.  The input checks written here fail with an AssertionError
@@ -204,6 +205,27 @@ def ellipsoid_principal_curvatures(axes, p: np.ndarray) -> np.ndarray:
     Q, _ = np.linalg.qr((normal / s)[:, None], mode="complete")
     T = Q[:, 1:]                                   # a tangent orthonormal basis
     return np.linalg.eigvalsh(T.T @ (T / (a * a)[:, None]) / s)
+
+
+def conformally_flat_curvature(field: sp.MetricField, point: sp.ChartPoint) -> np.ndarray:
+    """(4,0) curvature, in the g-orthonormal frame, of a metric g = w Id
+    in the chart (the round and conformal families), by the conformal
+    change of the flat metric instead of Christoffel symbols.
+
+    With u = log w from the metric's closed-form jets (du = d w / w,
+    d^2 u = d^2 w / w - du du^T) and h = 1/2 d^2 u - 1/4 du du^T
+    + 1/8 |du|^2 Id, the coordinate tensor is -w (h (.) Id), (.) the
+    Kulkarni-Nomizu product; the frame w^-1/2 Id divides it by w^2."""
+    g, dg, ddg = field.jets(point.chart_id, np.asarray(point.x, dtype=float))
+    w = g[0, 0]
+    eye = np.eye(6)
+    assert np.array_equal(g, w * eye), "the metric must be a multiple of Id in the chart"
+    du = dg[:, 0, 0] / w
+    ddu = ddg[:, :, 0, 0] / w - np.outer(du, du)
+    h = 0.5 * ddu - 0.25 * np.outer(du, du) + 0.125 * (du @ du) * eye
+    # (h (.) Id)_ijkl = h_ik d_jl + h_jl d_ik - h_il d_jk - h_jk d_il
+    kn = np.einsum("ik,jl->ijkl", h, eye) - np.einsum("il,jk->ijkl", h, eye)
+    return -(kn + kn.transpose(1, 0, 3, 2)) / w
 
 
 def gauss_two_angle_minimum(kappa: np.ndarray) -> float:

@@ -7,6 +7,7 @@ import copy
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -307,6 +308,26 @@ class TestParseArgs:
             "occert: error: unrecognized arguments: --fd-step 1e-3\n")
 
 
+_ELLIPSOID = {"family": "ellipsoid", "axes": [0.5, 0.7, 0.9, 1.1, 1.3, 1.5, 3.0]}
+# (spec, verdict of every point) of metrics at the ends of the float range
+_FLOAT_RANGE_SPECS = {
+    "round-1e308": ({"family": "round", "scale": 1e308}, "error"),
+    "ellipsoid-1e-308": (dict(_ELLIPSOID, scale=1e-308), "error"),
+    "ellipsoid-5e-324": (dict(_ELLIPSOID, scale=5e-324), "error"),
+    "constant-400": ({"family": "conformal", "f": {"type": "constant", "value": 400}},
+                     "error"),
+    "axis-1e200": ({"family": "ellipsoid", "axes": [1, 1, 1, 1, 1, 1, 1e200]}, "error"),
+    "custom-1e308": ({"family": "custom", "terms": [
+        [i, i, [[1e308 if i == 0 else 1.0, [0] * 6]]] for i in range(6)]}, "error"),
+    # finite curvature: decided as at scale 1
+    "conformal-1e300": ({"family": "conformal", "scale": 1e300, "f": {
+        "type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}, "unknown"),
+}
+# the texts of a floating-point fault, an ill-conditioned and a non-finite result
+_FLOAT_RANGE_FAULT = ("^floating-point error: (overflow|divide by zero|invalid value) "
+                      "encountered|condition number|^curvature tensor is not finite$")
+
+
 class TestExitCodes:
     def test_round_all_certified(self, tmp_path):
         out = str(tmp_path / "report.json")
@@ -422,10 +443,9 @@ class TestExitCodes:
                                     for r in json.loads(text)["points"]]))
         assert outcomes[0] == outcomes[1] == (cli.EXIT_REFUTED, [("refuted", "refuted")] * 2)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e308, 1e-320])
     def test_overflowing_scale_errors_by_name(self, tmp_path, scale):
-        # the finite differences or g^-1 overflow to inf and nan
+        # the metric or g^-1 overflows: an error at each point, and no warning
         out = str(tmp_path / "report.json")
         code = cli.main(["certify", "--spec",
                          _write_spec(tmp_path, {"family": "round", "scale": scale}),
@@ -434,6 +454,25 @@ class TestExitCodes:
         points = cli.load_report(out)["points"]
         assert all(r["verdict"] == "error" for r in points)
         assert not any("did not converge" in r["error"] for r in points)
+
+    @pytest.mark.parametrize("scheme", [[], ["--richardson"]], ids=["exact", "richardson"])
+    @pytest.mark.parametrize("spec, verdict", list(_FLOAT_RANGE_SPECS.values()),
+                             ids=list(_FLOAT_RANGE_SPECS))
+    def test_float_range_faults_are_point_errors(self, tmp_path, spec, verdict, scheme):
+        """A metric beyond the float range ends each point in an error
+        record that names the fault, also when warnings are errors."""
+        out = tmp_path / "report.json"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "occert", "certify", "--spec",
+             _write_spec(tmp_path, spec), "--points", "2", "--seed", "7",
+             "--out", str(out)] + scheme,
+            capture_output=True, text=True)
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.returncode == cli.EXIT_UNKNOWN, proc.stderr
+        points = cli.load_report(str(out))["points"]
+        assert [r["verdict"] for r in points] == [verdict] * 2
+        if verdict == "error":
+            assert all(re.search(_FLOAT_RANGE_FAULT, r["error"]) for r in points)
 
     def test_degenerate_metric_rejected(self, tmp_path):
         # diag(1, 1, 1, 1, 1, 1e-9) is SPD with condition number 1e9

@@ -127,6 +127,25 @@ def _tensor_with(value):
      "['round', 'conformal', 'ellipsoid', 'custom']"),
     (lambda: sp.MetricField("round", scale=float("nan")), ConfigError,
      "invalid metric spec at 'scale': nan is not a finite number"),
+    # a key that the family never reads, which would load as its default
+    pytest.param(lambda: sp.MetricField("conformal", {"f": {"type": "constant",
+                                                            "coeffs": [0.5] + [0] * 6}}),
+                 ConfigError, "invalid metric spec at 'f/coeffs': 'f' of type 'constant' "
+                 "takes no 'coeffs'", id="conformal-constant-coeffs"),
+    pytest.param(lambda: cli.metric_from_dict({"family": "conformal", "f": {
+                     "type": "ambient_linear", "coeffs": [0.5] + [0] * 6, "value": 1.0}}),
+                 ConfigError, "invalid metric spec at 'f/value': 'f' of type "
+                 "'ambient_linear' takes no 'value'", id="conformal-linear-value"),
+    pytest.param(lambda: sp.MetricField("round", {"axes": [1.0] * 7}), ConfigError,
+                 "invalid metric spec at 'axes': the round family takes no 'axes'",
+                 id="round-axes"),
+    pytest.param(lambda: cli.metric_from_dict({"family": "ellipsoid", "axes": [1.0] * 7,
+                                               "f": {"type": "constant", "value": 1.0}}),
+                 ConfigError, "invalid metric spec at 'f': the ellipsoid family takes no 'f'",
+                 id="ellipsoid-f"),
+    pytest.param(lambda: sp.MetricField("custom", {"terms": [], "axes": [2.0] * 7}),
+                 ConfigError, "invalid metric spec at 'axes': the custom family takes "
+                 "no 'axes'", id="custom-axes"),
     (lambda: bd.PerturbationBudget(0.0, -1e-3), InputError,
      "perturbation budget entries must be nonnegative"),
     pytest.param(lambda: bd.PerturbationBudget(float("nan"), 0.0), InputError,

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import chart_coords, saddle_metric
-from oracles import (OCTONION_EPS, cross7, g2_structure, nabla_J, octonionic_chart_jet, phi,
-                     sampled_sup_norm)
+from oracles import (OCTONION_EPS, conformally_flat_curvature, cross7, g2_structure, nabla_J,
+                     octonionic_chart_jet, phi, sampled_sup_norm)
 from occert import budget as bd
 from occert import cli
 from occert import curvature as cv
@@ -639,6 +639,24 @@ class TestExactJets:
             for pt in _jet_points():
                 R = sp.riemann(field, pt, EXACT)
                 assert np.max(np.abs(R - G / scale)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("coeffs", [
+        [0.3, 0, 0, 0, 0, 0, 0],
+        [0.3, -0.2, 0.1, 0.05, -0.15, 0.25, 0.4],
+        [0, 0, 0, 0, 0, -0.6, 0.8],
+        [0.01, 0.02, -0.03, 0, 0, 0, -0.02],
+    ])
+    def test_conformal_matches_the_conformal_change_oracle(self, coeffs, scale):
+        """The Christoffel route against a formula without Christoffel
+        symbols, on the conformal family of the survey."""
+        field = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
+                                                   "coeffs": coeffs}}, scale)
+        pts = _jet_points() + sp.sample_points(20, 29)
+        for pt in pts:
+            R = sp.riemann(field, pt, EXACT)
+            ref = conformally_flat_curvature(field, pt)
+            assert np.max(np.abs(R - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("field", _jet_fields(),
                              ids=lambda f: "%s-%g" % (f.family, f.scale))
