@@ -13,8 +13,8 @@ import numpy as np
 from .certify import P_THRESHOLD
 from .curvature import curvature_operator, express_in_frame
 from .errors import InputError
-from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _coordinate_riemann,
-                     orthonormal_frame)
+from .sphere import (ChartPoint, CheckedRecord, FDConfig, MetricField, _chart_groups,
+                     _coordinate_riemann, orthonormal_frame)
 
 
 class PerturbationBudget(CheckedRecord, namedtuple("PerturbationBudget", "eps1 eps2")):
@@ -65,12 +65,12 @@ def estimate_perturbation(field: MetricField, points: list[ChartPoint]):
         raise InputError("need at least one point to estimate a perturbation")
     base = MetricField(family="round")
     eps1 = eps2 = 0.0
-    for pt in points:
-        g0 = base.matrix(pt)
-        g1 = field.matrix(pt)
+    for chart_id, _, xs in _chart_groups(points):
+        R, g1 = _coordinate_riemann(field, chart_id, xs, FDConfig())
+        g0 = base.matrices(chart_id, xs)
         B0 = orthonormal_frame(g0)
-        h = B0.T @ (g1 - g0) @ B0
+        h = B0.swapaxes(1, 2) @ (g1 - g0) @ B0
         eps2 = max(eps2, float(np.max(np.abs(np.linalg.eigvalsh(h)))))
-        R1 = express_in_frame(_coordinate_riemann(field, pt, FDConfig())[0], B0)
-        eps1 = max(eps1, float(np.max(np.abs(curvature_operator(R1).spectrum - 1.0))))
+        for R1 in express_in_frame(R, B0):
+            eps1 = max(eps1, float(np.max(np.abs(curvature_operator(R1).spectrum - 1.0))))
     return PerturbationBudget(eps1=eps1, eps2=eps2)

@@ -24,7 +24,7 @@ from .certify import CertifyOptions, SearchConfig, certify_point
 from .errors import ConfigError, OccertError
 from .kernels import BACKEND
 from .sphere import (FDConfig, MetricField, chart_to_ambient, check_spec, riemann,
-                     sample_points)
+                     riemann_stack, sample_points)
 from .validation import load_schema, validate
 
 EXIT_OK = 0
@@ -36,6 +36,7 @@ EXIT_IO = 5
 _BUILTIN_METRICS = ("round", "flat")
 
 POINTS_PER_SLICE = 16               # point records per json.dumps call of emit_report
+POINTS_PER_CHUNK = 16               # points per riemann_stack call of _survey
 
 
 class RunConfig(namedtuple("RunConfig", "metric points fd options out")):
@@ -114,26 +115,37 @@ def _survey(config: RunConfig) -> tuple[list[dict], dict[str, int]]:
     of its curvature tensor, or the error that stopped the point) and the
     number of points per verdict.  A floating-point overflow, division by
     zero or invalid operation (a metric beyond the float range) stops its
-    point as an error too, never the run."""
+    point as an error too, never the run.  Curvature runs in chunks of
+    ``POINTS_PER_CHUNK`` points (rows that do not depend on the chunk); the
+    points of a failing chunk rerun alone, each with its own error text."""
+    points = sample_points(config.points, config.options.search.seed)
     records = []
-    for index, point in enumerate(sample_points(config.points, config.options.search.seed)):
-        record: dict = {
-            "index": index,
-            "chart": point.chart_id,
-            "x": point.x.tolist(),
-            "ambient": chart_to_ambient(point).tolist(),
-        }
+    for start in range(0, len(points), POINTS_PER_CHUNK):
+        chunk = points[start:start + POINTS_PER_CHUNK]
         try:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
-                R = riemann(config.metric, point, config.fd)
-                record.update(_certify_one(R, config))
-        except (OccertError, np.linalg.LinAlgError) as exc:
-            # per-point isolation: a bad point must not abort the survey
-            record.update({"verdict": "error", "error": str(exc), "notes": ""})
-        except FloatingPointError as exc:
-            record.update({"verdict": "error", "error": "floating-point error: %s" % exc,
-                           "notes": ""})
-        records.append(record)
+                tensors = riemann_stack(config.metric, chunk, config.fd)
+        except (OccertError, np.linalg.LinAlgError, FloatingPointError):
+            tensors = [None] * len(chunk)
+        for index, (point, R) in enumerate(zip(chunk, tensors), start):
+            record: dict = {
+                "index": index,
+                "chart": point.chart_id,
+                "x": point.x.tolist(),
+                "ambient": chart_to_ambient(point).tolist(),
+            }
+            try:
+                with np.errstate(over="raise", divide="raise", invalid="raise"):
+                    if R is None:
+                        R = riemann(config.metric, point, config.fd)
+                    record.update(_certify_one(R, config))
+            except (OccertError, np.linalg.LinAlgError) as exc:
+                # per-point isolation: a bad point must not abort the survey
+                record.update({"verdict": "error", "error": str(exc), "notes": ""})
+            except FloatingPointError as exc:
+                record.update({"verdict": "error", "error": "floating-point error: %s" % exc,
+                               "notes": ""})
+            records.append(record)
     return records, dict(Counter(r["verdict"] for r in records))
 
 

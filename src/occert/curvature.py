@@ -34,23 +34,35 @@ def kulkarni_nomizu_square(g: np.ndarray | None = None, k: float = 1.0) -> np.nd
     return k * G
 
 
+_IDENTITIES = ("antisym_first_pair", "antisym_last_pair", "pair_exchange", "bianchi")
+
+
+def _tr(R: np.ndarray, *axes: int) -> np.ndarray:
+    """R with its last four axes in the order ``axes``; leading (stack) axes stay."""
+    lead = R.ndim - 4
+    return R.transpose(*range(lead), *(lead + a for a in axes))
+
+
+def identity_violations(R: np.ndarray) -> np.ndarray:
+    """Max absolute violation of each identity of :func:`validate_symmetries`,
+    in its order, per tensor of a stack (..., 6, 6, 6, 6): shape (..., 4)."""
+    parts = (R + _tr(R, 1, 0, 2, 3), R + _tr(R, 0, 1, 3, 2), R - _tr(R, 2, 3, 0, 1),
+             _bianchi_sum(R))
+    return np.stack([np.abs(p).max(axis=(-4, -3, -2, -1)) for p in parts], axis=-1)
+
+
 def validate_symmetries(R: np.ndarray) -> dict[str, float]:
     """Max absolute violation of each algebraic curvature identity."""
-    R = np.asarray(R, dtype=float)
-    return {
-        "antisym_first_pair": float(np.abs(R + R.transpose(1, 0, 2, 3)).max()),
-        "antisym_last_pair": float(np.abs(R + R.transpose(0, 1, 3, 2)).max()),
-        "pair_exchange": float(np.abs(R - R.transpose(2, 3, 0, 1)).max()),
-        "bianchi": float(np.abs(_bianchi_sum(R)).max()),
-    }
+    return dict(zip(_IDENTITIES, identity_violations(np.asarray(R, dtype=float)).tolist()))
 
 
 def _bianchi_sum(R: np.ndarray) -> np.ndarray:
-    return R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)
+    return R + _tr(R, 1, 2, 0, 3) + _tr(R, 2, 0, 1, 3)
 
 
 def project_curvature(R: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the algebraic curvature tensors.
+    """Orthogonal projection onto the algebraic curvature tensors, of one
+    tensor or of each tensor of a stack (..., 6, 6, 6, 6).
 
     Antisymmetrizes both pairs, symmetrizes pair exchange, then removes
     the fully antisymmetric (Bianchi) component, which for pair-symmetric
@@ -59,9 +71,8 @@ def project_curvature(R: np.ndarray) -> np.ndarray:
     is the nearest algebraic curvature tensor in the Frobenius norm.
     """
     T = np.asarray(R, dtype=float)
-    T = 0.25 * (T - T.transpose(1, 0, 2, 3) - T.transpose(0, 1, 3, 2)
-                + T.transpose(1, 0, 3, 2))
-    T = 0.5 * (T + T.transpose(2, 3, 0, 1))
+    T = 0.25 * (T - _tr(T, 1, 0, 2, 3) - _tr(T, 0, 1, 3, 2) + _tr(T, 1, 0, 3, 2))
+    T = 0.5 * (T + _tr(T, 2, 3, 0, 1))
     return T - _bianchi_sum(T) / 3.0
 
 
@@ -111,15 +122,16 @@ def ricci_star(R: np.ndarray, J: np.ndarray) -> np.ndarray:
 
 
 def express_in_frame(R: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Components of R in the given frame (columns)."""
+    """Components of R in the given frame (columns), of one tensor or of
+    each tensor of a stack (..., 6, 6, 6, 6) in its own frame (..., 6, 6)."""
     F = np.asarray(frame, dtype=float)
     out = np.asarray(R, dtype=float)
     for _ in range(4):
-        # contract the leading index; the new frame index goes last.  This
-        # is np.tensordot(out, F, axes=([0], [0])) without its overhead:
-        # the same matrix product of the same operands.
-        shape = out.shape[1:] + F.shape[1:]
-        out = np.dot(out.transpose(1, 2, 3, 0).reshape(-1, len(F)), F).reshape(shape)
+        # contract the first tensor index; the new frame index goes last:
+        # one (216, 6) x (6, 6) matrix product per tensor of the stack
+        shape = out.shape[:-4] + out.shape[-3:] + F.shape[-1:]
+        out = (_tr(out, 1, 2, 3, 0).reshape(out.shape[:-4] + (-1, F.shape[-2]))
+               @ F).reshape(shape)
     return out
 
 

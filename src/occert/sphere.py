@@ -27,7 +27,7 @@ from collections.abc import Mapping
 
 import numpy as np
 
-from .curvature import express_in_frame, project_curvature, validate_symmetries
+from .curvature import express_in_frame, identity_violations, project_curvature
 from .errors import (ConditioningError, ConfigError, FDQualityError, InputError, MetricError,
                      SchemaError)
 from .rng import make_rng
@@ -122,37 +122,39 @@ def _jacobian_stack(chart_id: str, xs: np.ndarray) -> np.ndarray:
     return Dp
 
 
-def _stereographic_jets(chart_id: str, x: np.ndarray):
-    """Derivatives of the chart map at one point x: Dp[a, i], D2p[a, i, j]
-    and D3p[a, i, j, k], with a the ambient index.
+def _stereographic_jets(chart_id: str, xs: np.ndarray):
+    """Derivatives of the chart map at the rows of xs: Dp[m, a, i],
+    D2p[m, a, i, j] and D3p[m, a, i, j, k], with a the ambient index.
 
     In the north chart p = (2 x q, 1 - 2 q) with q = 1/(1 + |x|^2); the
     south chart's map is _SOUTH times the north one, so its derivatives
     are the north ones at x with ambient rows 5 and 6 negated.
     """
-    Dp = _jacobian_stack(chart_id, x[None])[0]
-    q = 1.0 / (1.0 + float(x @ x))
+    Dp = _jacobian_stack(chart_id, xs)
+    q = (1.0 / (1.0 + _squared_norms(xs)))[:, None, None, None]
     eye = _EYE
-    # the derivatives of q
-    q1 = -2.0 * q * q * x
-    q2 = 8.0 * q ** 3 * np.outer(x, x) - 2.0 * q * q * eye
-    ex = np.einsum("ij,k->ijk", eye, x)             # delta_ij x_k
-    q3 = (8.0 * q ** 3 * (ex + ex.transpose(0, 2, 1) + ex.transpose(2, 0, 1))
-          - 48.0 * q ** 4 * np.einsum("i,j,k->ijk", x, x, x))
+    x, xj, xk = xs[:, :, None, None], xs[:, None, :, None], xs[:, None, None, :]
+    # the derivatives of q, q1[m, 0, 0, i], q2[m, 0, i, j] and q3[m, i, j, k]
+    # (float_power is libm's pow on each entry, as for a Python float; an
+    # array's ** may take a vectorized pow that differs in the last bit)
+    q1 = -2.0 * q * q * xk
+    q2 = 8.0 * np.float_power(q, 3) * (xj * xk) - 2.0 * q * q * eye
+    ex = eye[:, :, None] * xk                       # delta_ij x_k
+    q3 = (8.0 * np.float_power(q, 3) * (ex + ex.swapaxes(-1, -2) + np.moveaxis(ex, -1, -3))
+          - 48.0 * np.float_power(q, 4) * (x * xj * xk))
     # derivatives of p_a = 2 x_a q by the product rule, and of 1 - 2 q
-    D2p = np.empty((7, 6, 6))
-    D2p[:6] = 2.0 * (x[:, None, None] * q2 + eye[:, :, None] * q1
-                     + eye[:, None, :] * q1[:, None])
-    D2p[6] = -2.0 * q2
-    D3p = np.empty((7, 6, 6, 6))
-    D3p[:6] = 2.0 * (x[:, None, None, None] * q3
-                     + eye[:, :, None, None] * q2
-                     + eye[:, None, :, None] * q2[:, None, :]
-                     + eye[:, None, None, :] * q2[:, :, None])
-    D3p[6] = -2.0 * q3
+    D2p = np.empty((len(xs), 7, 6, 6))
+    D2p[:, :6] = 2.0 * (x * q2 + eye[:, :, None] * q1 + eye[:, None, :] * q1.swapaxes(-1, -2))
+    D2p[:, 6] = -2.0 * q2[:, 0]
+    D3p = np.empty((len(xs), 7, 6, 6, 6))
+    D3p[:, :6] = 2.0 * (x[..., None] * q3[:, None]
+                        + eye[:, :, None, None] * q2[..., None, :, :]
+                        + eye[:, None, :, None] * q2[..., None, :]
+                        + eye[:, None, None, :] * q2[..., None])
+    D3p[:, 6] = -2.0 * q3
     if chart_id == "south":
-        D2p[5:] *= -1.0
-        D3p[5:] *= -1.0
+        D2p[:, 5:] *= -1.0
+        D3p[:, 5:] *= -1.0
     return Dp, D2p, D3p
 
 
@@ -357,40 +359,38 @@ class MetricField(CheckedRecord,
                 g[:, int(j), int(i)] += val
         return g
 
-    def jets(self, chart_id: str, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The metric and its first two derivatives at one chart point, in
-        closed form: g[a, c], dg[i, a, c] = d_i g_ac and
-        ddg[i, j, a, c] = d_i d_j g_ac.
+    def jets(self, chart_id: str, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The metric and its first two derivatives at the rows of xs (chart
+        coordinates, shape (M, 6)), in closed form: g[m, a, c],
+        dg[m, i, a, c] = d_i g_ac and ddg[m, i, j, a, c] = d_i d_j g_ac.
 
-        g is :meth:`matrices` of the point, with its checks and messages;
-        a non-finite derivative raises MetricError.
+        g is :meth:`matrices` of the rows, with its checks and messages;
+        a non-finite derivative raises MetricError at the first such row.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (6,):
-            raise InputError("chart coordinates must have shape (6,)")
-        g = self.matrices(chart_id, x[None])[0]
+        g = self.matrices(chart_id, xs)
+        xs = np.asarray(xs, dtype=float)
         if self.family in ("round", "conformal"):
-            dg, ddg = self._conformal_derivatives(chart_id, x, g[0, 0])
+            dg, ddg = self._conformal_derivatives(chart_id, xs, g[:, 0, 0])
         elif self.family == "ellipsoid":
             axes = np.asarray(self.params.get("axes", np.ones(7)), dtype=float)
-            Dp, D2p, D3p = _stereographic_jets(chart_id, x)
-            Dy = axes[:, None] * Dp
-            D2y = axes[:, None, None] * D2p
-            D3y = axes[:, None, None, None] * D3p
-            # g_ac = Dy_ma Dy_mc, differentiated by the product rule
-            dg = np.einsum("mia,mc->iac", D2y, Dy)
-            ddg = (np.einsum("mija,mc->ijac", D3y, Dy)
-                   + np.einsum("mia,mjc->ijac", D2y, D2y))
-            dg = self.scale * (dg + dg.transpose(0, 2, 1))
-            ddg = self.scale * (ddg + ddg.transpose(0, 1, 3, 2))
+            # the ambient index m last, where the sums over it run
+            Dy, D2y, D3y = (np.moveaxis(axes.reshape((7,) + (1,) * (D.ndim - 2)) * D, 1, -1)
+                            for D in _stereographic_jets(chart_id, xs))
+            # g_ac = Dy_am Dy_cm, differentiated by the product rule
+            dg = (D2y[:, :, :, None] * Dy[:, None, None]).sum(axis=-1)
+            ddg = ((D3y[:, :, :, :, None] * Dy[:, None, None, None]).sum(axis=-1)
+                   + (D2y[:, :, None, :, None] * D2y[:, None, :, None]).sum(axis=-1))
+            dg = self.scale * (dg + dg.swapaxes(-1, -2))
+            ddg = self.scale * (ddg + ddg.swapaxes(-1, -2))
         else:
-            dg, ddg = self._custom_derivatives(x)
-        if not (np.isfinite(dg).all() and np.isfinite(ddg).all()):
+            dg, ddg = self._custom_derivatives(xs)
+        finite = np.isfinite(dg).all(axis=(1, 2, 3)) & np.isfinite(ddg).all(axis=(1, 2, 3, 4))
+        if not finite.all():
             raise MetricError("metric evaluator returned non-finite derivatives "
-                              "at %s" % x)
+                              "at %s" % xs[np.argmin(finite)])
         return g, dg, ddg
 
-    def _conformal_derivatives(self, chart_id: str, x: np.ndarray, w: float):
+    def _conformal_derivatives(self, chart_id: str, xs: np.ndarray, w: np.ndarray):
         """dg and ddg of g = w Id through u = log w: dw = w du and
         ddw = w (ddu + du du).
 
@@ -408,39 +408,41 @@ class MetricField(CheckedRecord,
             c = np.zeros(7)
         if chart_id == "south":
             c = c * _SOUTH
-        q = 1.0 / (1.0 + float(x @ x))
-        beta = float(c[:6] @ x - c[6])
+        q = 1.0 / (1.0 + _squared_norms(xs))
+        beta = (xs[:, None, :] @ c[:6, None])[:, 0, 0] - c[6]
         k = 4.0 * q + 8.0 * q * q * beta
-        du = 4.0 * q * c[:6] - k * x
-        cx = c[:6, None] * x
-        ddu = ((8.0 * q * q + 32.0 * q ** 3 * beta) * (x[:, None] * x)
-               - 8.0 * q * q * (cx + cx.T) - k * _EYE)
-        return ((w * du)[:, None, None] * _EYE,
-                (w * (ddu + du[:, None] * du))[:, :, None, None] * _EYE)
+        du = 4.0 * q[:, None] * c[:6] - k[:, None] * xs
+        cx = c[:6, None] * xs[:, None, :]
+        ddu = (((8.0 * q * q + 32.0 * np.float_power(q, 3) * beta)[:, None, None]
+                * (xs[:, :, None] * xs[:, None, :]))
+               - (8.0 * q * q)[:, None, None] * (cx + cx.swapaxes(1, 2))
+               - k[:, None, None] * _EYE)
+        ddw = w[:, None, None] * (ddu + du[:, :, None] * du[:, None, :])
+        return (w[:, None] * du)[:, :, None, None] * _EYE, ddw[..., None, None] * _EYE
 
-    def _custom_derivatives(self, x: np.ndarray):
+    def _custom_derivatives(self, xs: np.ndarray):
         """dg and ddg of the polynomial tables, one monomial at a time:
         d_l of prod_k x_k^p_k replaces the factor k = l by its derivative
         p x^(p-1), taken as 0 at p = 0 (never 0 * inf at x = 0)."""
         eye = np.eye(6, dtype=bool)
         both = eye[:, None, :] & eye[None, :, :]        # [l, m, k]: k = l = m
         either = eye[:, None, :] | eye[None, :, :]
-        dg = np.zeros((6, 6, 6))
-        ddg = np.zeros((6, 6, 6, 6))
+        dg = np.zeros((len(xs), 6, 6, 6))
+        ddg = np.zeros((len(xs), 6, 6, 6, 6))
         for i, j, terms in self.params["terms"]:
-            d1 = np.zeros(6)
-            d2 = np.zeros((6, 6))
+            d1 = np.zeros((len(xs), 6))
+            d2 = np.zeros((len(xs), 6, 6))
             for coeff, powers in terms:
                 p = np.asarray(powers, dtype=float)
-                v = x ** p
-                v1 = p * x ** np.maximum(p - 1.0, 0.0)
-                v2 = p * (p - 1.0) * x ** np.maximum(p - 2.0, 0.0)
-                d1 += coeff * np.where(eye, v1, v).prod(axis=1)
+                v = (xs ** p)[:, None, :]
+                v1 = (p * xs ** np.maximum(p - 1.0, 0.0))[:, None, :]
+                v2 = (p * (p - 1.0) * xs ** np.maximum(p - 2.0, 0.0))[:, None, None, :]
+                d1 += coeff * np.where(eye, v1, v).prod(axis=-1)
                 d2 += coeff * np.where(both, v2,
-                                       np.where(either, v1, v)).prod(axis=2)
+                                       np.where(either, v1[:, None], v[:, None])).prod(axis=-1)
             for a, c in {(int(i), int(j)), (int(j), int(i))}:
-                dg[:, a, c] += d1
-                ddg[:, :, a, c] += d2
+                dg[:, :, a, c] += d1
+                ddg[:, :, :, a, c] += d2
         return self.scale * dg, self.scale * ddg
 
     def matrix(self, point: ChartPoint) -> np.ndarray:
@@ -475,14 +477,17 @@ def _fd_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     return (8.0 * (s[:, 0] - s[:, 1]) - (s[:, 2] - s[:, 3])) / (12.0 * h)
 
 
-def _fd_jets(field: MetricField, point: ChartPoint, h: float):
-    """g, dg[i, a, c] = d_i g_ac and ddg[m, i, a, c] = d_m d_i g_ac at the
-    point by fourth-order differences of step h: dg at the point and its
+def _fd_jets(field: MetricField, chart_id: str, xs: np.ndarray, h: float):
+    """g, dg[m, i, a, c] = d_i g_ac and ddg[m, n, i, a, c] = d_n d_i g_ac at the
+    rows of xs by fourth-order differences of step h: dg at each row and its
     stencil from one metric evaluation, then ddg by differencing those."""
-    bases = _stencil(np.asarray(point.x, dtype=float)[None], h)[0]   # the point first
-    g = field.matrices(point.chart_id, _stencil(bases, h).reshape(-1, 6)).reshape(25, 25, 6, 6)
-    dg = _fd_derivative(g[:, 1:].swapaxes(0, 1), h)          # dg[i, base, a, c]
-    return g[0, 0], dg[:, 0], _fd_derivative(dg[:, 1:].swapaxes(0, 1), h)
+    bases = _stencil(xs, h).reshape(-1, 6)                  # each row first
+    g = field.matrices(chart_id, _stencil(bases, h).reshape(-1, 6))
+    # the stencil axis first: g[node, m, base, a, c]
+    g = g.reshape(len(xs), 25, 25, 6, 6).transpose(2, 0, 1, 3, 4)
+    dg = _fd_derivative(g[1:], h)                           # dg[i, m, base, a, c]
+    ddg = _fd_derivative(np.moveaxis(dg[:, :, 1:], 2, 0), h)   # ddg[n, i, m, a, c]
+    return g[0, :, 0], dg[:, :, 0].swapaxes(0, 1), np.moveaxis(ddg, 2, 0)
 
 
 def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
@@ -491,79 +496,110 @@ def _christoffel_sum(dg: np.ndarray) -> np.ndarray:
     return dg + dg.swapaxes(-3, -2) - dg.swapaxes(-3, -2).swapaxes(-2, -1)
 
 
-def _christoffel(g: np.ndarray, dg: np.ndarray, x: np.ndarray):
-    """Christoffel symbols of both kinds, gamma[k, i, j] = Gamma^k_ij and
-    first[l, i, j] = Gamma_l,ij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij), from g
-    and dg[i, a, c] = d_i g_ac at the chart point x; ConditioningError when
-    the condition number of g (SPD, checked by :meth:`MetricField.matrices`)
-    is above 1e8, tested without forming it, which could overflow."""
+def _christoffel(g: np.ndarray, dg: np.ndarray, xs: np.ndarray):
+    """Christoffel symbols of both kinds, gamma[m, k, i, j] = Gamma^k_ij and
+    first[m, l, i, j] = Gamma_l,ij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij), from
+    g[m] and dg[m, i, a, c] = d_i g_ac at the chart rows xs[m].  ConditioningError
+    when the condition number of a g[m] (SPD, checked by :meth:`MetricField.matrices`)
+    is above 1e8, tested without forming it, which could overflow; MetricError
+    when a g[m]^-1 is not finite, which numpy.linalg computes without a signal."""
     lam = np.linalg.eigvalsh(g)
-    if lam[0] < 1e-8 * lam[-1]:
+    ill = lam[:, 0] < 1e-8 * lam[:, -1]
+    if ill.any():
+        k = np.argmax(ill)
         raise ConditioningError("metric condition number above 1e8 at %s "
-                                "(eigenvalues %.3e to %.3e)" % (x, lam[0], lam[-1]))
-    sym = _christoffel_sum(dg).reshape(36, 6).T
-    return (0.5 * (np.linalg.inv(g) @ sym)).reshape(6, 6, 6), (0.5 * sym).reshape(6, 6, 6)
+                                "(eigenvalues %.3e to %.3e)" % (xs[k], lam[k, 0], lam[k, -1]))
+    g_inv = np.linalg.inv(g)
+    finite = np.isfinite(g_inv).all(axis=(1, 2))
+    if not finite.all():
+        raise MetricError("inverse metric is not finite at %s" % xs[np.argmin(finite)])
+    sym = _christoffel_sum(dg).reshape(-1, 36, 6).swapaxes(1, 2)
+    return ((0.5 * (g_inv @ sym)).reshape(-1, 6, 6, 6),
+            (0.5 * sym).reshape(-1, 6, 6, 6))
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Columns of a g-orthonormal frame (Cholesky Gram-Schmidt)."""
+    """Columns of a g-orthonormal frame (Cholesky Gram-Schmidt), of one
+    metric or of each metric of a stack (..., 6, 6)."""
     L = np.linalg.cholesky(g)
-    return np.linalg.inv(L).T
+    return np.linalg.inv(L).swapaxes(-1, -2)
 
 
-def _coordinate_riemann(field: MetricField, point: ChartPoint,
+def _coordinate_riemann(field: MetricField, chart_id: str, xs: np.ndarray,
                         fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(4,0) curvature in chart coordinates and the metric at the point,
-    from the metric's 2-jet: closed form (:meth:`MetricField.jets`) under
-    'exact', :func:`_fd_jets` under 'richardson_4th', then one route for
-    both: the Christoffel symbols of both kinds and the first-kind formula."""
-    x = np.asarray(point.x, dtype=float)
+    """(4,0) curvature in chart coordinates and the metric at the rows of
+    xs, shapes (M, 6, 6, 6, 6) and (M, 6, 6), from the metric's 2-jets:
+    closed form (:meth:`MetricField.jets`) under 'exact', :func:`_fd_jets`
+    under 'richardson_4th', then one route for both: the Christoffel
+    symbols of both kinds and the first-kind formula."""
     if fd.scheme == "exact":
-        g, dg, ddg = field.jets(point.chart_id, x)
+        g, dg, ddg = field.jets(chart_id, xs)
     else:
-        g, dg, ddg = _fd_jets(field, point, fd.h)
-    gamma, first = _christoffel(g, dg, x)
+        g, dg, ddg = _fd_jets(field, chart_id, xs, fd.h)
+    gamma, first = _christoffel(g, dg, xs)
     # R_ijkm = T[j, m, i, k] - T[i, m, j, k] with T[i, m, j, k] =
     # 1/2 d_i S_jkm - Gamma_n,im Gamma^n_jk, S_jkm = 2 Gamma_m,jk (signed
-    # so that the round sphere is positive)
-    T = (0.5 * _christoffel_sum(ddg).transpose(0, 3, 1, 2).reshape(36, 36)
-         - first.reshape(6, 36).T @ gamma.reshape(6, 36)).reshape(6, 6, 6, 6)
-    return T.transpose(2, 0, 3, 1) - T.transpose(0, 2, 3, 1), g
+    # so that the round sphere is positive); one (36, 6) x (6, 36) product per row
+    T = (0.5 * _christoffel_sum(ddg).transpose(0, 1, 4, 2, 3).reshape(-1, 36, 36)
+         - first.reshape(-1, 6, 36).swapaxes(1, 2) @ gamma.reshape(-1, 6, 36))
+    T = T.reshape(-1, 6, 6, 6, 6)
+    return T.transpose(0, 3, 1, 4, 2) - T.transpose(0, 1, 3, 4, 2), g
 
 
-def riemann(field: MetricField, point: ChartPoint,
-            fd: FDConfig | None = None) -> np.ndarray:
-    """(4,0) curvature in a g-orthonormal frame at the point, as an exact
-    algebraic curvature tensor.
+def _chart_groups(points):
+    """(chart_id, indices, coordinates (M, 6)) of the points of each chart, north first."""
+    for chart_id in ("north", "south"):
+        rows = [k for k, pt in enumerate(points) if pt.chart_id == chart_id]
+        if rows:
+            yield chart_id, rows, np.array([points[k].x for k in rows], dtype=float)
+
+
+def riemann_stack(field: MetricField, points, fd: FDConfig | None = None) -> np.ndarray:
+    """(4,0) curvature in a g-orthonormal frame at each chart point, as
+    exact algebraic curvature tensors, shape (N, 6, 6, 6, 6) in point order.
 
     The sign is fixed so that the unit round sphere yields the
     Kulkarni-Nomizu square of the metric (operator = identity).  The
     scheme of ``fd`` chooses how the metric is differentiated: 'exact',
     the default, uses its closed-form 2-jets, 'richardson_4th' finite
     differences of step h.
-    Raises FDQualityError when the tensor violates the algebraic
+    Raises FDQualityError when a tensor violates the algebraic
     identities beyond 100 h^2 max(1, max |R|), relative so that rescaling
     the metric does not decide it, or is not finite, whatever the scheme;
-    otherwise returns its orthogonal projection onto the curvature
-    tensors, which is no farther from the true curvature (Frobenius
-    norm) than the raw tensor.  An exact tensor violates the identities
-    only by rounding, so its projection moves it by rounding only.
+    otherwise returns their orthogonal projections onto the curvature
+    tensors, each no farther from the true curvature (Frobenius norm)
+    than the raw tensor.  An exact tensor violates the identities only by
+    rounding, so its projection moves it by rounding only.
     InputError unless fd is None (the default FDConfig) or an FDConfig.
+
+    Each chart's points run as one stack of per-row operations, so a tensor
+    does not depend on the other points; a check raises for its first failing row.
     """
     fd = FDConfig() if fd is None else fd
     if not isinstance(fd, FDConfig):
         raise InputError("fd must be an FDConfig")
-    R, g = _coordinate_riemann(field, point, fd)
-    R_onf = express_in_frame(R, orthonormal_frame(g))
-    if not np.isfinite(R_onf).all():
-        raise FDQualityError("curvature tensor is not finite")
-    worst = np.max(list(validate_symmetries(R_onf).values()))
-    gate = 100.0 * fd.h ** 2 * max(1.0, float(np.abs(R_onf).max()))
-    if not worst <= gate:                        # also rejects a nan or inf worst
-        raise FDQualityError(
-            "curvature identities violated at %.3e (> 100 h^2 max(1, max |R|) = %.3e)"
-            % (worst, gate))
-    return project_curvature(R_onf)
+    out = np.empty((len(points), 6, 6, 6, 6))
+    for chart_id, rows, xs in _chart_groups(points):
+        R, g = _coordinate_riemann(field, chart_id, xs, fd)
+        R_onf = express_in_frame(R, orthonormal_frame(g))
+        if not np.isfinite(R_onf).all():
+            raise FDQualityError("curvature tensor is not finite")
+        worst = identity_violations(R_onf).max(axis=-1)
+        gate = 100.0 * fd.h ** 2 * np.maximum(1.0, np.abs(R_onf).max(axis=(1, 2, 3, 4)))
+        passed = worst <= gate                  # also rejects a nan or inf worst
+        if not passed.all():
+            k = np.argmin(passed)
+            raise FDQualityError(
+                "curvature identities violated at %.3e (> 100 h^2 max(1, max |R|) = %.3e)"
+                % (worst[k], gate[k]))
+        out[rows] = project_curvature(R_onf)
+    return out
+
+
+def riemann(field: MetricField, point: ChartPoint,
+            fd: FDConfig | None = None) -> np.ndarray:
+    """:func:`riemann_stack` at one chart point: its (6, 6, 6, 6) tensor."""
+    return riemann_stack(field, [point], fd)[0]
 
 
 def sample_points(n: int, seed: int) -> list[ChartPoint]:

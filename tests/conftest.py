@@ -63,3 +63,12 @@ def saddle_metric() -> MetricField:
             poly.append([1.0, powers])
         terms.append([i, i, poly])
     return MetricField("custom", {"terms": terms})
+
+
+def g00_drops_along(k) -> MetricField:
+    """Custom metric with g_00 = 1 - 10 x_k: not SPD from x_k = 0.1 on."""
+    powers = [0] * 6
+    powers[k] = 1
+    return MetricField("custom", {"terms": [
+        [i, i, [[1.0, [0] * 6]] + ([[-10.0, powers]] if i == 0 else [])]
+        for i in range(6)]})

@@ -216,7 +216,8 @@ def conformally_flat_curvature(field: sp.MetricField, point: sp.ChartPoint) -> n
     d^2 u = d^2 w / w - du du^T) and h = 1/2 d^2 u - 1/4 du du^T
     + 1/8 |du|^2 Id, the coordinate tensor is -w (h (.) Id), (.) the
     Kulkarni-Nomizu product; the frame w^-1/2 Id divides it by w^2."""
-    g, dg, ddg = field.jets(point.chart_id, np.asarray(point.x, dtype=float))
+    xs = np.asarray(point.x, dtype=float)[None]
+    g, dg, ddg = (a[0] for a in field.jets(point.chart_id, xs))
     w = g[0, 0]
     eye = np.eye(6)
     assert np.array_equal(g, w * eye), "the metric must be a multiple of Id in the chart"
@@ -300,7 +301,8 @@ def octonionic_chart_jet(point: sp.ChartPoint) -> tuple[np.ndarray, np.ndarray]:
     Jp = p x . (the image of the cross product is tangent).  Jp is linear
     in p, so d_l Jp = (d_l p) x . and the product rule on M J = P^T Jp P
     gives dJ in closed form."""
-    P, D2p, _ = sp._stereographic_jets(point.chart_id, np.asarray(point.x, dtype=float))
+    xs = np.asarray(point.x, dtype=float)[None]
+    P, D2p, _ = (a[0] for a in sp._stereographic_jets(point.chart_id, xs))
     Jp = g2_structure(sp.chart_to_ambient(point))
     M = P.T @ P
     J = np.linalg.solve(M, P.T @ (Jp @ P))
@@ -318,9 +320,9 @@ def nabla_J(field: sp.MetricField, point: sp.ChartPoint,
     g-orthonormal frame of ``sphere.orthonormal_frame``, from the
     Levi-Civita symbols of the metric's closed-form jets and
     jet(point) = (J, dJ) in chart coordinates."""
-    x = np.asarray(point.x, dtype=float)
-    g, dg, _ = field.jets(point.chart_id, x)
-    gamma, _ = sp._christoffel(g, dg, x)
+    xs = np.asarray(point.x, dtype=float)[None]
+    g, dg, _ = field.jets(point.chart_id, xs)
+    gamma, g = sp._christoffel(g, dg, xs)[0][0], g[0]
     J, dJ = jet(point)
     nab = (dJ
            + np.einsum("kim,mj->ikj", gamma, J)

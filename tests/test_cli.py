@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import saddle_metric
+from conftest import g00_drops_along, saddle_metric
 from oracles import build_parser
 from occert import cli, validation
 from occert.certify import CertifyOptions, SearchConfig
@@ -314,6 +314,7 @@ _FLOAT_RANGE_SPECS = {
     "round-1e308": ({"family": "round", "scale": 1e308}, "error"),
     "ellipsoid-1e-308": (dict(_ELLIPSOID, scale=1e-308), "error"),
     "ellipsoid-5e-324": (dict(_ELLIPSOID, scale=5e-324), "error"),
+    "round-5e-324": ({"family": "round", "scale": 5e-324}, "error"),
     "constant-400": ({"family": "conformal", "f": {"type": "constant", "value": 400}},
                      "error"),
     "axis-1e200": ({"family": "ellipsoid", "axes": [1, 1, 1, 1, 1, 1, 1e200]}, "error"),
@@ -323,9 +324,11 @@ _FLOAT_RANGE_SPECS = {
     "conformal-1e300": ({"family": "conformal", "scale": 1e300, "f": {
         "type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}, "unknown"),
 }
-# the texts of a floating-point fault, an ill-conditioned and a non-finite result
+# the texts of a floating-point fault, an ill-conditioned metric, a subnormal
+# metric whose inverse overflows and a non-finite result
 _FLOAT_RANGE_FAULT = ("^floating-point error: (overflow|divide by zero|invalid value) "
-                      "encountered|condition number|^curvature tensor is not finite$")
+                      "encountered|condition number|^inverse metric is not finite at "
+                      "|^curvature tensor is not finite$")
 
 
 class TestExitCodes:
@@ -473,6 +476,9 @@ class TestExitCodes:
         assert [r["verdict"] for r in points] == [verdict] * 2
         if verdict == "error":
             assert all(re.search(_FLOAT_RANGE_FAULT, r["error"]) for r in points)
+        if spec.get("scale") == 5e-324:
+            # the fault is the inverse metric's, not the tensor's
+            assert not any(r["error"] == "curvature tensor is not finite" for r in points)
 
     def test_degenerate_metric_rejected(self, tmp_path):
         # diag(1, 1, 1, 1, 1, 1e-9) is SPD with condition number 1e9
@@ -491,7 +497,37 @@ class TestExitCodes:
         assert all("condition number" in r["error"] for r in points)
 
 
+_CONFORMAL = {"family": "conformal",
+              "f": {"type": "ambient_linear", "coeffs": [0.3, 0, 0, 0, 0, 0, 0]}}
+# (spec, command-line options) of reports that must not depend on the chunk:
+# the survey, the refute spec under exact curvature, and a metric whose
+# points mix errors (not SPD where x_0 >= 0.1) with good points in a chunk
+_CHUNKED_RUNS = {
+    "survey": (_CONFORMAL, ["--points", "40", "--seed", "7"]),
+    "refute-exact": (_ELLIPSOID, ["--points", "10", "--seed", "7", "--multistarts", "8",
+                                  "--checks", "bhl,p_sufficient,p_refute"]),
+    "g00-drops": (g00_drops_along(0).spec(), ["--points", "20", "--seed", "7"]),
+}
+
+
 class TestReports:
+    @pytest.mark.parametrize("name", list(_CHUNKED_RUNS))
+    def test_reports_do_not_depend_on_the_chunk(self, tmp_path, monkeypatch, name):
+        spec, options = _CHUNKED_RUNS[name]
+        runs = []
+        for chunk in (1, 7, 16):
+            monkeypatch.setattr(cli, "POINTS_PER_CHUNK", chunk)
+            out = tmp_path / ("report-%d.json" % chunk)
+            code = cli.main(["certify", "--spec", _write_spec(tmp_path, spec)] + options
+                            + ["--out", str(out)])
+            report = json.loads(out.read_text())
+            del report["meta"]
+            runs.append((code, json.dumps(report)))
+        assert runs[0] == runs[1] == runs[2]
+        if name == "g00-drops":
+            verdicts = {r["verdict"] for r in json.loads(runs[0][1])["points"]}
+            assert "error" in verdicts and len(verdicts) > 1
+
     def test_round_trip_bit_exact(self, tmp_path):
         out = str(tmp_path / "report.json")
         cli.main(["certify", "--metric", "round", "--points", "2",

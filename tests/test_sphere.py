@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import chart_coords, saddle_metric
+from conftest import chart_coords, g00_drops_along, saddle_metric
 from oracles import (OCTONION_EPS, conformally_flat_curvature, cross7, g2_structure, nabla_J,
                      octonionic_chart_jet, phi, sampled_sup_norm)
 from occert import budget as bd
@@ -16,15 +16,6 @@ from occert import curvature as cv
 from occert import sphere as sp
 from occert.errors import ConfigError, FDQualityError, InputError, MetricError
 from occert.rng import make_rng
-
-
-def _g00_drops_along(k):
-    """Custom metric with g_00 = 1 - 10 x_k: not SPD from x_k = 0.1 on."""
-    powers = [0] * 6
-    powers[k] = 1
-    return sp.MetricField("custom", {"terms": [
-        [i, i, [[1.0, [0] * 6]] + ([[-10.0, powers]] if i == 0 else [])]
-        for i in range(6)]})
 
 
 def _g11_with_power(p):
@@ -122,10 +113,9 @@ class TestCharts:
         assert _same_bits(sp._ambient_stack("south", xs), _T * sp._ambient_stack("north", xs))
         assert _same_bits(sp._jacobian_stack("south", xs),
                           _T[:, None] * sp._jacobian_stack("north", xs))
-        for x in xs:
-            for south, north in zip(sp._stereographic_jets("south", x),
-                                    sp._stereographic_jets("north", x)):
-                assert _same_bits(south, _T.reshape((7,) + (1,) * (north.ndim - 1)) * north)
+        for south, north in zip(sp._stereographic_jets("south", xs),
+                                sp._stereographic_jets("north", xs)):
+            assert _same_bits(south, _T.reshape((7,) + (1,) * (north.ndim - 2)) * north)
 
     def test_metrics_read_alike_in_both_charts(self):
         # f = c . p_south = (T c) . p_north, and the round and ellipsoid
@@ -141,9 +131,8 @@ class TestCharts:
         xs = np.stack([pt.x for pt in sp.sample_points(300, 5)])
         for south, north in pairs:
             assert np.array_equal(south.matrices("south", xs), north.matrices("north", xs))
-            for x in xs:
-                for a, b in zip(south.jets("south", x), north.jets("north", x)):
-                    assert np.array_equal(a, b)
+            for a, b in zip(south.jets("south", xs), north.jets("north", xs)):
+                assert np.array_equal(a, b)
 
     def test_transition_preserves_orientation(self):
         # north coords near the equator, re-expressed in the south chart
@@ -244,7 +233,7 @@ class TestMetricFamilies:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_matrices_fail_at_first_bad_row(self):
-        terms = _g00_drops_along(0).params["terms"]
+        terms = g00_drops_along(0).params["terms"]
         # g_11 = 1 + 2e308 x_1 overflows to inf at x_1 = 1
         terms[1][2] += [[1e308, [0, 1, 0, 0, 0, 0]]] * 2
         field = sp.MetricField("custom", {"terms": terms})
@@ -394,8 +383,8 @@ class TestSPDScreen:
 def _exact_christoffel(field, pt):
     """Levi-Civita symbols gamma[k, i, j] and the metric g at the point,
     from the closed-form jets that riemann's exact scheme reads."""
-    g, dg, _ = field.jets(pt.chart_id, pt.x)
-    return sp._christoffel(g, dg, pt.x)[0], g
+    g, dg, _ = field.jets(pt.chart_id, pt.x[None])
+    return sp._christoffel(g, dg, pt.x[None])[0][0], g[0]
 
 
 class TestChristoffel:
@@ -447,8 +436,8 @@ class TestRiemann:
         conf = sp.MetricField("conformal", {"f": {"type": "ambient_linear",
                                                   "coeffs": [0.1, 0, 0.2, 0, 0, 0, 0]}})
         for pt in sp.sample_points(5, 44):
-            R, g = sp._coordinate_riemann(conf, pt, fd)
-            R = cv.express_in_frame(R, sp.orthonormal_frame(g))
+            R, g = sp._coordinate_riemann(conf, pt.chart_id, pt.x[None], fd)
+            R = cv.express_in_frame(R[0], sp.orthonormal_frame(g[0]))
             assert max(cv.validate_symmetries(R).values()) < 1e-9
 
     def test_output_is_an_exact_curvature_tensor(self):
@@ -516,7 +505,7 @@ class TestRiemann:
         # SPD at every point of the stencil of x (x_5 + 2h < 0.1), but not
         # at x + 3h e_5, the first point whose x_5 reaches 0.1: the + 2h e_5
         # sample around the base x + h e_5.
-        field = _g00_drops_along(5)
+        field = g00_drops_along(5)
         fd = sp.FDConfig(h=1e-3, scheme="richardson_4th")
         x = np.array([0.1, -0.2, 0.0, 0.3, 0.1, 0.0975])
         e5 = np.eye(6)[5]
@@ -550,8 +539,8 @@ class TestRiemann:
             eps[perm] = np.linalg.det(np.eye(4)[list(perm)])
         coordinate_riemann = sp._coordinate_riemann
 
-        def with_bianchi_part(field, point, fd):
-            R, g = coordinate_riemann(field, point, fd)
+        def with_bianchi_part(field, chart_id, xs, fd):
+            R, g = coordinate_riemann(field, chart_id, xs, fd)
             return R + 1e-2 * eps, g
 
         monkeypatch.setattr(sp, "_coordinate_riemann", with_bianchi_part)
@@ -569,7 +558,7 @@ class TestRiemann:
 
         def with_bad_entry(R, frame):
             R_onf = express_in_frame(R, frame)
-            R_onf[0, 1, 2, 3] = bad
+            R_onf[..., 0, 1, 2, 3] = bad
             return R_onf
 
         monkeypatch.setattr(sp, "express_in_frame", with_bad_entry)
@@ -580,8 +569,8 @@ class TestRiemann:
 def _fd_christoffel(field, pt, fd):
     """Levi-Civita symbols and the metric by finite differences of the
     metric, from the jet and symbol routines of riemann's FD scheme."""
-    g, dg, _ = sp._fd_jets(field, pt, fd.h)
-    return sp._christoffel(g, dg, pt.x)[0], g
+    g, dg, _ = sp._fd_jets(field, pt.chart_id, pt.x[None], fd.h)
+    return sp._christoffel(g, dg, pt.x[None])[0][0], g[0]
 
 
 def _jet_fields():
@@ -666,11 +655,11 @@ class TestExactJets:
         # riemann's fourth-order jets are off by at most 2.2e-10 relative.
         h = 1e-3
         for pt in _jet_points():
-            g, dg, ddg = field.jets(pt.chart_id, pt.x)
+            g, dg, ddg = (a[0] for a in field.jets(pt.chart_id, pt.x[None]))
             assert np.array_equal(g, field.matrix(pt))
             coarse = _central_jets(field, pt.chart_id, pt.x, h)
             fine = _central_jets(field, pt.chart_id, pt.x, h / 2)
-            fd_g, *fd_jets = sp._fd_jets(field, pt, h)
+            fd_g, *fd_jets = (a[0] for a in sp._fd_jets(field, pt.chart_id, pt.x[None], h))
             assert np.array_equal(fd_g, g)
             for exact, c, f, fd in zip((dg, ddg), coarse, fine, fd_jets):
                 ref = (4.0 * f - c) / 3.0
@@ -686,7 +675,7 @@ class TestExactJets:
                         [3.0, [0, 0, 0, 1, 0, 0]]]
         field = sp.MetricField("custom", {"terms": terms})
         for x in (np.zeros(6), np.array([0, 0, 0, 0.1, 0, 0.2])):
-            g, dg, ddg = field.jets("north", x)
+            g, dg, ddg = (a[0] for a in field.jets("north", x[None]))
             assert np.isfinite(dg).all() and np.isfinite(ddg).all()
             d0 = np.zeros(6)
             d0[3] = 3.0
@@ -702,19 +691,19 @@ class TestExactJets:
         # g = 1e308 Id is finite at x = e_0, its derivative -2e308 is not
         x = np.eye(6)[0]
         with pytest.raises(MetricError, match="non-finite derivatives"):
-            sp.MetricField("round", scale=1e308).jets("north", x)
+            sp.MetricField("round", scale=1e308).jets("north", x[None])
 
     def test_metric_checks_shared_with_matrices(self):
-        field = _g00_drops_along(5)
+        field = g00_drops_along(5)
         x = np.array([0.1, -0.2, 0.0, 0.3, 0.1, 0.2])
         with pytest.raises(MetricError) as info:
-            field.jets("north", x)
+            field.jets("north", x[None])
         assert str(info.value) == ("metric evaluator returned a non-SPD matrix at %s"
                                    % x)
         with pytest.raises(InputError):
-            field.jets("north", np.array([1.6, 0, 0, 0, 0, 0]))
+            field.jets("north", np.array([[1.6, 0, 0, 0, 0, 0]]))
         with pytest.raises(InputError):
-            field.jets("north", np.zeros(7))
+            field.jets("north", np.zeros((1, 7)))
 
     def test_christoffel_matches_finite_differences(self):
         # fourth-order differences: the central ones are off by up to
@@ -744,13 +733,62 @@ class TestExactJets:
         pt = sp.sample_points(1, 63)[0]
         jets = sp.MetricField.jets
 
-        def nan_jets(self, chart_id, x):
-            g, dg, ddg = jets(self, chart_id, x)
+        def nan_jets(self, chart_id, xs):
+            g, dg, ddg = jets(self, chart_id, xs)
             return g, dg, np.full_like(ddg, np.nan)
 
         monkeypatch.setattr(sp.MetricField, "jets", nan_jets)
         with pytest.raises(FDQualityError):
             sp.riemann(field, pt, EXACT)
+
+
+def _field_id(field):
+    return "%s-%g" % (field.family, field.scale)
+
+
+class TestStackedRoute:
+    """riemann_stack runs per-row operations only, so a point's tensor, and
+    the jets it starts from, do not depend on the other rows of its stack."""
+
+    @staticmethod
+    def _points():
+        return _jet_points() + sp.sample_points(10, 62)
+
+    @pytest.mark.parametrize("scheme", ["exact", "richardson_4th"])
+    @pytest.mark.parametrize("field", _jet_fields(), ids=_field_id)
+    def test_riemann_is_its_row_of_the_stack(self, field, scheme):
+        fd = sp.FDConfig(scheme=scheme)
+        pts = self._points()
+        stack = sp.riemann_stack(field, pts, fd)
+        assert stack.shape == (len(pts), 6, 6, 6, 6)
+        for pt, R in zip(pts, stack):
+            assert _same_bits(sp.riemann(field, pt, fd), R)
+
+    @pytest.mark.parametrize("field", _jet_fields(), ids=_field_id)
+    def test_jets_of_a_stack_are_its_rows(self, field):
+        xs = np.array([pt.x for pt in self._points()])
+        for chart in ("north", "south"):
+            stack = field.jets(chart, xs)
+            for m, x in enumerate(xs):
+                for a, b in zip(stack, field.jets(chart, x[None])):
+                    assert _same_bits(a[m], b[0])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stacked_jet_errors_keep_their_texts(self):
+        # at scale 1e308 the derivatives overflow from |x| = 1.2 inward;
+        # the stack names its first failing row as that row alone does
+        field = sp.MetricField("round", scale=1e308)
+        xs = np.outer([1.5, 1.2, 1.0], np.eye(6)[0])
+        field.jets("north", xs[:1])
+        with pytest.raises(MetricError) as alone:
+            field.jets("north", xs[1:2])
+        with pytest.raises(MetricError) as stacked:
+            field.jets("north", xs)
+        assert str(stacked.value) == str(alone.value) == (
+            "metric evaluator returned non-finite derivatives at %s" % xs[1])
+        for bad in (np.zeros(6), np.zeros((3, 7))):
+            with pytest.raises(InputError, match=r"^chart coordinates must have shape \(M, 6\)$"):
+                field.jets("north", bad)
 
 
 def _round_points():
@@ -886,7 +924,8 @@ class TestPerturbationEstimate:
         G = cv.kulkarni_nomizu_square()
         for pt in sp.sample_points(4, 15):
             B0 = sp.orthonormal_frame(sp.MetricField("round").matrix(pt))
-            D = cv.express_in_frame(sp._coordinate_riemann(field, pt, sp.FDConfig())[0], B0) - G
+            R = sp._coordinate_riemann(field, pt.chart_id, pt.x[None], sp.FDConfig())[0][0]
+            D = cv.express_in_frame(R, B0) - G
             eps1 = bd.estimate_perturbation(field, [pt]).eps1
             rounded = eps1 * (1.0 + 1e-12)
             assert np.max(np.abs(D)) <= rounded and sampled_sup_norm(D, rng, 10_000) <= rounded
